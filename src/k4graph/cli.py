@@ -132,7 +132,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     names = [args.suite] if args.suite else None
     try:
         results = run_suites(names)
-    except (CatalogError, StructuralError) as exc:
+    except (CatalogError, StructuralError, SearchBudgetError) as exc:
         print(f"verification aborted: {exc}", file=sys.stderr)
         return VERIFY_ERROR
     exit_code = 0
@@ -147,6 +147,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for extra in res.failures[1:4]:
                 print(f"  also: {extra}")
     return exit_code
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", help="existence and witnesses per element class")
     p_cls.add_argument("--vertex", required=True, help="catalog id, e.g. '[7S]'")
     p_cls.add_argument("--square", type=int, choices=(-2, 6), required=True)
-    p_cls.add_argument("--bound", type=int, help="search for witnesses instead of constructing")
+    p_cls.add_argument(
+        "--bound", type=_positive_int, help="search for witnesses instead of constructing"
+    )
     p_cls.set_defaults(func=cmd_classify)
 
     p_ver = sub.add_parser("verify", help="run the invariant suites")

@@ -11,6 +11,7 @@ lattices is cheap even at rank 12.
 from __future__ import annotations
 
 import enum
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,7 +193,7 @@ class _BlockData:
         # capabilities within any window containing the basis vectors
         self.can_odd = any(x % 2 for row in self.gram for x in row)
         self.can_even_nonwu = self._probe_even_nonwu()
-        self._ldl = None
+        self.ldl = self._integer_ldl() if self.neg_definite or self.pos_definite else None
 
     def _even_norm_gcd(self) -> int:
         r = self.rank
@@ -227,7 +228,7 @@ class _BlockData:
                     for i in range(r)
                     for j in range(r)
                 )
-                g = _gcd(g, val if a == b else 2 * val)
+                g = math.gcd(g, val if a == b else 2 * val)
         return g if g else 1
 
     def _probe_even_nonwu(self) -> bool:
@@ -248,27 +249,36 @@ class _BlockData:
             return (0, m)
         return (-m, m)
 
-    def ldl(self) -> Tuple[List[Fraction], List[List[Fraction]]]:
-        """LDL^T of the positively-oriented form: x^T P x = sum_k d_k w_k^2.
+    def _integer_ldl(self) -> Tuple[List[List[int]], List[int], List[int], int]:
+        """Fraction-free LDL^T of the positively-oriented form P = sign * gram.
 
-        Here w_k = x_k + sum_{i>k} L[i][k] x_i, so fixing coordinates from the
-        last to the first determines the terms k = r-1, r-2, ... one by one.
+        With M_k the k-th leading principal minor of P (M_0 = 1), fraction-free
+        (Bareiss) elimination gives integers b[i][k] such that
+
+            x^T P x = sum_k d_k w_k^2,  d_k = M_{k+1} / M_k,
+            w_k = x_k + sum_{i>k} (b[i][k] / M_{k+1}) x_i,
+
+        i.e. column k of L has numerators b[i][k] over the denominator M_{k+1}.
+        With W_k = M_{k+1} w_k, each term is W_k^2 / (M_k M_{k+1}); scaled by
+        the common S = lcm_k(M_k M_{k+1}) it becomes coeff[k] * W_k^2, so
+        S * x^T P x is an integer sum and pruning needs no rationals.
+        Returns (numerators, denominators, coefficients, scale).
         """
-        if self._ldl is None:
-            r = self.rank
-            sign = -1 if self.neg_definite else 1
-            a = [[Fraction(sign * self.gram[i][j]) for j in range(r)] for i in range(r)]
-            diag: List[Fraction] = []
-            lower = [[Fraction(0)] * r for _ in range(r)]
-            for k in range(r):
-                dk = a[k][k] - sum(diag[m] * lower[k][m] ** 2 for m in range(k))
-                diag.append(dk)
-                lower[k][k] = Fraction(1)
-                for i in range(k + 1, r):
-                    val = a[i][k] - sum(diag[m] * lower[i][m] * lower[k][m] for m in range(k))
-                    lower[i][k] = val / dk
-            self._ldl = (diag, lower)
-        return self._ldl
+        r = self.rank
+        sign = -1 if self.neg_definite else 1
+        a = [[sign * self.gram[i][j] for j in range(r)] for i in range(r)]
+        num = [[0] * r for _ in range(r)]
+        minors = [1]  # M_0, M_1, ...: each pivot is the next leading minor
+        for k in range(r):
+            piv = a[k][k]
+            for i in range(k + 1, r):
+                num[i][k] = a[i][k]
+                for j in range(k + 1, r):
+                    a[i][j] = (piv * a[i][j] - a[i][k] * a[k][j]) // minors[k]
+            minors.append(piv)
+        terms = [minors[k] * minors[k + 1] for k in range(r)]
+        scale = math.lcm(*terms)
+        return num, minors[1:], [scale // t for t in terms], scale
 
 
 @lru_cache(maxsize=None)
@@ -304,17 +314,10 @@ def _norm_gcd(gram) -> int:
     g = 0
     r = len(gram)
     for i in range(r):
-        g = _gcd(g, gram[i][i])
+        g = math.gcd(g, gram[i][i])
         for j in range(i + 1, r):
-            g = _gcd(g, 2 * gram[i][j])
+            g = math.gcd(g, 2 * gram[i][j])
     return g if g else 1
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _iter_box(rank: int, bound: int) -> Iterator[Tuple[int, ...]]:
@@ -372,33 +375,34 @@ def _block_vectors(
     vals = _value_order(bound)
     if block.neg_definite or block.pos_definite:
         sign = -1 if block.neg_definite else 1
-        diag, lower = block.ldl()
-        cap = Fraction(max(abs(lo), abs(hi)))
+        num, den, coeff, scale = block.ldl
+        # the prune "partial > cap" of the rational walk, multiplied by scale
+        cap = scale * max(abs(lo), abs(hi))
 
-        def rec(depth: int, acc: List[int], partial: Fraction) -> Iterator[Tuple[Tuple[int, ...], int]]:
+        def rec(depth: int, acc: List[int], partial: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
             # acc holds x_{r-1}, x_{r-2}, ...; at this depth coordinate k is fixed
             if depth == r:
-                n = sign * partial
+                n = sign * (partial // scale)
                 if lo <= n <= hi:
                     coords = tuple(reversed(acc))
-                    yield coords, int(n)
+                    yield coords, n
                 return
             k = r - 1 - depth
+            dk, ck = den[k], coeff[k]
+            base = sum(num[i][k] * acc[r - 1 - i] for i in range(k + 1, r) if num[i][k])
             for v in vals:
                 if parities is not None and (v - parities[k]) % 2:
                     continue
                 state.tick()
-                w = Fraction(v) + sum(
-                    lower[i][k] * acc[r - 1 - i] for i in range(k + 1, r) if lower[i][k]
-                )
-                p2 = partial + diag[k] * w * w
+                w = dk * v + base
+                p2 = partial + ck * w * w
                 if p2 > cap:
                     continue
                 acc.append(v)
                 yield from rec(depth + 1, acc, p2)
                 acc.pop()
 
-        yield from rec(0, [], Fraction(0))
+        yield from rec(0, [], 0)
         return
 
     def rec_flat(k: int, acc: List[int]) -> Iterator[Tuple[Tuple[int, ...], int]]:
@@ -456,8 +460,8 @@ def _search_blocks(
     for i in range(nblocks - 1, -1, -1):
         suf_lo[i] = suf_lo[i + 1] + bounds[i][0]
         suf_hi[i] = suf_hi[i + 1] + bounds[i][1]
-        suf_gcd[i] = _gcd(suf_gcd[i + 1], blocks[i].norm_gcd)
-        suf_even_gcd[i] = _gcd(suf_even_gcd[i + 1], blocks[i].even_norm_gcd)
+        suf_gcd[i] = math.gcd(suf_gcd[i + 1], blocks[i].norm_gcd)
+        suf_even_gcd[i] = math.gcd(suf_even_gcd[i + 1], blocks[i].even_norm_gcd)
         suf_wu_off[i] = (suf_wu_off[i + 1] + blocks[i].wu_norm_mod8) % 8
         suf_wu_exact[i] = suf_wu_exact[i + 1] and blocks[i].even_gram
         suf_can_odd[i] = suf_can_odd[i + 1] or blocks[i].can_odd

@@ -5,6 +5,14 @@ Finite-form values are stored integrally in half-units: a quadratic value
 b = m/2 in Q/Z (m lives mod 2).  The Brown invariant is computed by the exact
 Gauss sum over the whole group, matched against the eight possible eighth
 roots of unity times 2^(d/2).
+
+``discriminant_group`` and ``discriminant_quadratic`` are memoized through
+``_discriminant_group`` and ``_discriminant_quadratic``, each a
+``functools.lru_cache`` of ``lattice.MEMO_SIZE`` entries.  The key is the Gram
+tuple; for ``discriminant_quadratic`` it also holds the coordinates of the
+characteristic vector, on odd lattices only (even lattices ignore it).  The
+results are frozen dataclasses of tuples, so every caller may share one;
+errors are not cached.
 """
 
 from __future__ import annotations
@@ -12,13 +20,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .lattice import (
+    MEMO_SIZE,
+    Gram,
     GramLattice,
     LatticeVector,
     LatticeError,
-    gram_apply,
     is_even,
     signature,
 )
@@ -147,30 +157,36 @@ class DiscriminantGroup:
 
 def discriminant_group(l: GramLattice) -> DiscriminantGroup:
     """Elementary divisors and generator lifts of L*/L from the SNF of the Gram."""
-    if l.rank == 0:
+    return _discriminant_group(l.gram)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _discriminant_group(gram: Gram) -> DiscriminantGroup:
+    rank = len(gram)
+    if rank == 0:
         return DiscriminantGroup((), ())
-    u, d, v = smith_normal_form(l.gram)
+    u, d, v = smith_normal_form(gram)
     divisors = []
     lifts = []
-    for i in range(l.rank):
+    for i in range(rank):
         di = d[i][i]
         if di == 0:
             raise LatticeError("gram matrix is degenerate")
         if di == 1:
             continue
         divisors.append(di)
-        lifts.append(tuple(Fraction(v[r][i], di) for r in range(l.rank)))
+        lifts.append(tuple(Fraction(v[r][i], di) for r in range(rank)))
     return DiscriminantGroup(tuple(divisors), tuple(lifts))
 
 
-def _frac_inner(l: GramLattice, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
+def _frac_inner(gram: Gram, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
     total = Fraction(0)
-    for i in range(l.rank):
+    for i, row in enumerate(gram):
         if x[i] == 0:
             continue
-        for j in range(l.rank):
-            if y[j] != 0 and l.gram[i][j] != 0:
-                total += x[i] * l.gram[i][j] * y[j]
+        for j, gij in enumerate(row):
+            if y[j] != 0 and gij != 0:
+                total += x[i] * gij * y[j]
     return total
 
 
@@ -258,23 +274,30 @@ def discriminant_quadratic(
     or a characteristic vector anyway; for odd l a characteristic w in L is
     required and q(x+L) = x^2 + <w,x> mod 2Z.
     """
-    disc = discriminant_group(l)
+    wc = None
+    if w is not None and not is_even(l):
+        if w.ambient.gram != l.gram:
+            raise FormError("characteristic vector lives in the wrong lattice")
+        wc = w.coords
+    return _discriminant_quadratic(l.gram, wc)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _discriminant_quadratic(gram: Gram, wc: Optional[Tuple[int, ...]]) -> FiniteQuadraticForm:
+    disc = _discriminant_group(gram)
     if not disc.is_two_periodic:
         raise FormError("form out of scope: discriminant is not 2-periodic")
-    if is_even(l):
-        # canonical q(x+L) = x^2 mod 2Z; a supplied w is not used
-        wc = None
-    else:
-        if w is None:
+    # even: canonical q(x+L) = x^2 mod 2Z, and a supplied w is not used
+    if any(row[i] % 2 for i, row in enumerate(gram)):
+        if wc is None:
             raise FormError("odd lattice needs a characteristic vector")
-        _check_characteristic(l, w)
-        wc = w.coords
+        _check_characteristic(gram, wc)
     d = disc.rank
     qvals = []
     for g in disc.lifts:
-        val = _frac_inner(l, g, g)
+        val = _frac_inner(gram, g, g)
         if wc is not None:
-            val += sum(Fraction(wc[i]) * gi for i, gi in enumerate(_dual_pair(l, g)))
+            val += sum(Fraction(wc[i]) * gi for i, gi in enumerate(_dual_pair(gram, g)))
         k = val * 2
         if k.denominator != 1:
             raise FormError("quadratic value is not half-integral; malformed input")
@@ -282,25 +305,20 @@ def discriminant_quadratic(
     bvals = [[0] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
-            val = _frac_inner(l, disc.lifts[i], disc.lifts[j]) * 2
+            val = _frac_inner(gram, disc.lifts[i], disc.lifts[j]) * 2
             if val.denominator != 1:
                 raise FormError("bilinear value is not half-integral; malformed input")
             bvals[i][j] = bvals[j][i] = int(val) % 2
     return FiniteQuadraticForm(d, tuple(qvals), _freeze(bvals))
 
 
-def _dual_pair(l: GramLattice, g: Sequence[Fraction]) -> List[Fraction]:
-    return [
-        sum(Fraction(l.gram[i][j]) * g[j] for j in range(l.rank)) for i in range(l.rank)
-    ]
+def _dual_pair(gram: Gram, g: Sequence[Fraction]) -> List[Fraction]:
+    return [sum(Fraction(gij) * gj for gij, gj in zip(row, g)) for row in gram]
 
 
-def _check_characteristic(l: GramLattice, w: LatticeVector) -> None:
-    if w.ambient.gram != l.gram:
-        raise FormError("characteristic vector lives in the wrong lattice")
-    gw = gram_apply(l, w.coords)
-    for i in range(l.rank):
-        if (gw[i] - l.gram[i][i]) % 2 != 0:
+def _check_characteristic(gram: Gram, wc: Sequence[int]) -> None:
+    for i, row in enumerate(gram):
+        if (sum(gij * c for gij, c in zip(row, wc)) - row[i]) % 2 != 0:
             raise FormError("supplied vector is not characteristic")
 
 

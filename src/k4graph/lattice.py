@@ -3,15 +3,27 @@
 Everything here is arbitrary-precision integer (or rational) arithmetic.  No
 floating point is used anywhere: signatures come from exact symmetric
 elimination, orthogonal complements from exact integer column reduction.
+
+``inertia`` (and so ``signature``) is memoized: it delegates to ``_inertia``,
+a ``functools.lru_cache`` keyed by the Gram tuple alone (labels and summands
+do not change the answer) and bounded at ``MEMO_SIZE`` entries.  This is sound
+because a Gram is a tuple of tuples of ints and the result is a tuple, so
+neither the key nor the shared result can be mutated; errors are not cached.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple
 
 Gram = Tuple[Tuple[int, ...], ...]
+
+# Entries per Gram-keyed memo: one verify run meets 437 distinct Gram
+# matrices, so 1024 holds them all; the memos add about 1 MB of peak RSS.
+MEMO_SIZE = 1024
 
 
 class LatticeError(ValueError):
@@ -250,8 +262,13 @@ def inertia(l: GramLattice) -> Tuple[int, int, int]:
     integers; zero-diagonal blocks are handled by the standard hyperbolic
     row+column addition.  A gcd reduction after every step keeps entries small.
     """
-    n = l.rank
-    a = [list(row) for row in l.gram]
+    return _inertia(l.gram)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _inertia(gram: Gram) -> Tuple[int, int, int]:
+    n = len(gram)
+    a = [list(row) for row in gram]
     pos = neg = zero = 0
     k = 0
     while k < n:
@@ -294,8 +311,7 @@ def inertia(l: GramLattice) -> Tuple[int, int, int]:
         ]
         g = 0
         for row in sub:
-            for x in row:
-                g = _gcd(g, x)
+            g = math.gcd(g, *row)
         if g > 1:
             sub = [[x // g for x in row] for row in sub]
         for i in range(k + 1, n):
@@ -303,13 +319,6 @@ def inertia(l: GramLattice) -> Tuple[int, int, int]:
                 a[i][j] = sub[i - k - 1][j - k - 1]
         k += 1
     return pos, neg, zero
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def signature(l: GramLattice) -> Tuple[int, int]:
@@ -439,17 +448,9 @@ def orthogonal_sublattice(l: GramLattice, v: LatticeVector) -> GramLattice:
     if all(x == 0 for x in c):
         raise LatticeError("vector pairs trivially with the whole lattice")
     basis = _row_kernel_basis(c)
-    gram = [
-        [
-            sum(
-                basis[a][i] * l.gram[i][j] * basis[b][j]
-                for i in range(l.rank)
-                for j in range(l.rank)
-            )
-            for b in range(len(basis))
-        ]
-        for a in range(len(basis))
-    ]
+    # G·b once per basis row, then the Gram entries as row dot products
+    gb = [gram_apply(l, row) for row in basis]
+    gram = [[sum(x * y for x, y in zip(ra, gbb)) for gbb in gb] for ra in basis]
     label = f"perp({l.label})" if l.label else ""
     return GramLattice.from_rows(gram, label)
 

@@ -2,7 +2,8 @@
 
 Each suite returns a SuiteResult with human-readable failure strings; the
 CLI exit status is the conjunction.  The suites are deterministic (seeded
-randomness only) and reasonably fast: the full run takes a few seconds.
+randomness only); the full run takes about 2 s of CPU time with Python 3.11
+on one core of a small x86-64 cloud VM.
 """
 
 from __future__ import annotations

@@ -134,3 +134,24 @@ def test_cli_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.count("\n") >= 75
+
+
+@pytest.mark.parametrize("bound", ["0", "-1", "x"])
+def test_classify_rejects_non_positive_bound(bound, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--vertex", "[7S]", "--square", "-2", "--bound", bound])
+    assert exc.value.code == 2
+    assert "--bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "budget, reason",
+    [("abc", "K4GRAPH_SEARCH_BUDGET must be an integer"), ("5", "budget exceeded")],
+)
+def test_verify_reports_bad_search_budget(budget, reason, monkeypatch, capsys):
+    monkeypatch.setenv("K4GRAPH_SEARCH_BUDGET", budget)
+    code, out, err = run_cli(["verify", "--suite", "predicates"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification aborted: ")
+    assert reason in err

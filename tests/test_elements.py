@@ -261,3 +261,90 @@ def test_enumerate_vectors_deterministic(catalog):
     assert [x.coords for x in a] == [x.coords for x in b]
     assert all(norm(x) == -2 for x in a)
     assert len(a) == 10
+
+
+# ---------------------------------------------------------------------------
+# integer block walk against the rational reference
+# ---------------------------------------------------------------------------
+
+def _fraction_ldl(block):
+    """Rational LDL^T of the positively-oriented form: x^T P x = sum_k d_k w_k^2."""
+    from fractions import Fraction
+
+    r = block.rank
+    sign = -1 if block.neg_definite else 1
+    a = [[Fraction(sign * block.gram[i][j]) for j in range(r)] for i in range(r)]
+    diag = []
+    lower = [[Fraction(0)] * r for _ in range(r)]
+    for k in range(r):
+        dk = a[k][k] - sum(diag[m] * lower[k][m] ** 2 for m in range(k))
+        diag.append(dk)
+        lower[k][k] = Fraction(1)
+        for i in range(k + 1, r):
+            val = a[i][k] - sum(diag[m] * lower[i][m] * lower[k][m] for m in range(k))
+            lower[i][k] = val / dk
+    return diag, lower
+
+
+def _fraction_block_vectors(block, bound, lo, hi, parities, state):
+    """The definite-block walk with Fraction pruning, as it was first written."""
+    from fractions import Fraction
+
+    from k4graph.elements import _value_order
+
+    r = block.rank
+    vals = _value_order(bound)
+    sign = -1 if block.neg_definite else 1
+    diag, lower = _fraction_ldl(block)
+    cap = Fraction(max(abs(lo), abs(hi)))
+
+    def rec(depth, acc, partial):
+        if depth == r:
+            n = sign * partial
+            if lo <= n <= hi:
+                yield tuple(reversed(acc)), int(n)
+            return
+        k = r - 1 - depth
+        for v in vals:
+            if parities is not None and (v - parities[k]) % 2:
+                continue
+            state.tick()
+            w = Fraction(v) + sum(
+                lower[i][k] * acc[r - 1 - i] for i in range(k + 1, r) if lower[i][k]
+            )
+            p2 = partial + diag[k] * w * w
+            if p2 > cap:
+                continue
+            acc.append(v)
+            yield from rec(depth + 1, acc, p2)
+            acc.pop()
+
+    yield from rec(0, [], Fraction(0))
+
+
+def test_integer_block_walk_matches_fraction_reference():
+    from k4graph.elements import _SearchState, _block_data, _block_vectors
+    from k4graph.lattice import STANDARD_GRAMS
+
+    # windows as (a, b) on |norm|, oriented by the block's sign, plus one
+    # window straddling zero where the cap comes from the far end
+    magnitudes = [(0, 0), (2, 2), (0, 4)]
+    checked = 0
+    for name in STANDARD_GRAMS:
+        block = _block_data(name)
+        if not (block.neg_definite or block.pos_definite):
+            continue
+        sign = -1 if block.neg_definite else 1
+        windows = [(a, b) if sign > 0 else (-b, -a) for a, b in magnitudes]
+        windows.append((-3, 5))
+        for bound in (1, 2, 3):
+            for lo, hi in windows:
+                for parities in (None, block.wu_parities):
+                    ref_state, int_state = _SearchState(), _SearchState()
+                    ref = list(_fraction_block_vectors(block, bound, lo, hi, parities, ref_state))
+                    got = list(_block_vectors(block, bound, lo, hi, parities, int_state))
+                    key = (name, bound, lo, hi, parities)
+                    assert got == ref, key
+                    assert int_state.visited == ref_state.visited, key
+                    checked += 1
+    assert checked == 7 * 3 * 4 * 2

@@ -291,3 +291,48 @@ def test_lattices_equivalent_u2_case():
     a = from_summands(("U(2)", "U(2)", "<-2>"))
     b = from_summands(("<2>", "<2>", "<-2>", "<-2>", "<-2>"))
     assert lattices_equivalent(a, b) == "yes"
+
+
+# ---------------------------------------------------------------------------
+# Gram-keyed memo
+# ---------------------------------------------------------------------------
+
+_TWO_ELEMENTARY = ("<1>", "<2>", "<-2>", "U", "U(2)", "D4", "E7", "E8", "E8(2)")
+
+
+@given(
+    st.lists(st.sampled_from(_TWO_ELEMENTARY), min_size=1, max_size=3),
+    st.integers(0, 2**32),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_memo_matches_uncached_helpers(names, seed, degenerate):
+    import random
+
+    from k4graph import LatticeError, find_characteristic
+    from k4graph.finite_forms import _discriminant_group, _discriminant_quadratic
+    from k4graph.lattice import _inertia
+    from k4graph.verification import _congruent, _random_unimodular
+
+    rows = [list(row) for row in from_summands(names).gram]
+    if degenerate:
+        rows = [row + [0] for row in rows] + [[0] * (len(rows) + 1)]
+    n = len(rows)
+    lat = _congruent(rows, _random_unimodular(random.Random(seed), n))
+    gram = lat.gram
+    if degenerate:
+        for _ in range(2):
+            with pytest.raises(LatticeError):
+                signature(lat)
+            with pytest.raises(LatticeError):
+                discriminant_group(lat)
+            with pytest.raises(LatticeError):
+                discriminant_quadratic(lat)
+        return
+    w = find_characteristic(lat)
+    wc = None if all(gram[i][i] % 2 == 0 for i in range(n)) else w.coords
+    pos, neg, _ = _inertia.__wrapped__(gram)
+    for _ in range(2):
+        assert signature(lat) == (pos, neg)
+        assert discriminant_group(lat) == _discriminant_group.__wrapped__(gram)
+        assert discriminant_quadratic(lat, w) == _discriminant_quadratic.__wrapped__(gram, wc)

@@ -341,3 +341,44 @@ def test_json_big_integers_as_strings():
     payload = json.loads(l.to_json())
     assert payload["gram"][0][0] == str(big)
     assert GramLattice.from_json(l.to_json()).gram == ((big,),)
+
+
+def _complement_gram_reference(l, v):
+    """The complement Gram as B·G·B^T summed entry by entry, in O(n^4)."""
+    from k4graph.lattice import _row_kernel_basis
+
+    basis = _row_kernel_basis(gram_apply(l, v.coords))
+    return tuple(
+        tuple(
+            sum(
+                basis[a][i] * l.gram[i][j] * basis[b][j]
+                for i in range(l.rank)
+                for j in range(l.rank)
+            )
+            for b in range(len(basis))
+        )
+        for a in range(len(basis))
+    )
+
+
+def test_orthogonal_matches_quartic_reference(catalog):
+    from k4graph.verification import _congruent, _random_unimodular
+
+    rng = random.Random(2006)
+    lattices = {}
+    for v in catalog:
+        for lat in (v.lplus, v.lminus):
+            lattices.setdefault(lat.gram, lat)
+    sources = list(lattices.values())
+    for lat in rng.sample([l for l in sources if l.rank <= 12], 15):
+        cong = _congruent(lat.gram, _random_unimodular(rng, lat.rank))
+        lattices.setdefault(cong.gram, cong)
+    checked = 0
+    for lat in lattices.values():
+        coords = [0] * lat.rank
+        while not any(coords):
+            coords = [rng.randint(-2, 2) for _ in range(lat.rank)]
+        x = lat.vector(coords)
+        assert orthogonal_sublattice(lat, x).gram == _complement_gram_reference(lat, x)
+        checked += 1
+    assert checked == len(lattices) == 165
