@@ -38,8 +38,6 @@ from .catalog import (
     TopType,
     VertexKey,
     build_catalog,
-    coords_rd,
-    lookup,
 )
 from .elements import (
     ElementClass,

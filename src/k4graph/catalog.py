@@ -10,7 +10,7 @@ invariant before returning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .lattice import GramLattice, from_summands, is_even, signature
 from .finite_forms import discriminant_group, discriminant_quadratic, parity
@@ -184,9 +184,6 @@ class Catalog(Sequence[K3Vertex]):
         except KeyError:
             raise CatalogError(f"no such vertex with key {tuple(key)}") from None
 
-    def has_key(self, key: VertexKey) -> bool:
-        return VertexKey(*key) in self._by_key
-
     def by_id(self, vid: str) -> K3Vertex:
         try:
             return self._by_id[vid]
@@ -214,41 +211,48 @@ def _make_vertex(
     return K3Vertex(vid, top, lplus, lminus, s, t, r, d_plus, vt, kS)
 
 
-def _validate_vertex(v: K3Vertex) -> None:
-    def fail(msg: str) -> None:
-        raise CatalogError(f"catalog entry {v.vid}: {msg}")
+def _validate_vertex(v: K3Vertex) -> List[str]:
+    """Every per-vertex invariant the entry violates, in a fixed order.
 
+    The vertex came from ``_make_vertex``, which already needed both
+    eigenlattices non-degenerate and L- to have a 2-periodic discriminant,
+    so every check here can be evaluated.
+    """
+    out: List[str] = []
     if v.lplus.rank + v.lminus.rank != 22:
-        fail(f"rank(L+) + rank(L-) = {v.lplus.rank + v.lminus.rank} != 22")
+        out.append(f"rank(L+) + rank(L-) = {v.lplus.rank + v.lminus.rank} != 22")
     if not is_even(v.lplus) or not is_even(v.lminus):
-        fail("eigenlattices must be even")
+        out.append("eigenlattices must be even")
     sp = signature(v.lplus)
     sm = signature(v.lminus)
     if sp[0] != 1:
-        fail(f"sigma_+(L+) = {sp[0]} != 1")
+        out.append(f"sigma_+(L+) = {sp[0]} != 1")
     if sm[0] != 2:
-        fail(f"sigma_+(L-) = {sm[0]} != 2")
+        out.append(f"sigma_+(L-) = {sm[0]} != 2")
     if v.r != v.lplus.rank:
-        fail("r does not equal rank(L+)")
+        out.append("r does not equal rank(L+)")
     dg_plus = discriminant_group(v.lplus)
     dg_minus = discriminant_group(v.lminus)
     if not (dg_plus.is_two_periodic and dg_minus.is_two_periodic):
-        fail("discriminant groups must be 2-periodic")
+        out.append("discriminant groups must be 2-periodic")
     if v.d != dg_plus.rank or v.d != dg_minus.rank:
-        fail(f"discriminant ranks disagree: d={v.d}, L+ gives {dg_plus.rank}, L- gives {dg_minus.rank}")
+        out.append(
+            f"discriminant ranks disagree: d={v.d}, L+ gives {dg_plus.rank}, L- gives {dg_minus.rank}"
+        )
     vt = "I" if parity(discriminant_quadratic(v.lminus)) == "even" else "II"
     if v.vtype != vt:
-        fail("parity of discr(L-) disagrees with vertex type")
+        out.append("parity of discr(L-) disagrees with vertex type")
     if v.top.kind == "spheres" and not v.top.subscript_I:
         # principal series: type I exactly when the diagonal component vanishes,
         # and the (r, d) coordinate formulas hold
         if (v.vtype == "I") != (v.diag_s == 0 and v.diag_t == 0):
-            fail("type I must coincide with s = t = 0 on the principal series")
+            out.append("type I must coincide with s = t = 0 on the principal series")
         p, q = v.top.p, v.top.q
         if v.r != 11 - p + q:
-            fail(f"r = {v.r} != 11 - p + q = {11 - p + q}")
+            out.append(f"r = {v.r} != 11 - p + q = {11 - p + q}")
         if v.d != 11 - p - q:
-            fail(f"d = {v.d} != 11 - p - q = {11 - p - q}")
+            out.append(f"d = {v.d} != 11 - p - q = {11 - p - q}")
+    return out
 
 
 def build_catalog() -> Catalog:
@@ -285,22 +289,11 @@ def build_catalog() -> Catalog:
     if len(vertices) != 75:
         raise CatalogError(f"catalog has {len(vertices)} entries, expected 75")
     for v in vertices:
-        _validate_vertex(v)
+        problems = _validate_vertex(v)
+        if problems:
+            raise CatalogError(f"catalog entry {v.vid}: {problems[0]}")
     kS_ids = {v.vid for v in vertices if v.kS_flag}
     expected_kS = {f"[{k}S]" for k in range(1, 11)}
     if kS_ids != expected_kS:
         raise CatalogError(f"kS family mismatch: {sorted(kS_ids)}")
     return Catalog(vertices)
-
-
-def coords_rd(v: K3Vertex) -> Tuple[int, int]:
-    """(r, d) coordinates; asserts the closed formulas on the principal series."""
-    if v.top.kind == "spheres" and not v.top.subscript_I:
-        p, q = v.top.p, v.top.q
-        if v.r != 11 - p + q or v.d != 11 - p - q:
-            raise CatalogError(f"catalog data bug: {v.vid} violates the coordinate formulas")
-    return (v.r, v.d)
-
-
-def lookup(catalog: Catalog, key: VertexKey) -> K3Vertex:
-    return catalog.lookup(key)

@@ -1,11 +1,15 @@
 """Odd / Wu / even-non-Wu classification of eigenlattice elements.
 
-The arithmetic existence predicate is the authority used by the graph
-builders; explicit witnesses and the bounded enumeration are test oracles.
-The bounded search walks the standard-block decomposition of a catalog
-eigenlattice and prunes on achievable norm intervals, norm congruences,
-and per-block class capabilities, so a "none" answer on the catalog
-lattices is cheap even at rank 12.
+``exists_class`` decides the edge sets of both graphs by a constant-time
+rule on the diagonal component (s, t) and two special cases; it is not
+derived from the lattice.  Its positive answers are confirmed by explicit
+witnesses; its negative answers are only cross-checked by the bounded
+search, which is evidence, not proof.  Classification is integer
+arithmetic on the discriminant group's lifts.  The bounded search walks the
+standard-block decomposition of a catalog eigenlattice and prunes on
+achievable norm intervals, norm congruences, and per-block class
+capabilities, so a "none" answer on the catalog lattices is cheap even at
+rank 12.
 """
 
 from __future__ import annotations
@@ -14,20 +18,21 @@ import enum
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .lattice import (
     GramLattice,
     LatticeError,
     LatticeVector,
+    gf2_solve,
     gram_apply,
     make_standard,
     norm,
     signature,
 )
-from .finite_forms import discriminant_group
+from .finite_forms import bilinear_table, discriminant_group
 from .catalog import K3Vertex
 
 
@@ -47,6 +52,8 @@ class WitnessError(RuntimeError):
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV = "K4GRAPH_SEARCH_BUDGET"
+# searches on lattices of larger rank walk the leading summands only
+RESTRICT_RANK = 12
 
 
 def search_budget() -> int:
@@ -71,21 +78,7 @@ def _disc_data(l: GramLattice):
     disc = discriminant_group(l)
     if not disc.is_two_periodic:
         raise LatticeError("classification needs a 2-periodic discriminant")
-    # 2*b(g_i, g_j) mod 2 for the generator lifts
-    d = disc.rank
-    pair = [[0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            val = Fraction(0)
-            for a in range(l.rank):
-                if disc.lifts[i][a] == 0:
-                    continue
-                for b in range(l.rank):
-                    if l.gram[a][b] != 0 and disc.lifts[j][b] != 0:
-                        val += disc.lifts[i][a] * l.gram[a][b] * disc.lifts[j][b]
-            half = val * 2
-            pair[i][j] = int(half) % 2
-    return disc, pair
+    return disc, bilinear_table(disc)
 
 
 def classify_element(lminus: GramLattice, x: LatticeVector) -> ElementClass:
@@ -98,10 +91,10 @@ def classify_element(lminus: GramLattice, x: LatticeVector) -> ElementClass:
     if any(v % 2 for v in gx):
         return ElementClass.ODD
     disc, pair = _disc_data(lminus)
-    # x/2 is in the dual; Wu iff b(x/2, g) = b(g, g) for every generator g
-    for j, g in enumerate(disc.lifts):
-        half_b = sum(Fraction(gx[a]) * g[a] for a in range(lminus.rank))  # = 2<x/2, g>
-        if int(half_b) % 2 != pair[j][j]:
+    # x/2 is in the dual; Wu iff b(x/2, g) = b(g, g) for every generator g,
+    # where 2·b(x/2, g) = <x, g> = x·(G g)
+    for j, dual in enumerate(disc.duals):
+        if sum(a * b for a, b in zip(x.coords, dual)) % 2 != pair[j][j]:
             return ElementClass.EVEN_NON_WU
     return ElementClass.WU
 
@@ -162,28 +155,23 @@ class _BlockData:
         self.gram = lat.gram
         disc, pair = _disc_data(lat)
         # characteristic class of the block's discriminant bilinear form,
-        # solved over GF(2): sum_i c_i b(g_i, g_j) = b(g_j, g_j)
-        d = disc.rank
-        rows = [[pair[i][j] for i in range(d)] + [pair[j][j]] for j in range(d)]
-        coeffs = _gf2_solve(rows, d)
+        # solved over GF(2): sum_i c_i b(g_i, g_j) = b(g_j, g_j) (pair is symmetric)
+        coeffs, _ = gf2_solve(pair, [row[j] for j, row in enumerate(pair)])
         if coeffs is None:
             raise LatticeError(f"no characteristic class for block {name}")
-        wl = [Fraction(0)] * self.rank
-        for i, c in enumerate(coeffs):
-            if c:
-                wl = [a + b for a, b in zip(wl, disc.lifts[i])]
+        # w = num/2 with num = sum c_i lifts[i], and G·w = sum c_i duals[i]
+        num = [sum(c * g[a] for c, g in zip(coeffs, disc.lifts)) for a in range(self.rank)]
+        gw = [sum(c * g[a] for c, g in zip(coeffs, disc.duals)) for a in range(self.rank)]
         # Wu-compatible vectors are exactly 2*w + 2Z^r: a parity pattern
-        self.wu_parities = tuple(int(2 * q) % 2 for q in wl)
-        wsq = Fraction(0)
-        for i in range(self.rank):
-            for j in range(self.rank):
-                wsq += wl[i] * self.gram[i][j] * wl[j]
-        self.wu_norm_mod8 = int(4 * wsq) % 8  # valid since the block is even
+        self.wu_parities = tuple(x % 2 for x in num)
+        # (2w)^2 = 2 num·(G w) mod 8, valid since the block is even
+        self.wu_norm_mod8 = 2 * sum(a * b for a, b in zip(num, gw)) % 8
         # congruence d | x^2 for all block vectors
         self.norm_gcd = _norm_gcd(self.gram)
         # congruence on norms of even block vectors, from a generating set of
         # the even sublattice: 2e_i together with lifts of ker(G mod 2)
-        self.even_norm_gcd = self._even_norm_gcd()
+        _, kernel = gf2_solve(self.gram, [0] * self.rank)
+        self.even_norm_gcd = self._even_norm_gcd(kernel)
         self.even_gram = all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
         # crude achievable-norm interval scale: |x^2| <= bound^2 * sum |g_ij|
         self.abs_scale = sum(abs(x) for row in self.gram for x in row)
@@ -192,34 +180,15 @@ class _BlockData:
         self.pos_definite = sig[1] == 0
         # capabilities within any window containing the basis vectors
         self.can_odd = any(x % 2 for row in self.gram for x in row)
-        self.can_even_nonwu = self._probe_even_nonwu()
+        # a box-1 vector is even iff its 0/1 pattern lies in ker(G mod 2): the
+        # zero vector is not Wu when the parities are nonzero, and a nonzero
+        # kernel vector differs from an all-zero parity pattern
+        self.can_even_nonwu = any(self.wu_parities) or bool(kernel)
         self.ldl = self._integer_ldl() if self.neg_definite or self.pos_definite else None
 
-    def _even_norm_gcd(self) -> int:
+    def _even_norm_gcd(self, kernel: List[List[int]]) -> int:
         r = self.rank
-        gens = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
-        # GF(2) kernel of the Gram matrix, lifted with 0/1 coordinates
-        rows = [[self.gram[i][j] & 1 for j in range(r)] for i in range(r)]
-        piv_row_of_col = {}
-        rr = 0
-        for c in range(r):
-            sel = next((i for i in range(rr, r) if rows[i][c]), None)
-            if sel is None:
-                continue
-            rows[rr], rows[sel] = rows[sel], rows[rr]
-            for i in range(r):
-                if i != rr and rows[i][c]:
-                    rows[i] = [x ^ y for x, y in zip(rows[i], rows[rr])]
-            piv_row_of_col[c] = rr
-            rr += 1
-        free_cols = [c for c in range(r) if c not in piv_row_of_col]
-        for fc in free_cols:
-            vec = [0] * r
-            vec[fc] = 1
-            for c, i in piv_row_of_col.items():
-                if rows[i][fc]:
-                    vec[c] = 1
-            gens.append(vec)
+        gens = [[2 if i == j else 0 for j in range(r)] for i in range(r)] + kernel
         g = 0
         for a in range(len(gens)):
             for b in range(a, len(gens)):
@@ -231,16 +200,6 @@ class _BlockData:
                 g = math.gcd(g, val if a == b else 2 * val)
         return g if g else 1
 
-    def _probe_even_nonwu(self) -> bool:
-        for coords in _iter_box(self.rank, 1):
-            gx = [sum(self.gram[i][j] * coords[j] for j in range(self.rank))
-                  for i in range(self.rank)]
-            if any(v % 2 for v in gx):
-                continue
-            if any((c - p) % 2 for c, p in zip(coords, self.wu_parities)):
-                return True
-        return False
-
     def norm_bounds(self, bound: int) -> Tuple[int, int]:
         m = bound * bound * self.abs_scale
         if self.neg_definite:
@@ -250,7 +209,7 @@ class _BlockData:
         return (-m, m)
 
     def _integer_ldl(self) -> Tuple[List[List[int]], List[int], List[int], int]:
-        """Fraction-free LDL^T of the positively-oriented form P = sign * gram.
+        """Integer (fraction-free) LDL^T of the positively-oriented form P = sign * gram.
 
         With M_k the k-th leading principal minor of P (M_0 = 1), fraction-free
         (Bareiss) elimination gives integers b[i][k] such that
@@ -284,30 +243,6 @@ class _BlockData:
 @lru_cache(maxsize=None)
 def _block_data(name: str) -> _BlockData:
     return _BlockData(name)
-
-
-def _gf2_solve(rows: List[List[int]], n: int) -> Optional[List[int]]:
-    m = len(rows)
-    mat = [row[:] for row in rows]
-    piv = []
-    r = 0
-    for c in range(n):
-        sel = next((i for i in range(r, m) if mat[i][c]), None)
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        for i in range(m):
-            if i != r and mat[i][c]:
-                mat[i] = [x ^ y for x, y in zip(mat[i], mat[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, m):
-        if mat[i][n]:
-            return None
-    out = [0] * n
-    for i, c in enumerate(piv):
-        out[c] = mat[i][n]
-    return out
 
 
 def _norm_gcd(gram) -> int:
@@ -442,7 +377,6 @@ def _search_blocks(
     cls: Optional[ElementClass],
     bound: int,
     state: _SearchState,
-    collect: Optional[int] = None,
 ) -> Iterator[Tuple[int, ...]]:
     """DFS over the block decomposition; yields full coordinate vectors."""
     blocks = [_block_data(name) for name in names]
@@ -467,8 +401,6 @@ def _search_blocks(
         suf_can_odd[i] = suf_can_odd[i + 1] or blocks[i].can_odd
         suf_can_enw[i] = suf_can_enw[i + 1] or blocks[i].can_even_nonwu
 
-    found = 0
-
     def feasible(i: int, rem: int, odd_seen: bool, wu_all: bool) -> bool:
         if not (suf_lo[i] <= rem <= suf_hi[i]):
             return False
@@ -490,7 +422,6 @@ def _search_blocks(
         return True
 
     def rec(i: int, rem: int, odd_seen: bool, wu_all: bool, prefix: List[Tuple[int, ...]]):
-        nonlocal found
         if i == nblocks:
             if rem != 0:
                 return
@@ -503,7 +434,6 @@ def _search_blocks(
             flat: List[int] = []
             for c in prefix:
                 flat.extend(c)
-            found += 1
             yield tuple(flat)
             return
         b = blocks[i]
@@ -528,84 +458,23 @@ def _search_blocks(
             prefix.append(coords)
             yield from rec(i + 1, rem - n, o2, w2, prefix)
             prefix.pop()
-            if collect is not None and found >= collect:
-                return
 
     if feasible(0, target, False, True):
         yield from rec(0, target, False, True, [])
 
 
-def search_witness(
-    lminus: GramLattice,
-    target_square: int,
-    cls: ElementClass,
-    bound: int,
-    budget: Optional[int] = None,
-    restrict_rank: int = 12,
-) -> Optional[LatticeVector]:
-    """First vector with the requested square and class, or None within bound.
+def _search(
+    l: GramLattice, target_square: int, cls: Optional[ElementClass], bound: int
+) -> Iterator[LatticeVector]:
+    """Nonzero vectors of the given square (and class, unless None), lazily.
 
     Enumeration is deterministic: blocks left to right, coordinate values in
-    the order 0, 1, -1, 2, -2, ...; definite blocks are walked tail-first.  A
-    "none" answer is evidence, not proof.  Lattices of rank above
-    ``restrict_rank`` are searched on the leading standard summands only.
+    the order 0, 1, -1, 2, -2, ...; definite blocks are walked tail-first.
+    Lattices of rank above ``RESTRICT_RANK`` are searched on the leading
+    standard summands only, the rest pinned to zero; lattices without a
+    block decomposition are walked over the whole box.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    state = _SearchState(budget=budget if budget is not None else search_budget())
-    if lminus.summands is None:
-        if (2 * bound + 1) ** lminus.rank > state.budget:
-            raise SearchBudgetError(
-                "enumeration budget exceeded; reduce the rank or the bound"
-            )
-        for coords in _iter_box(lminus.rank, bound):
-            vec = lminus.vector(coords)
-            if vec.is_zero():
-                continue
-            if norm(vec) == target_square and classify_element(lminus, vec) is cls:
-                return vec
-        return None
-    names = list(lminus.summands)
-    used = names
-    if lminus.rank > restrict_rank:
-        used = []
-        total = 0
-        for name in names:
-            r = make_standard(name).rank
-            if total + r > restrict_rank:
-                break
-            used.append(name)
-            total += r
-    used_rank = sum(make_standard(n).rank for n in used)
-    # pinned tail blocks hold the zero vector; the zero block is even, and it
-    # is Wu-compatible only where the block characteristic class vanishes
-    tail_wu_ok = all(
-        not any(_block_data(n).wu_parities) for n in names[len(used):]
-    )
-    if cls is ElementClass.WU and not tail_wu_ok:
-        return None  # the pinned zero tail already fails the Wu parity pattern
-    for coords in _search_blocks(used, target_square, cls, bound, state):
-        full = list(coords) + [0] * (lminus.rank - used_rank)
-        vec = lminus.vector(full)
-        if cls is ElementClass.EVEN_NON_WU or cls is ElementClass.WU:
-            # the pinned tail can flip Wu-compatibility of the full vector
-            if classify_element(lminus, vec) is not cls:
-                continue
-        return vec
-    return None
-
-
-def enumerate_vectors(
-    l: GramLattice,
-    target_square: int,
-    bound: int,
-    limit: int,
-    budget: Optional[int] = None,
-    restrict_rank: int = 12,
-) -> List[LatticeVector]:
-    """Up to ``limit`` vectors of the given square, any class, deterministic order."""
-    state = _SearchState(budget=budget if budget is not None else search_budget())
-    out: List[LatticeVector] = []
+    state = _SearchState(budget=search_budget())
     if l.summands is None:
         if (2 * bound + 1) ** l.rank > state.budget:
             raise SearchBudgetError(
@@ -613,28 +482,52 @@ def enumerate_vectors(
             )
         for coords in _iter_box(l.rank, bound):
             vec = l.vector(coords)
-            if not vec.is_zero() and norm(vec) == target_square:
-                out.append(vec)
-                if len(out) >= limit:
-                    break
-        return out
-    names = list(l.summands)
-    used = names
-    if l.rank > restrict_rank:
-        used, total = [], 0
-        for name in names:
-            r = make_standard(name).rank
-            if total + r > restrict_rank:
-                break
-            used.append(name)
-            total += r
-    used_rank = sum(make_standard(n).rank for n in used)
-    for coords in _search_blocks(used, target_square, None, bound, state, collect=limit):
-        full = list(coords) + [0] * (l.rank - used_rank)
-        out.append(l.vector(full))
-        if len(out) >= limit:
+            if vec.is_zero() or norm(vec) != target_square:
+                continue
+            if cls is None or classify_element(l, vec) is cls:
+                yield vec
+        return
+    names = l.summands
+    used: List[str] = []
+    used_rank = 0
+    for name in names:
+        r = make_standard(name).rank
+        if used_rank + r > RESTRICT_RANK:
             break
-    return out
+        used.append(name)
+        used_rank += r
+    # pinned tail blocks hold the zero vector; the zero block is even, and it
+    # is Wu-compatible only where the block characteristic class vanishes
+    if cls is ElementClass.WU and any(
+        any(_block_data(n).wu_parities) for n in names[len(used):]
+    ):
+        return
+    for coords in _search_blocks(used, target_square, cls, bound, state):
+        vec = l.vector(list(coords) + [0] * (l.rank - used_rank))
+        # the pinned tail can flip Wu-compatibility of the full vector
+        if cls in (ElementClass.EVEN_NON_WU, ElementClass.WU):
+            if classify_element(l, vec) is not cls:
+                continue
+        yield vec
+
+
+def search_witness(
+    lminus: GramLattice, target_square: int, cls: ElementClass, bound: int
+) -> Optional[LatticeVector]:
+    """First vector with the requested square and class, or None within bound.
+
+    The order is that of ``_search``.  A "none" answer is evidence, not proof.
+    """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    return next(_search(lminus, target_square, cls, bound), None)
+
+
+def enumerate_vectors(
+    l: GramLattice, target_square: int, bound: int, limit: int
+) -> List[LatticeVector]:
+    """Up to ``limit`` vectors of the given square, any class, deterministic order."""
+    return list(islice(_search(l, target_square, None, bound), limit))
 
 
 # ---------------------------------------------------------------------------

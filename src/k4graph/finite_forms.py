@@ -1,5 +1,9 @@
 """Discriminant groups and finite quadratic forms on 2-elementary groups.
 
+All arithmetic is in integers.  A discriminant group keeps each generator
+lift as an integer numerator vector over its elementary divisor, together
+with the integral dual vector G·g, so every pairing with a lift is an
+integer dot product (for 2-periodic groups, Nikulin 1979, §1.3).
 Finite-form values are stored integrally in half-units: a quadratic value
 ``k`` means q = k/2 in Q/2Z (so k lives mod 4), a bilinear value ``m`` means
 b = m/2 in Q/Z (m lives mod 2).  The Brown invariant is computed by the exact
@@ -19,9 +23,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .lattice import (
     MEMO_SIZE,
@@ -29,6 +32,7 @@ from .lattice import (
     GramLattice,
     LatticeVector,
     LatticeError,
+    _freeze,
     is_even,
     signature,
 )
@@ -38,10 +42,6 @@ IntMatrix = Tuple[Tuple[int, ...], ...]
 
 class FormError(ValueError):
     """Raised for malformed or out-of-scope finite forms."""
-
-
-def _freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +134,17 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix,
 
 @dataclass(frozen=True)
 class DiscriminantGroup:
-    """L*/L presented by elementary divisors with rational generator lifts."""
+    """L*/L presented by elementary divisors and integer generator lifts.
+
+    The i-th generator is g_i = lifts[i] / divisors[i], stored as its integer
+    numerator vector; duals[i] = G·g_i is integral because g_i lies in L*.
+    So <x, g_i> = x·duals[i] for x in L, and b(g_i, g_j) = lifts[i]·duals[j]
+    / divisors[i]: every pairing is a dot product of integer vectors.
+    """
 
     divisors: Tuple[int, ...]
-    lifts: Tuple[Tuple[Fraction, ...], ...]
+    lifts: IntMatrix
+    duals: IntMatrix
 
     @property
     def order(self) -> int:
@@ -155,6 +162,10 @@ class DiscriminantGroup:
         return len(self.divisors)
 
 
+def _dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(x, y))
+
+
 def discriminant_group(l: GramLattice) -> DiscriminantGroup:
     """Elementary divisors and generator lifts of L*/L from the SNF of the Gram."""
     return _discriminant_group(l.gram)
@@ -164,10 +175,11 @@ def discriminant_group(l: GramLattice) -> DiscriminantGroup:
 def _discriminant_group(gram: Gram) -> DiscriminantGroup:
     rank = len(gram)
     if rank == 0:
-        return DiscriminantGroup((), ())
+        return DiscriminantGroup((), (), ())
     u, d, v = smith_normal_form(gram)
     divisors = []
     lifts = []
+    duals = []
     for i in range(rank):
         di = d[i][i]
         if di == 0:
@@ -175,19 +187,16 @@ def _discriminant_group(gram: Gram) -> DiscriminantGroup:
         if di == 1:
             continue
         divisors.append(di)
-        lifts.append(tuple(Fraction(v[r][i], di) for r in range(rank)))
-    return DiscriminantGroup(tuple(divisors), tuple(lifts))
+        num = tuple(v[r][i] for r in range(rank))
+        lifts.append(num)
+        # U·G·V = D gives G·v_i = d_i·U^-1·e_i, so the division is exact
+        duals.append(tuple(_dot(row, num) // di for row in gram))
+    return DiscriminantGroup(tuple(divisors), tuple(lifts), tuple(duals))
 
 
-def _frac_inner(gram: Gram, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for i, row in enumerate(gram):
-        if x[i] == 0:
-            continue
-        for j, gij in enumerate(row):
-            if y[j] != 0 and gij != 0:
-                total += x[i] * gij * y[j]
-    return total
+def bilinear_table(disc: DiscriminantGroup) -> IntMatrix:
+    """2·b(g_i, g_j) mod 2 on a 2-periodic group: lifts[i]·duals[j] mod 2."""
+    return tuple(tuple(_dot(n, dual) % 2 for dual in disc.duals) for n in disc.lifts)
 
 
 # ---------------------------------------------------------------------------
@@ -292,28 +301,13 @@ def _discriminant_quadratic(gram: Gram, wc: Optional[Tuple[int, ...]]) -> Finite
         if wc is None:
             raise FormError("odd lattice needs a characteristic vector")
         _check_characteristic(gram, wc)
-    d = disc.rank
-    qvals = []
-    for g in disc.lifts:
-        val = _frac_inner(gram, g, g)
-        if wc is not None:
-            val += sum(Fraction(wc[i]) * gi for i, gi in enumerate(_dual_pair(gram, g)))
-        k = val * 2
-        if k.denominator != 1:
-            raise FormError("quadratic value is not half-integral; malformed input")
-        qvals.append(int(k) % 4)
-    bvals = [[0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            val = _frac_inner(gram, disc.lifts[i], disc.lifts[j]) * 2
-            if val.denominator != 1:
-                raise FormError("bilinear value is not half-integral; malformed input")
-            bvals[i][j] = bvals[j][i] = int(val) % 2
-    return FiniteQuadraticForm(d, tuple(qvals), _freeze(bvals))
-
-
-def _dual_pair(gram: Gram, g: Sequence[Fraction]) -> List[Fraction]:
-    return [sum(Fraction(gij) * gj for gij, gj in zip(row, g)) for row in gram]
+    # with every divisor 2, 2q(g) = 2(g^2 + <w,g>) = n·(G g) + 2 w·(G g)
+    # for g = n/2: integral by construction, so no value can be malformed
+    qvals = tuple(
+        (_dot(n, dual) + (2 * _dot(wc, dual) if wc is not None else 0)) % 4
+        for n, dual in zip(disc.lifts, disc.duals)
+    )
+    return FiniteQuadraticForm(disc.rank, qvals, bilinear_table(disc))
 
 
 def _check_characteristic(gram: Gram, wc: Sequence[int]) -> None:

@@ -9,7 +9,6 @@ sentinel vertex ``irr``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .lattice import (
@@ -33,6 +32,7 @@ from .finite_forms import (
     discriminant_quadratic,
     lattices_equivalent,
     parity,
+    smith_normal_form,
 )
 from .catalog import Catalog, CatalogError, K3Vertex, VertexKey
 from .elements import (
@@ -121,7 +121,7 @@ def terminal_key(origin: VertexKey, cls: ElementClass) -> VertexKey:
     return VertexKey(r + 1, d - 1, "II")
 
 
-def _check_graph(g: DeformationGraph, max_out: int = 3) -> None:
+def _check_graph(g: DeformationGraph) -> None:
     ids = set(g.vertex_ids)
     pairs = set()
     unordered = set()
@@ -136,8 +136,9 @@ def _check_graph(g: DeformationGraph, max_out: int = 3) -> None:
         pairs.add((e.src, e.dst))
         unordered.add(frozenset((e.src, e.dst)))
         outdeg[e.src] = outdeg.get(e.src, 0) + 1
-        if outdeg[e.src] > max_out:
-            raise StructuralError(f"{g.kind}: out-degree of {e.src} exceeds {max_out}")
+        # at most one edge per element class
+        if outdeg[e.src] > len(ElementClass):
+            raise StructuralError(f"{g.kind}: out-degree of {e.src} exceeds {len(ElementClass)}")
     if not g.is_connected():
         raise StructuralError(f"{g.kind}: graph is not connected")
 
@@ -471,36 +472,13 @@ def basic_cycles_regular(k3: DeformationGraph, catalog: Catalog) -> BasicCycleRe
         for key in cyc.edges_neg:
             row[edge_index[key]] -= 1
         rows.append(row)
-    rank = _rational_rank(rows)
     divisors = _snf_divisors(rows)
     cycle_rank = len(k3.edges) - len(k3.vertex_ids) + 1
-    return BasicCycleReport(cycles, all_regular, cycle_rank, rank, divisors)
-
-
-def _rational_rank(rows: Sequence[Sequence[int]]) -> int:
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        sel = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if sel is None:
-            continue
-        m[rank], m[sel] = m[sel], m[rank]
-        p = m[rank][c]
-        m[rank] = [x / p for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    # the rank over Q is the number of nonzero Smith invariant factors
+    return BasicCycleReport(cycles, all_regular, cycle_rank, len(divisors), divisors)
 
 
 def _snf_divisors(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    from .finite_forms import smith_normal_form
-
     if not rows:
         return ()
     _, d, _ = smith_normal_form(rows)
@@ -515,20 +493,12 @@ def _snf_divisors(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
 # K4 eigenlattice synthesis
 # ---------------------------------------------------------------------------
 
-def synthesize_k4_plus(
-    c: K3Vertex, h: LatticeVector, check_brown: bool = False
-) -> GramLattice:
+def synthesize_k4_plus(c: K3Vertex, h: LatticeVector) -> GramLattice:
     """The positive K4 eigenlattice M_+ = t_w((-L_-) + Z) with w = h + 2e.
 
     Checks all postconditions: w^2 = -2 before twisting, M_+ odd with
     signature (rank L_-, 1), discriminant rank d, and H = h + 3e of square 3
     orthogonal to w.
-
-    ``check_brown`` additionally builds the discriminant quadratic form of
-    M_+ from a characteristic vector of M_+ itself and verifies the van der
-    Blij congruence sigma - w_c^2 = Brown mod 8.  It is off by default: a
-    characteristic vector of M_+ alone need not induce the same form as one
-    characteristic for the whole ambient lattice.
     """
     if h.ambient.gram != c.lminus.gram:
         raise LatticeError("h must live in L-(c)")
@@ -554,15 +524,6 @@ def synthesize_k4_plus(
         raise StructuralError(
             f"{c.vid}: rank(discr M_+) = {dg.rank} != d = {c.d}"
         )
-    if check_brown:
-        from .lattice import find_characteristic
-        from .finite_forms import brown_invariant
-
-        wc = find_characteristic(mplus)
-        form = discriminant_quadratic(mplus, wc)
-        sp, sm = signature(mplus)
-        if (sp - sm - norm(wc) - brown_invariant(form)) % 8 != 0:
-            raise StructuralError(f"{c.vid}: van der Blij congruence failed for M_+")
     return GramLattice(mplus.rank, mplus.gram, f"M+{c.vid}", None)
 
 

@@ -1,8 +1,10 @@
 """Exact integer lattices: Gram matrices, standard constructors, and core operations.
 
-Everything here is arbitrary-precision integer (or rational) arithmetic.  No
-floating point is used anywhere: signatures come from exact symmetric
-elimination, orthogonal complements from exact integer column reduction.
+Everything here is arbitrary-precision integer arithmetic; there are no
+rationals and no floating point.  Signatures come from exact symmetric
+elimination, orthogonal complements and their coordinates from unimodular
+column reduction, and characteristic vectors from ``gf2_solve``, the one
+GF(2) solver of the package.
 
 ``inertia`` (and so ``signature``) is memoized: it delegates to ``_inertia``,
 a ``functools.lru_cache`` keyed by the Gram tuple alone (labels and summands
@@ -17,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 Gram = Tuple[Tuple[int, ...], ...]
 
@@ -379,51 +381,74 @@ def twist(l: GramLattice, v: LatticeVector) -> GramLattice:
 # characteristic vectors and orthogonal complements
 # ---------------------------------------------------------------------------
 
-def find_characteristic(l: GramLattice) -> LatticeVector:
-    """Some w with <w,x> = x^2 mod 2 for all x, via a GF(2) solve of G·w = diag G."""
-    n = l.rank
-    rows = [[l.gram[i][j] & 1 for j in range(n)] + [l.gram[i][i] & 1] for i in range(n)]
-    pivots = []
-    r = 0
+def gf2_solve(
+    a: Sequence[Sequence[int]], b: Sequence[int]
+) -> Tuple[Optional[List[int]], List[List[int]]]:
+    """Solve a·x = b over GF(2) by Gauss–Jordan elimination; entries are read mod 2.
+
+    Returns a particular solution with every free variable 0, or None when the
+    system is inconsistent, and a kernel basis of a: one vector per free
+    column, in increasing column order.
+    """
+    n = len(a[0]) if a else 0
+    rows = [[x & 1 for x in row] + [y & 1] for row, y in zip(a, b)]
+    pivots: List[int] = []
     for c in range(n):
-        sel = None
-        for i in range(r, n):
-            if rows[i][c]:
-                sel = i
-                break
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                rows[i] = [(x ^ y) for x, y in zip(rows[i], rows[r])]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [x ^ y for x, y in zip(row, rows[r])]
         pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if rows[i][n]:
-            raise LatticeError("no integral characteristic vector")
-    w = [0] * n
-    for i, c in enumerate(pivots):
-        w[c] = rows[i][n]
+    solution: Optional[List[int]] = None
+    if not any(row[n] for row in rows[len(pivots):]):
+        solution = [0] * n
+        for i, c in enumerate(pivots):
+            solution[c] = rows[i][n]
+    kernel = []
+    for f in (c for c in range(n) if c not in pivots):
+        vec = [0] * n
+        vec[f] = 1
+        for i, c in enumerate(pivots):
+            vec[c] = rows[i][f]
+        kernel.append(vec)
+    return solution, kernel
+
+
+def find_characteristic(l: GramLattice) -> LatticeVector:
+    """Some w with <w,x> = x^2 mod 2 for all x, via a GF(2) solve of G·w = diag G."""
+    w, _ = gf2_solve(l.gram, [row[i] for i, row in enumerate(l.gram)])
+    if w is None:
+        raise LatticeError("no integral characteristic vector")
     return l.vector(w)
 
 
-def _row_kernel_basis(c: Sequence[int]) -> list[list[int]]:
-    """Integral basis of {x : sum c_i x_i = 0} via unimodular column reduction."""
+def _row_kernel_basis(c: Sequence[int]) -> Tuple[List[List[int]], List[List[int]]]:
+    """Integral basis of {x : sum c_i x_i = 0} via unimodular column reduction.
+
+    Returns the basis and the inverse of the unimodular V with c·V = (g, 0, ..., 0);
+    the basis is columns 1.. of V, so x = V·y has y = V^-1·x with y_0 = 0.
+    """
     n = len(c)
     row = list(c)
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # columns of V
-    # Sweep gcd into position 0 by column operations, mirrored on V.
+    vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # rows of V^-1
+    # Sweep gcd into position 0 by column operations, mirrored on V and,
+    # as the inverse row operations, on V^-1.
     while True:
         nz = [j for j in range(n) if row[j] != 0]
         if not nz:
-            return [[v[i][j] for i in range(n)] for j in range(n)]
+            return [[v[i][j] for i in range(n)] for j in range(n)], vinv
         if len(nz) == 1:
             j = nz[0]
             if j != 0:
                 row[0], row[j] = row[j], row[0]
                 for i in range(n):
                     v[i][0], v[i][j] = v[i][j], v[i][0]
+                vinv[0], vinv[j] = vinv[j], vinv[0]
             break
         # reduce the entry of largest absolute value by the smallest nonzero
         jmin = min(nz, key=lambda j: abs(row[j]))
@@ -435,11 +460,13 @@ def _row_kernel_basis(c: Sequence[int]) -> list[list[int]]:
                 row[j] -= q * row[jmin]
                 for i in range(n):
                     v[i][j] -= q * v[i][jmin]
-    return [[v[i][j] for i in range(n)] for j in range(1, n)]
+                vinv[jmin] = [a + q * b for a, b in zip(vinv[jmin], vinv[j])]
+    return [[v[i][j] for i in range(n)] for j in range(1, n)], vinv
 
 
-def orthogonal_sublattice(l: GramLattice, v: LatticeVector) -> GramLattice:
-    """Gram matrix of {x in L : <x,v> = 0} on an integral basis."""
+def _complement_basis(
+    l: GramLattice, v: LatticeVector
+) -> Tuple[List[List[int]], List[List[int]]]:
     if v.ambient.gram != l.gram:
         raise LatticeError("vector does not live in the given lattice")
     if v.is_zero():
@@ -447,7 +474,12 @@ def orthogonal_sublattice(l: GramLattice, v: LatticeVector) -> GramLattice:
     c = gram_apply(l, v.coords)
     if all(x == 0 for x in c):
         raise LatticeError("vector pairs trivially with the whole lattice")
-    basis = _row_kernel_basis(c)
+    return _row_kernel_basis(c)
+
+
+def orthogonal_sublattice(l: GramLattice, v: LatticeVector) -> GramLattice:
+    """Gram matrix of {x in L : <x,v> = 0} on an integral basis."""
+    basis, _ = _complement_basis(l, v)
     # G·b once per basis row, then the Gram entries as row dot products
     gb = [gram_apply(l, row) for row in basis]
     gram = [[sum(x * y for x, y in zip(ra, gbb)) for gbb in gb] for ra in basis]
@@ -460,47 +492,10 @@ def sublattice_coordinates(
 ) -> Tuple[int, ...]:
     """Coordinates of x in the basis used by orthogonal_sublattice(l, v).
 
-    x must pair to zero with v; the complement basis is primitive, so the
-    coordinates are integers.
+    x must pair to zero with v; they are (V^-1·x)[1:] for the unimodular V
+    of ``_row_kernel_basis``, so they are integers.
     """
     if inner(x, v) != 0:
         raise LatticeError("vector is not orthogonal to v")
-    c = gram_apply(l, v.coords)
-    basis = _row_kernel_basis(c)
-    # Solve B y = x over the rationals; B has full column rank.
-    from fractions import Fraction
-
-    n = l.rank
-    m = len(basis)
-    aug = [[Fraction(basis[b][i]) for b in range(m)] + [Fraction(x.coords[i])] for i in range(n)]
-    row = 0
-    piv_cols = []
-    for col in range(m):
-        sel = None
-        for i in range(row, n):
-            if aug[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        p = aug[row][col]
-        aug[row] = [q / p for q in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        piv_cols.append(col)
-        row += 1
-    for i in range(row, n):
-        if aug[i][m] != 0:
-            raise LatticeError("vector is not in the orthogonal sublattice span")
-    y = [Fraction(0)] * m
-    for i, col in enumerate(piv_cols):
-        y[col] = aug[i][m]
-    out = []
-    for q in y:
-        if q.denominator != 1:
-            raise LatticeError("vector is not an integral combination of the complement basis")
-        out.append(int(q))
-    return tuple(out)
+    _, vinv = _complement_basis(l, v)
+    return tuple(sum(a * b for a, b in zip(row, x.coords)) for row in vinv[1:])

@@ -36,7 +36,7 @@ from .finite_forms import (
     parity,
     smith_normal_form,
 )
-from .catalog import Catalog, build_catalog, coords_rd
+from .catalog import Catalog, _validate_vertex, build_catalog
 from .elements import (
     ElementClass,
     classify_element,
@@ -225,19 +225,16 @@ def suite_catalog(catalog: Optional[Catalog] = None) -> SuiteResult:
     res.check(len(keys) == 75, "vertex keys are pairwise distinct")
     seen_plus = set()
     for v in cat:
-        res.check(v.lplus.rank + v.lminus.rank == 22, f"{v.vid}: rank sum")
-        res.check(signature(v.lplus)[0] == 1, f"{v.vid}: sigma+(L+) = 1")
-        res.check(signature(v.lminus)[0] == 2, f"{v.vid}: sigma+(L-) = 2")
+        # rank sum, signatures, discriminant ranks, type and coordinates
+        res.failures.extend(f"{v.vid}: {msg}" for msg in _validate_vertex(v))
         fp = discriminant_quadratic(v.lplus)
         fm = discriminant_quadratic(v.lminus)
-        res.check(fp.d == fm.d == v.d, f"{v.vid}: discriminant ranks")
         res.check(parity(fp) == parity(fm), f"{v.vid}: anti-isometric parities")
         bp, bm = brown_invariant(fp), brown_invariant(fm)
         res.check((bp + bm) % 8 == 0, f"{v.vid}: Brown sum is 0 mod 8")
         for lat, b in ((v.lplus, bp), (v.lminus, bm)):
             sp, sm = signature(lat)
             res.check((sp - sm - b) % 8 == 0, f"{v.vid}: Milgram congruence")
-        res.check(coords_rd(v) == (v.r, v.d), f"{v.vid}: coordinates")
         inv = (signature(v.lplus), fp.d, parity(fp), bp)
         res.check(inv not in seen_plus, f"{v.vid}: duplicate L+ invariants")
         seen_plus.add(inv)

@@ -5,9 +5,7 @@ from k4graph import (
     VertexKey,
     brown_invariant,
     build_catalog,
-    coords_rd,
     discriminant_quadratic,
-    lookup,
     parity,
     signature,
 )
@@ -119,22 +117,29 @@ def test_ks_flags(catalog):
     assert ks == sorted(f"[{k}S]" for k in range(1, 11))
 
 
+def _coords(v):
+    # (r, d), with every per-vertex invariant (the coordinate formulas on the
+    # principal series among them) holding
+    assert catalog_mod._validate_vertex(v) == []
+    return (v.r, v.d)
+
+
 def test_coords(catalog):
-    assert coords_rd(catalog.by_id("[10S]")) == (20, 2)
-    assert coords_rd(catalog.by_id("[empty]")) == (10, 10)
+    assert _coords(catalog.by_id("[10S]")) == (20, 2)
+    assert _coords(catalog.by_id("[empty]")) == (10, 10)
     # the even and odd vertices supported on a pair of tori / S2+S share (10, 8)
-    assert coords_rd(catalog.by_id("[2S1]")) == (10, 8)
-    assert coords_rd(catalog.by_id("[S2+S]")) == (10, 8)
+    assert _coords(catalog.by_id("[2S1]")) == (10, 8)
+    assert _coords(catalog.by_id("[S2+S]")) == (10, 8)
     assert catalog.by_id("[2S1]").vtype == "I"
     assert catalog.by_id("[S2+S]").vtype == "II"
 
 
 def test_lookup(catalog):
-    assert lookup(catalog, VertexKey(20, 2, "II")).vid == "[10S]"
-    assert lookup(catalog, VertexKey(10, 10, "I")).vid == "[empty]"
-    assert lookup(catalog, VertexKey(10, 10, "II")).vid == "[S1]"
+    assert catalog.lookup(VertexKey(20, 2, "II")).vid == "[10S]"
+    assert catalog.lookup(VertexKey(10, 10, "I")).vid == "[empty]"
+    assert catalog.lookup(VertexKey(10, 10, "II")).vid == "[S1]"
     with pytest.raises(CatalogError):
-        lookup(catalog, VertexKey(23, 0, "II"))
+        catalog.lookup(VertexKey(23, 0, "II"))
 
 
 def test_type_one_census(catalog):
@@ -166,8 +171,7 @@ def test_coords_rejects_inconsistent_entry(catalog):
 
     v = catalog.by_id("[S4+2S]")
     broken = dataclasses.replace(v, r=v.r + 1)
-    with pytest.raises(CatalogError):
-        coords_rd(broken)
+    assert f"r = {v.r + 1} != 11 - p + q = {v.r}" in catalog_mod._validate_vertex(broken)
 
 
 def test_mutation_is_detected(monkeypatch):

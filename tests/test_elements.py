@@ -198,10 +198,11 @@ def test_search_agrees_with_classify():
             assert classify_element(lat, x) is cls
 
 
-def test_search_budget_error():
+def test_search_budget_error(monkeypatch):
+    monkeypatch.setenv("K4GRAPH_SEARCH_BUDGET", "10")
     lat = from_summands(("U", "U", "U"))
     with pytest.raises(SearchBudgetError):
-        search_witness(lat, -2, ElementClass.ODD, bound=3, budget=10)
+        search_witness(lat, -2, ElementClass.ODD, bound=3)
 
 
 def test_search_budget_env_override(monkeypatch):

@@ -123,12 +123,13 @@ def test_discriminant_group_order_equals_det():
 def test_discriminant_lifts_pair_integrally():
     lat = from_summands(("U(2)", "D4"))
     dg = discriminant_group(lat)
-    for g in dg.lifts:
+    for g, d, dual in zip(dg.lifts, dg.divisors, dg.duals):
         pairing = [
-            sum(Fraction(lat.gram[i][j]) * g[j] for j in range(lat.rank))
+            sum(Fraction(lat.gram[i][j] * g[j], d) for j in range(lat.rank))
             for i in range(lat.rank)
         ]
         assert all(p.denominator == 1 for p in pairing)
+        assert tuple(pairing) == dual
 
 
 # ---------------------------------------------------------------------------

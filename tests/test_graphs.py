@@ -8,10 +8,12 @@ from k4graph import (
     IRR_ID,
     LatticeError,
     basic_cycles_regular,
+    brown_invariant,
     classify_element,
     construct_witness,
     discriminant_quadratic,
     exists_class,
+    find_characteristic,
     find_flip_triple,
     flip,
     graph_dot,
@@ -299,13 +301,17 @@ def test_synthesize_rejects_wrong_square(catalog):
 
 
 def test_synthesize_optional_brown_check(catalog):
-    # van der Blij congruence for the odd lattice M_+, opt-in only
+    # van der Blij congruence sigma - w_c^2 = Brown mod 8 for the odd lattice
+    # M_+, with the form built from a characteristic vector of M_+ itself
     for vid in ("[S1+9S]", "[3S]", "[empty]"):
         v = catalog.by_id(vid)
         for cls in ElementClass:
             if exists_class(v, 1, cls):
-                h = construct_witness(v, 1, cls)
-                synthesize_k4_plus(v, h, check_brown=True)
+                mplus = synthesize_k4_plus(v, construct_witness(v, 1, cls))
+                wc = find_characteristic(mplus)
+                form = discriminant_quadratic(mplus, wc)
+                sp, sm = signature(mplus)
+                assert (sp - sm - norm(wc) - brown_invariant(form)) % 8 == 0, (vid, cls)
 
 
 def test_synthesize_w_and_h_arithmetic(catalog):

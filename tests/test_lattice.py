@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,13 @@ from k4graph import (
     smith_normal_form,
     twist,
 )
-from k4graph.lattice import from_summands, gram_apply, inertia
+from k4graph.lattice import (
+    from_summands,
+    gf2_solve,
+    gram_apply,
+    inertia,
+    sublattice_coordinates,
+)
 
 
 def absdet(l):
@@ -300,6 +308,42 @@ def test_characteristic_k4_lattice():
     assert all((gw[i] - m.gram[i][i]) % 2 == 0 for i in range(23))
 
 
+@st.composite
+def _gf2_systems(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    a = draw(st.lists(row, min_size=m, max_size=m))
+    b = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gf2_systems())
+def test_gf2_solve_matches_brute_force(system):
+    a, b = system
+    n = len(a[0])
+
+    def image(x):
+        return tuple(sum(r * c for r, c in zip(row, x)) % 2 for row in a)
+
+    space = list(itertools.product((0, 1), repeat=n))
+    target = tuple(y % 2 for y in b)
+    solvable = any(image(x) == target for x in space)
+    kernel = {x for x in space if not any(image(x))}
+    x, basis = gf2_solve(a, b)
+    if solvable:
+        assert x is not None and set(x) <= {0, 1} and image(x) == target
+    else:
+        assert x is None
+    spanned = {
+        tuple(sum(c * v[i] for c, v in zip(cs, basis)) % 2 for i in range(n))
+        for cs in itertools.product((0, 1), repeat=len(basis))
+    }
+    assert spanned == kernel
+    assert 2 ** len(basis) == len(kernel)  # the basis is independent
+
+
 # ---------------------------------------------------------------------------
 # orthogonal complements
 # ---------------------------------------------------------------------------
@@ -322,6 +366,40 @@ def test_orthogonal_rank_drop():
     assert sub.rank == 5
     with pytest.raises(LatticeError):
         orthogonal_sublattice(l, l.vector([0] * 6))
+
+
+def test_sublattice_coordinates_round_trip(catalog):
+    from k4graph.lattice import _row_kernel_basis
+    from k4graph.verification import _congruent, _random_unimodular
+
+    rng = random.Random(1979)
+    sources = [v.lminus for v in catalog if v.lminus.rank <= 12][::4]
+    lattices = sources + [_congruent(l.gram, _random_unimodular(rng, l.rank)) for l in sources]
+    for lat in lattices:
+        v = lat.vector([0] * lat.rank)
+        while not any(gram_apply(lat, v.coords)):
+            v = lat.vector([rng.randint(-2, 2) for _ in range(lat.rank)])
+        basis, _ = _row_kernel_basis(gram_apply(lat, v.coords))
+        sub = orthogonal_sublattice(lat, v)
+        for _ in range(3):
+            z = lat.vector([rng.randint(-3, 3) for _ in range(lat.rank)])
+            x = z.scale(norm(v)) - v.scale(inner(z, v))
+            y = sublattice_coordinates(lat, v, x)
+            combo = tuple(sum(c * b[i] for c, b in zip(y, basis)) for i in range(lat.rank))
+            assert combo == x.coords
+            assert norm(sub.vector(y)) == norm(x)
+        off = next(e for e in map(lat.basis_vector, range(lat.rank)) if inner(e, v))
+        with pytest.raises(LatticeError):
+            sublattice_coordinates(lat, v, off)
+
+
+def test_package_has_no_rational_arithmetic():
+    import k4graph
+
+    package = Path(k4graph.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "Fraction" not in text and "fractions" not in text, path.name
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +425,7 @@ def _complement_gram_reference(l, v):
     """The complement Gram as B·G·B^T summed entry by entry, in O(n^4)."""
     from k4graph.lattice import _row_kernel_basis
 
-    basis = _row_kernel_basis(gram_apply(l, v.coords))
+    basis, _ = _row_kernel_basis(gram_apply(l, v.coords))
     return tuple(
         tuple(
             sum(
