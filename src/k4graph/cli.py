@@ -20,7 +20,7 @@ from .elements import (
     search_witness,
 )
 from .graphs import (
-    IRR_ID,
+    IRREGULAR,
     StructuralError,
     build_k3_graph,
     build_k4_graph,
@@ -96,7 +96,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     else:
         text = graph_dot(g, cat)
     _write_out(text, args.out)
-    irregular = IRR_ID if args.graph == "k4" else "[8S]_I"
+    irregular = IRREGULAR[args.graph][2]
     summary = f"vertices={len(g.vertex_ids)} edges={len(g.edges)} irregular={irregular}"
     print(summary, file=sys.stderr if not args.out else sys.stdout)
     return 0
@@ -110,7 +110,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         print(f"unknown vertex id {args.vertex!r}", file=sys.stderr)
         return USAGE_ERROR
     n = 0 if args.square == -2 else 1
-    for cls in (ElementClass.ODD, ElementClass.WU, ElementClass.EVEN_NON_WU):
+    for cls in ElementClass:
         exists = exists_class(v, n, cls)
         line = f"{v.vid} square={args.square} {cls.value}: {'yes' if exists else 'no'}"
         if exists:

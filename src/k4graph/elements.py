@@ -19,7 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .lattice import (
@@ -255,19 +255,6 @@ def _norm_gcd(gram) -> int:
     return g if g else 1
 
 
-def _iter_box(rank: int, bound: int) -> Iterator[Tuple[int, ...]]:
-    vals = _value_order(bound)
-    def rec(k: int, acc: List[int]) -> Iterator[Tuple[int, ...]]:
-        if k == rank:
-            yield tuple(acc)
-            return
-        for v in vals:
-            acc.append(v)
-            yield from rec(k + 1, acc)
-            acc.pop()
-    yield from rec(0, [])
-
-
 def _value_order(bound: int) -> List[int]:
     # deterministic enumeration order: 0, 1, -1, 2, -2, ...
     out = [0]
@@ -304,7 +291,8 @@ def _block_vectors(
     """Block vectors with norm in [lo, hi], optionally with fixed coordinate parities.
 
     Definite blocks are walked tail-first with monotone partial-sum pruning;
-    rank <= 2 indefinite blocks are enumerated outright.
+    rank <= 2 indefinite blocks are enumerated outright over the box, one
+    tick per box point that passes the parity filter.
     """
     r = block.rank
     vals = _value_order(bound)
@@ -340,24 +328,12 @@ def _block_vectors(
         yield from rec(0, [], 0)
         return
 
-    def rec_flat(k: int, acc: List[int]) -> Iterator[Tuple[Tuple[int, ...], int]]:
-        if k == r:
-            n = 0
-            for i in range(r):
-                row = block.gram[i]
-                n += acc[i] * sum(row[j] * acc[j] for j in range(r))
-            if lo <= n <= hi:
-                yield tuple(acc), n
-            return
-        for v in vals:
-            if parities is not None and (v - parities[k]) % 2:
-                continue
-            state.tick()
-            acc.append(v)
-            yield from rec_flat(k + 1, acc)
-            acc.pop()
-
-    yield from rec_flat(0, [])
+    axes = [[v for v in vals if parities is None or (v - parities[k]) % 2 == 0] for k in range(r)]
+    for coords in product(*axes):
+        state.tick()
+        n = sum(x * y * g for x, row in zip(coords, block.gram) for y, g in zip(coords, row))
+        if lo <= n <= hi:
+            yield coords, n
 
 
 def _block_is_even(block: _BlockData, coords: Sequence[int]) -> bool:
@@ -480,7 +456,7 @@ def _search(
             raise SearchBudgetError(
                 "enumeration budget exceeded; reduce the rank or the bound"
             )
-        for coords in _iter_box(l.rank, bound):
+        for coords in product(_value_order(bound), repeat=l.rank):
             vec = l.vector(coords)
             if vec.is_zero() or norm(vec) != target_square:
                 continue
@@ -547,14 +523,8 @@ def construct_witness(v: K3Vertex, n: int, cls: ElementClass) -> LatticeVector:
     lat = v.lminus
     offs = _block_offsets(names)
 
-    def block_index(name: str, skip: int = 0) -> Optional[int]:
-        seen = 0
-        for i, nm in enumerate(names):
-            if nm == name:
-                if seen == skip:
-                    return i
-                seen += 1
-        return None
+    def block_index(name: str) -> Optional[int]:
+        return names.index(name) if name in names else None
 
     x: Optional[LatticeVector] = None
     if cls is ElementClass.ODD:
@@ -657,8 +627,6 @@ def _wu_witness(v: K3Vertex, n: int) -> Optional[LatticeVector]:
 
 def _odd_bumps(s: int, t: int, need: int) -> Iterator[Tuple[int, ...]]:
     """All-odd diagonal vectors (values 1/3/5) hitting base + need exactly."""
-    from itertools import product
-
     for vals in product((1, 3, 5), repeat=s + t):
         delta = 0
         for i, val in enumerate(vals):

@@ -33,6 +33,8 @@ from .lattice import (
     LatticeVector,
     LatticeError,
     _freeze,
+    _json_ints,
+    _json_object,
     is_even,
     signature,
 )
@@ -218,9 +220,9 @@ class FiniteQuadraticForm:
     def __post_init__(self) -> None:
         if len(self.qvals) != self.d or len(self.bvals) != self.d:
             raise FormError("value tables do not match rank d")
+        if any(len(row) != self.d for row in self.bvals):
+            raise FormError("bilinear table is not square")
         for i in range(self.d):
-            if len(self.bvals[i]) != self.d:
-                raise FormError("bilinear table is not square")
             if not 0 <= self.qvals[i] < 4:
                 raise FormError("quadratic values must be reduced mod 4")
             for j in range(self.d):
@@ -267,8 +269,13 @@ class FiniteQuadraticForm:
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteQuadraticForm":
-        obj = json.loads(text)
-        return cls(obj["d"], tuple(obj["qvals"]), _freeze(obj["bvals"]))
+        """Inverse of ``to_json``; malformed input raises ``FormError``."""
+        obj = _json_object(text, FormError)
+        return cls(
+            _json_ints(obj.get("d"), 0, FormError),
+            _json_ints(obj.get("qvals"), 1, FormError),
+            _json_ints(obj.get("bvals"), 2, FormError),
+        )
 
 
 TRIVIAL_FORM = FiniteQuadraticForm(0, (), ())

@@ -2,14 +2,15 @@
 
 Edges are identified with (origin, element-class) pairs; endpoints are
 resolved by the (r, d, type) key arithmetic, never by manipulating rank-22
-involution matrices.  The K4 graph reuses the K3 vertex keys plus the single
-sentinel vertex ``irr``.
+involution matrices.  The K4 graph is the K3 graph with the one edge swap
+stated in ``IRREGULAR``, which replaces [8S]_I by the sentinel vertex ``irr``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .lattice import (
     GramLattice,
@@ -37,12 +38,19 @@ from .finite_forms import (
 from .catalog import Catalog, CatalogError, K3Vertex, VertexKey
 from .elements import (
     ElementClass,
+    _search,
     classify_element,
     enumerate_vectors,
     exists_class,
 )
 
 IRR_ID = "irr"
+
+# Per graph, the (origin, class, terminal) of the one edge swapped between K3 and K4.
+IRREGULAR: Dict[str, Tuple[str, ElementClass, str]] = {
+    "k3": ("[7S]", ElementClass.WU, "[8S]_I"),
+    "k4": ("[3S]", ElementClass.WU, IRR_ID),
+}
 
 
 class StructuralError(RuntimeError):
@@ -108,9 +116,6 @@ class K4VertexData:
 # The lattice identification of the irregular K4 vertex: -M_- = U(2) + 3D4.
 IRR_MINUS_SUMMANDS: Tuple[str, ...] = ("U(2)", "D4", "D4", "D4")
 
-_CLASS_ORDER = (ElementClass.ODD, ElementClass.WU, ElementClass.EVEN_NON_WU)
-
-
 def terminal_key(origin: VertexKey, cls: ElementClass) -> VertexKey:
     """Endpoint key of an edge: r grows by 1, d moves by the class, Wu lands on type I."""
     r, d, _ = origin
@@ -121,91 +126,92 @@ def terminal_key(origin: VertexKey, cls: ElementClass) -> VertexKey:
     return VertexKey(r + 1, d - 1, "II")
 
 
-def _check_graph(g: DeformationGraph) -> None:
+def _graph_violations(g: DeformationGraph, catalog: Catalog) -> List[str]:
+    """Every structural guarantee the graph breaks: per edge in edge order, then
+    the irregular vertex, then connectivity."""
     ids = set(g.vertex_ids)
+    cat_ids = set(catalog.ids())
+    out: List[str] = []
     pairs = set()
-    unordered = set()
-    outdeg: Dict[str, int] = {}
+    origins = set()
     for e in g.edges:
         if e.src not in ids or e.dst not in ids:
-            raise StructuralError(f"{g.kind}: edge {e.src}->{e.dst} leaves the vertex set")
+            out.append(f"edge {e.src}->{e.dst} leaves the vertex set")
         if e.src == e.dst:
-            raise StructuralError(f"{g.kind}: graph-loop at {e.src}")
-        if (e.src, e.dst) in pairs or frozenset((e.src, e.dst)) in unordered:
-            raise StructuralError(f"{g.kind}: multiple edges between {e.src} and {e.dst}")
-        pairs.add((e.src, e.dst))
-        unordered.add(frozenset((e.src, e.dst)))
-        outdeg[e.src] = outdeg.get(e.src, 0) + 1
-        # at most one edge per element class
-        if outdeg[e.src] > len(ElementClass):
-            raise StructuralError(f"{g.kind}: out-degree of {e.src} exceeds {len(ElementClass)}")
-    if not g.is_connected():
-        raise StructuralError(f"{g.kind}: graph is not connected")
+            out.append(f"graph-loop at {e.src}")
+        if frozenset((e.src, e.dst)) in pairs:
+            out.append(f"multiple edges between {e.src} and {e.dst}")
+        pairs.add(frozenset((e.src, e.dst)))
+        if (e.src, e.label.cls) in origins:
+            out.append(f"second {e.label.cls.value} edge from {e.src}")
+        origins.add((e.src, e.label.cls))
+        if e.src in cat_ids and e.dst in cat_ids:
+            key = terminal_key(catalog.by_id(e.src).key, e.label.cls)
+            if catalog.by_id(e.dst).key != key:
+                out.append(f"edge {e.src}->{e.dst} does not end at key {tuple(key)}")
+    origin, cls, irr = IRREGULAR[g.kind]
+    irr_in = [(e.src, e.label.cls, e.dst) for e in g.in_edges(irr)]
+    if irr_in != [(origin, cls, irr)]:
+        out.append(f"in-edges of {irr} are {irr_in}, expected only {origin} -{cls.value}->")
+    if g.out_edges(irr):
+        out.append(f"{irr} has out-edges")
+    if all(e.src in ids and e.dst in ids for e in g.edges) and not g.is_connected():
+        out.append("graph is not connected")
+    return out
+
+
+def _build_graph(catalog: Catalog, kind: str) -> DeformationGraph:
+    """One edge per (vertex, class) with an element of square 8n - 2, n = 0 for
+    k3 and 1 for k4, ending at ``terminal_key`` except the irregular edge."""
+    n = 0 if kind == "k3" else 1
+    vertex_ids = catalog.ids()
+    if kind == "k4":
+        vertex_ids = tuple(v for v in vertex_ids if v != IRREGULAR["k3"][2]) + (IRR_ID,)
+    ids = set(vertex_ids)
+    edges: List[GraphEdge] = []
+    for v in catalog:
+        if v.vid not in ids:
+            continue
+        for cls in ElementClass:
+            if not exists_class(v, n, cls):
+                continue
+            if (v.vid, cls) == IRREGULAR[kind][:2]:
+                dst = IRREGULAR[kind][2]
+            else:
+                key = terminal_key(v.key, cls)
+                try:
+                    dst = catalog.lookup(key).vid
+                except CatalogError:  # reported as leaving the vertex set
+                    dst = f"missing key {tuple(key)}"
+            edges.append(GraphEdge(v.vid, dst, EdgeLabel(v.key, cls, 8 * n - 2)))
+    g = DeformationGraph(kind, vertex_ids, tuple(edges))
+    problems = _graph_violations(g, catalog)
+    if problems:
+        raise StructuralError(f"{kind}: {problems[0]}")
+    return g
 
 
 def build_k3_graph(catalog: Catalog) -> DeformationGraph:
     """All 75 vertices; one edge per (vertex, class) with a square -2 element."""
-    edges: List[GraphEdge] = []
-    for v in catalog:
-        for cls in _CLASS_ORDER:
-            if not exists_class(v, 0, cls):
-                continue
-            key = terminal_key(v.key, cls)
-            try:
-                dst = catalog.lookup(key)
-            except CatalogError:
-                raise StructuralError(
-                    f"k3: edge from {v.vid} with class {cls.value} resolves to "
-                    f"missing key {tuple(key)}"
-                ) from None
-            edges.append(GraphEdge(v.vid, dst.vid, EdgeLabel(v.key, cls, -2)))
-    g = DeformationGraph("k3", catalog.ids(), tuple(edges))
-    _check_graph(g)
-    return g
+    return _build_graph(catalog, "k3")
 
 
 def build_k4_graph(catalog: Catalog) -> Tuple[DeformationGraph, Dict[str, K4VertexData]]:
     """K3 keys minus [8S]_I plus the sentinel irregular vertex, square-6 edges."""
-    vertex_ids = tuple(vid for vid in catalog.ids() if vid != "[8S]_I") + (IRR_ID,)
-    edges: List[GraphEdge] = []
-    for v in catalog:
-        if v.vid == "[8S]_I":
-            continue
-        for cls in _CLASS_ORDER:
-            if not exists_class(v, 1, cls):
-                continue
-            if v.vid == "[3S]" and cls is ElementClass.WU:
-                edges.append(GraphEdge(v.vid, IRR_ID, EdgeLabel(v.key, cls, 6)))
-                continue
-            key = terminal_key(v.key, cls)
-            try:
-                dst = catalog.lookup(key)
-            except CatalogError:
-                raise StructuralError(
-                    f"k4: edge from {v.vid} with class {cls.value} resolves to "
-                    f"missing key {tuple(key)} outside the designated irregular case"
-                ) from None
-            if dst.vid not in vertex_ids:
-                raise StructuralError(
-                    f"k4: edge from {v.vid} terminates at removed vertex {dst.vid}"
-                )
-            edges.append(GraphEdge(v.vid, dst.vid, EdgeLabel(v.key, cls, 6)))
-    g = DeformationGraph("k4", vertex_ids, tuple(edges))
-    _check_graph(g)
+    g = _build_graph(catalog, "k4")
+    neg = from_summands(IRR_MINUS_SUMMANDS, "U(2)+3D4")
+    _validate_irr(neg, catalog)
     data: Dict[str, K4VertexData] = {}
-    for vid in vertex_ids:
+    for vid in g.vertex_ids:
         if vid == IRR_ID:
-            mm = rescale(from_summands(IRR_MINUS_SUMMANDS, "U(2)+3D4"), -1)
-            data[vid] = K4VertexData(vid, mm, IRR_ID)
+            data[vid] = K4VertexData(vid, rescale(neg, -1), IRR_ID)
         else:
-            v = catalog.by_id(vid)
-            data[vid] = K4VertexData(vid, rescale(v.lplus, -1), vid)
-    _validate_irr(data[IRR_ID], catalog)
+            data[vid] = K4VertexData(vid, rescale(catalog.by_id(vid).lplus, -1), vid)
     return g, data
 
 
-def _validate_irr(irr: K4VertexData, catalog: Catalog) -> None:
-    neg = rescale(irr.mminus, -1)
+def _validate_irr(neg: GramLattice, catalog: Catalog) -> None:
+    """The lattice facts that identify -M_- of the irregular K4 vertex."""
     if signature(neg) != (1, 13):
         raise StructuralError("irr: -M_- must have signature (1, 13)")
     dg = discriminant_group(neg)
@@ -214,8 +220,9 @@ def _validate_irr(irr: K4VertexData, catalog: Catalog) -> None:
     if parity(discriminant_quadratic(neg)) != "even":
         raise StructuralError("irr: -M_- must carry an even discriminant form")
     for v in catalog:
-        if lattices_equivalent(neg, v.lplus) == "yes":
-            raise StructuralError(f"irr: -M_- is equivalent to L+({v.vid})")
+        verdict = lattices_equivalent(neg, v.lplus)
+        if verdict != "no":
+            raise StructuralError(f"irr: -M_- vs L+({v.vid}) is {verdict!r}, expected 'no'")
 
 
 # ---------------------------------------------------------------------------
@@ -234,29 +241,29 @@ class FReport:
         return self.bijective and not self.mismatches
 
 
+def _edge_triples(g: DeformationGraph) -> Set[Tuple[str, ElementClass, str]]:
+    return {(e.src, e.label.cls, e.dst) for e in g.edges}
+
+
+def _regular_part(g: DeformationGraph) -> Tuple[Set[str], Set[Tuple[str, ElementClass, str]]]:
+    irr = IRREGULAR[g.kind][2]
+    edges = {t for t in _edge_triples(g) if irr not in (t[0], t[2])}
+    return set(g.vertex_ids) - {irr}, edges
+
+
 def regular_subgraphs_and_F(k3: DeformationGraph, k4: DeformationGraph) -> FReport:
     """Drop the irregular vertex and edge on each side; F is the key identity.
 
     Verifies that F is a bijection on the 74 regular vertices and on all
     regular edges, preserving orientation and class.
     """
-    k3_vertices = set(k3.vertex_ids) - {"[8S]_I"}
-    k4_vertices = set(k4.vertex_ids) - {IRR_ID}
+    k3_vertices, k3_star = _regular_part(k3)
+    k4_vertices, k4_star = _regular_part(k4)
     mismatches: List[str] = []
     if k3_vertices != k4_vertices:
         extra3 = sorted(k3_vertices - k4_vertices)
         extra4 = sorted(k4_vertices - k3_vertices)
         mismatches.append(f"vertex sets differ: k3-only {extra3}, k4-only {extra4}")
-    k3_star = {
-        (e.src, e.label.cls, e.dst)
-        for e in k3.edges
-        if e.src != "[8S]_I" and e.dst != "[8S]_I"
-    }
-    k4_star = {
-        (e.src, e.label.cls, e.dst)
-        for e in k4.edges
-        if e.src != IRR_ID and e.dst != IRR_ID
-    }
     for item in sorted(k3_star - k4_star, key=str):
         mismatches.append(f"k3 edge without k4 correspondent: {item}")
     for item in sorted(k4_star - k3_star, key=str):
@@ -266,16 +273,14 @@ def regular_subgraphs_and_F(k3: DeformationGraph, k4: DeformationGraph) -> FRepo
 
 
 def k4_equals_k3_after_swap(k3: DeformationGraph, k4: DeformationGraph) -> bool:
-    """K4 is K3 minus ([7S] -Wu-> [8S]_I, vertex [8S]_I) plus ([3S] -Wu-> irr)."""
-    k3_e = {(e.src, e.label.cls, e.dst) for e in k3.edges}
-    k4_e = {(e.src, e.label.cls, e.dst) for e in k4.edges}
-    removed = {("[7S]", ElementClass.WU, "[8S]_I")}
-    added = {("[3S]", ElementClass.WU, IRR_ID)}
+    """K4 is K3 minus its irregular edge and vertex plus the K4 irregular edge."""
+    k3_e, k4_e = _edge_triples(k3), _edge_triples(k4)
+    removed, added = IRREGULAR["k3"], IRREGULAR["k4"]
     return (
-        k3_e - removed == k4_e - added
-        and removed <= k3_e
-        and added <= k4_e
-        and set(k4.vertex_ids) == (set(k3.vertex_ids) - {"[8S]_I"}) | {IRR_ID}
+        k3_e - {removed} == k4_e - {added}
+        and removed in k3_e
+        and added in k4_e
+        and set(k4.vertex_ids) == (set(k3.vertex_ids) - {removed[2]}) | {added[2]}
     )
 
 
@@ -313,10 +318,12 @@ def flip(t: FlipTriple) -> FlipTriple:
 
 
 def find_flip_triple(v: K3Vertex, bound: int = 3, limit: int = 40) -> Optional[FlipTriple]:
-    """Bounded search for an orthogonal (h, v) pair in L-(c), or None."""
-    hs = enumerate_vectors(v.lminus, 6, bound, limit)
+    """Bounded search for an orthogonal (h, v) pair in L-(c), or None.
+
+    The h are drawn lazily, so the search stops at the first h with a partner.
+    """
     vs = enumerate_vectors(v.lminus, -2, bound, limit)
-    for h in hs:
+    for h in islice(_search(v.lminus, 6, None, bound), limit):
         for w in vs:
             if inner(h, w) == 0:
                 return FlipTriple(h, w)
@@ -434,7 +441,6 @@ def basic_cycles_regular(k3: DeformationGraph, catalog: Catalog) -> BasicCycleRe
     cycles: List[BasicCycle] = []
     all_regular = True
     for vid in k3.vertex_ids:
-        v = catalog.by_id(vid)
         odd_edge = k3.edge(vid, ElementClass.ODD)
         if odd_edge is None:
             continue
@@ -600,16 +606,11 @@ def graph_dot(g: DeformationGraph, catalog: Catalog) -> str:
     lines = [f"digraph {g.kind} {{"]
     for vid in g.vertex_ids:
         if vid == IRR_ID:
-            lines.append(
-                f'  "{vid}" [label="K4-irr", shape=box, style=filled];'
-            )
-            continue
-        v = catalog.by_id(vid)
-        label = vid.replace("[", "").replace("]", "")
-        if v.vtype == "I":
-            lines.append(f'  "{vid}" [label="{label}", shape=box, style=filled];')
+            label, vtype = "K4-irr", "I"
         else:
-            lines.append(f'  "{vid}" [label="{label}", shape=circle];')
+            label, vtype = vid.replace("[", "").replace("]", ""), catalog.by_id(vid).vtype
+        shape = "shape=box, style=filled" if vtype == "I" else "shape=circle"
+        lines.append(f'  "{vid}" [label="{label}", {shape}];')
     for e in g.edges:
         lines.append(f'  "{e.src}" -> "{e.dst}" [style={_EDGE_STYLE[e.label.cls]}];')
     lines.append("}")

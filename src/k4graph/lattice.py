@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -94,10 +95,13 @@ class GramLattice:
 
     @classmethod
     def from_json(cls, text: str) -> "GramLattice":
-        obj = json.loads(text)
-        rows = [[int(x) for x in row] for row in obj["gram"]]
-        lat = cls.from_rows(rows, obj.get("label", ""))
-        if lat.rank != obj["rank"]:
+        """Inverse of ``to_json``; malformed input raises ``LatticeError``."""
+        obj = _json_object(text, LatticeError)
+        label = obj.get("label", "")
+        if not isinstance(label, str):
+            raise LatticeError("serialized label is not a string")
+        lat = cls.from_rows(_json_ints(obj.get("gram"), 2, LatticeError), label)
+        if lat.rank != _json_ints(obj.get("rank"), 0, LatticeError):
             raise LatticeError("serialized rank disagrees with gram size")
         return lat
 
@@ -108,6 +112,31 @@ _SAFE_INT = 2**53
 def _json_int(x: int):
     # Exact integers ride as decimal strings once they leave the 53-bit range.
     return x if abs(x) < _SAFE_INT else str(x)
+
+
+def _json_object(text: str, error: type) -> dict:
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError):
+        raise error("payload is not valid JSON") from None
+    if not isinstance(obj, dict):
+        raise error("payload is not a JSON object")
+    return obj
+
+
+def _json_ints(value, depth: int, error: type):
+    """An exact integer (depth 0) or nested lists of them; anything else,
+    booleans and floats included, raises ``error``."""
+    if depth:
+        if not isinstance(value, list):
+            raise error(f"expected a JSON list, got {type(value).__name__}")
+        return tuple(_json_ints(x, depth - 1, error) for x in value)
+    if type(value) is int:
+        return value
+    # a decimal string as _json_int writes it, short enough for int() to parse
+    if isinstance(value, str) and re.fullmatch(r"-?(0|[1-9][0-9]{0,3999})", value):
+        return int(value)
+    raise error(f"expected an exact integer, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -329,10 +358,6 @@ def signature(l: GramLattice) -> Tuple[int, int]:
     if zero:
         raise LatticeError("gram matrix is degenerate")
     return pos, neg
-
-
-def is_degenerate(l: GramLattice) -> bool:
-    return inertia(l)[2] > 0
 
 
 def is_even(l: GramLattice) -> bool:

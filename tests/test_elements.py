@@ -349,3 +349,32 @@ def test_integer_block_walk_matches_fraction_reference():
                     assert int_state.visited == ref_state.visited, key
                     checked += 1
     assert checked == 7 * 3 * 4 * 2
+
+
+def test_indefinite_block_walk_is_filtered_box():
+    # U and U(2) are enumerated outright: the walk yields exactly the box
+    # points in _value_order that pass the parity filter and the norm window,
+    # with one tick per point that passes the parity filter
+    from itertools import product
+
+    from k4graph.elements import _SearchState, _block_data, _block_vectors, _value_order
+
+    for name in ("U", "U(2)"):
+        block = _block_data(name)
+        g = block.gram
+        for bound in (1, 2, 3):
+            for lo, hi in ((0, 0), (-2, -2), (-4, 4), (2, 8)):
+                for parities in (None, block.wu_parities, (1, 0)):
+                    passed = [
+                        x for x in product(_value_order(bound), repeat=2)
+                        if parities is None or all((c - p) % 2 == 0 for c, p in zip(x, parities))
+                    ]
+                    want = []
+                    for x in passed:
+                        n = sum(x[i] * g[i][j] * x[j] for i in range(2) for j in range(2))
+                        if lo <= n <= hi:
+                            want.append((x, n))
+                    state = _SearchState()
+                    key = (name, bound, lo, hi, parities)
+                    assert list(_block_vectors(block, bound, lo, hi, parities, state)) == want, key
+                    assert state.visited == len(passed), key

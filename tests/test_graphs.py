@@ -123,6 +123,39 @@ def test_k3_edges_realized_by_orthogonal_complements(k3_graph, catalog):
         assert lattices_equivalent(sub, t.lminus) != "no", (e.src, e.label.cls)
 
 
+def test_graph_violations_detect_mutations(catalog, k3_graph, k4_graph):
+    from k4graph import DeformationGraph, EdgeLabel, GraphEdge, VertexKey
+    from k4graph.graphs import _graph_violations
+
+    g4, _ = k4_graph
+    assert _graph_violations(k3_graph, catalog) == []
+    assert _graph_violations(g4, catalog) == []
+    odd, wu = ElementClass.ODD, ElementClass.WU
+
+    def mutate(g, add=(), drop=(), vertices=()):
+        edges = [e for e in g.edges if (e.src, e.label.cls, e.dst) not in drop]
+        origin = VertexKey(0, 0, "II")  # the checks do not read the label's origin
+        edges += [GraphEdge(src, dst, EdgeLabel(origin, cls, 0)) for src, cls, dst in add]
+        return DeformationGraph(g.kind, g.vertex_ids + tuple(vertices), tuple(edges))
+
+    cases = [
+        (mutate(k3_graph, add=[("[7S]", odd, "[7S]")]), "graph-loop at [7S]"),
+        (mutate(k3_graph, add=[("[empty]", odd, "[2S]")]), "second odd edge from [empty]"),
+        (
+            mutate(k3_graph, add=[("[empty]", odd, "[2S]")], drop=[("[empty]", odd, "[1S]")]),
+            "edge [empty]->[2S] does not end at key",
+        ),
+        (mutate(g4, add=[("[7S]", odd, IRR_ID)]), "in-edges of irr"),
+        (mutate(g4, add=[(IRR_ID, odd, "[1S]")]), "irr has out-edges"),
+        (mutate(g4, drop=[("[3S]", wu, IRR_ID)]), "in-edges of irr are []"),
+        (mutate(k3_graph, vertices=["[lonely]"]), "graph is not connected"),
+        (mutate(g4, add=[("[7S]", odd, "[8S]_I")]), "edge [7S]->[8S]_I leaves the vertex set"),
+    ]
+    for g, name in cases:
+        problems = _graph_violations(g, catalog)
+        assert any(name in p for p in problems), (name, problems)
+
+
 # ---------------------------------------------------------------------------
 # K4 graph
 # ---------------------------------------------------------------------------

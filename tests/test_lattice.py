@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k4graph import (
+    FiniteQuadraticForm,
+    FormError,
     GramLattice,
     LatticeError,
     direct_sum,
@@ -419,6 +421,56 @@ def test_json_big_integers_as_strings():
     payload = json.loads(l.to_json())
     assert payload["gram"][0][0] == str(big)
     assert GramLattice.from_json(l.to_json()).gram == ((big,),)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"gram":[[1.5]],"rank":1}', '{"gram":[[true]],"rank":1}', "[]", "{}", "null",
+     '{"gram":5,"rank":1}', '{"gram":[[1]],"rank":1,"label":[]}', "{"],
+)
+def test_json_rejects_malformed_lattice(text):
+    with pytest.raises(LatticeError):
+        GramLattice.from_json(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"d":1,"qvals":5,"bvals":[[1]]}', '{"d":1,"qvals":[1],"bvals":"x"}', "[]", "null",
+     '{"d":2,"qvals":[0,0],"bvals":[[0,0],[]]}', '{"d":1,"qvals":[true],"bvals":[[1]]}'],
+)
+def test_json_rejects_malformed_form(text):
+    with pytest.raises(FormError):
+        FiniteQuadraticForm.from_json(text)
+
+
+_JSON_KEYS = ("gram", "rank", "label", "d", "qvals", "bvals")
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+    | st.sampled_from(["1", "x", "01", "-0", "1e3", str(2**60)]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_JSON_KEYS), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_json_hostile_payloads_raise_documented_error(data):
+    # any payload either parses into an object that round-trips, or raises the
+    # parser's own error type, never TypeError, KeyError or IndexError; the
+    # silent coercions of floats and booleans are pinned by the cases above
+    cases = (
+        (GramLattice, LatticeError, ("gram", "rank", "label")),
+        (FiniteQuadraticForm, FormError, ("d", "qvals", "bvals")),
+    )
+    for cls, error, keys in cases:
+        payload = st.fixed_dictionaries({}, optional={k: _JSON_VALUES for k in keys})
+        text = data.draw(st.text(max_size=6) | (_JSON_VALUES | payload).map(json.dumps))
+        try:
+            obj = cls.from_json(text)
+        except error:
+            continue
+        assert cls.from_json(obj.to_json()) == obj
 
 
 def _complement_gram_reference(l, v):
