@@ -23,6 +23,8 @@ from itertools import islice, product
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .lattice import (
+    MEMO_SIZE,
+    Gram,
     GramLattice,
     LatticeError,
     LatticeVector,
@@ -32,7 +34,7 @@ from .lattice import (
     norm,
     signature,
 )
-from .finite_forms import bilinear_table, discriminant_group
+from .finite_forms import _discriminant_group, bilinear_table
 from .catalog import K3Vertex
 
 
@@ -73,9 +75,9 @@ def search_budget() -> int:
 # classification
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _disc_data(l: GramLattice):
-    disc = discriminant_group(l)
+@lru_cache(maxsize=MEMO_SIZE)
+def _disc_data(gram: Gram):
+    disc = _discriminant_group(gram)
     if not disc.is_two_periodic:
         raise LatticeError("classification needs a 2-periodic discriminant")
     return disc, bilinear_table(disc)
@@ -90,7 +92,7 @@ def classify_element(lminus: GramLattice, x: LatticeVector) -> ElementClass:
     gx = gram_apply(lminus, x.coords)
     if any(v % 2 for v in gx):
         return ElementClass.ODD
-    disc, pair = _disc_data(lminus)
+    disc, pair = _disc_data(lminus.gram)
     # x/2 is in the dual; Wu iff b(x/2, g) = b(g, g) for every generator g,
     # where 2·b(x/2, g) = <x, g> = x·(G g)
     for j, dual in enumerate(disc.duals):
@@ -153,7 +155,7 @@ class _BlockData:
         self.lat = lat
         self.rank = lat.rank
         self.gram = lat.gram
-        disc, pair = _disc_data(lat)
+        disc, pair = _disc_data(lat.gram)
         # characteristic class of the block's discriminant bilinear form,
         # solved over GF(2): sum_i c_i b(g_i, g_j) = b(g_j, g_j) (pair is symmetric)
         coeffs, _ = gf2_solve(pair, [row[j] for j, row in enumerate(pair)])

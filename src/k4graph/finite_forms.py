@@ -10,6 +10,11 @@ b = m/2 in Q/Z (m lives mod 2).  The Brown invariant is computed by the exact
 Gauss sum over the whole group, matched against the eight possible eighth
 roots of unity times 2^(d/2).
 
+Both ``smith_normal_form`` and ``_discriminant_group`` run one Smith kernel,
+``_smith``.  The group needs only the divisors and the columns of V, kept as
+the rows of Vᵀ so that a column operation is one row operation there; it
+skips U, which only ``smith_normal_form`` tracks.
+
 ``discriminant_group`` and ``discriminant_quadratic`` are memoized through
 ``_discriminant_group`` and ``_discriminant_quadratic``, each a
 ``functools.lru_cache`` of ``lattice.MEMO_SIZE`` entries.  The key is the Gram
@@ -24,7 +29,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from operator import mul
+from typing import List, Optional, Sequence, Tuple
 
 from .lattice import (
     MEMO_SIZE,
@@ -56,78 +62,85 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix,
     D is diagonal with d_i | d_{i+1} and non-negative entries; U and V are
     unimodular.
     """
+    diag, vt, u = _smith(m, True)
+    cols = len(vt)
+    d = tuple(tuple(diag[i] if i == j else 0 for j in range(cols)) for i in range(len(u)))
+    return _freeze(u), d, tuple(zip(*vt))
+
+
+def _smith(
+    m: Sequence[Sequence[int]], keep_u: bool
+) -> Tuple[List[int], List[List[int]], Optional[List[List[int]]]]:
+    """The Smith kernel: the divisors, the rows of Vᵀ and, if keep_u, U.
+
+    The pivot is the first entry of least magnitude, so the scan stops at the
+    first ±1.  The pivot column is cleared by row operations first; a column
+    operation then touches only the rows still nonzero in the pivot column
+    (just the pivot row once it is clear) and one row of Vᵀ.
+    """
     a = [list(map(int, row)) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)] if keep_u else None
+    vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def row_op(i, j, q):  # row_i -= q*row_j, mirrored on U
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        if keep_u:
+            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
-    def col_op(i, j, q):  # col_i -= q*col_j, mirrored on V
-        for r in range(rows):
-            a[r][i] -= q * a[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    n = min(rows, cols)
-    for s in range(n):
-        # move a nonzero entry of least magnitude into the pivot slot
+    for s in range(min(rows, cols)):
         while True:
-            best = None
+            best, mag = None, 0
             for i in range(s, rows):
+                row = a[i]
                 for j in range(s, cols):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
+                    if row[j] and (best is None or abs(row[j]) < mag):
+                        best, mag = (i, j), abs(row[j])
+                        if mag == 1:
+                            break
+                if mag == 1:
+                    break
             if best is None:
                 break
             i, j = best
             if i != s:
-                swap_rows(s, i)
-            if j != s:
-                swap_cols(s, j)
-            # clear the pivot row and column
-            done = True
+                a[s], a[i] = a[i], a[s]
+                if keep_u:
+                    u[s], u[i] = u[i], u[s]
+            if j != s:  # rows above s are zero from column s on
+                for r in range(s, rows):
+                    a[r][s], a[r][j] = a[r][j], a[r][s]
+                vt[s], vt[j] = vt[j], vt[s]
+            p = a[s][s]
             for i in range(s + 1, rows):
-                if a[i][s] != 0:
-                    row_op(i, s, a[i][s] // a[s][s])
-                    if a[i][s] != 0:
-                        done = False
+                if a[i][s]:
+                    row_op(i, s, a[i][s] // p)
+            live = [r for r in range(s, rows) if a[r][s]]
+            done = len(live) == 1
             for j in range(s + 1, cols):
-                if a[s][j] != 0:
-                    col_op(j, s, a[s][j] // a[s][s])
-                    if a[s][j] != 0:
-                        done = False
+                if a[s][j]:
+                    q = a[s][j] // p
+                    for r in live:
+                        a[r][j] -= q * a[r][s]
+                    vt[j] = [x - q * y for x, y in zip(vt[j], vt[s])]
+                    done = done and not a[s][j]
             if not done:
                 continue
+            if mag == 1:  # a unit pivot divides the remaining block
+                break
             # enforce divisibility of the remaining block by the pivot
-            offender = None
-            for i in range(s + 1, rows):
-                for j in range(s + 1, cols):
-                    if a[i][j] % a[s][s] != 0:
-                        offender = i
-                        break
-                if offender:
-                    break
+            offender = next(
+                (i for i in range(s + 1, rows) if any(x % p for x in a[i][s + 1:])), None
+            )
             if offender is None:
                 break
             row_op(s, offender, -1)  # add offending row to pivot row, re-reduce
         if a[s][s] < 0:
             a[s] = [-x for x in a[s]]
-            u[s] = [-x for x in u[s]]
-    return _freeze(u), _freeze(a), _freeze(v)
+            if keep_u:
+                u[s] = [-x for x in u[s]]
+    return [a[i][i] for i in range(min(rows, cols))], vt, u
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +178,7 @@ class DiscriminantGroup:
 
 
 def _dot(x: Sequence[int], y: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def discriminant_group(l: GramLattice) -> DiscriminantGroup:
@@ -175,24 +188,24 @@ def discriminant_group(l: GramLattice) -> DiscriminantGroup:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _discriminant_group(gram: Gram) -> DiscriminantGroup:
-    rank = len(gram)
-    if rank == 0:
-        return DiscriminantGroup((), (), ())
-    u, d, v = smith_normal_form(gram)
     divisors = []
     lifts = []
     duals = []
-    for i in range(rank):
-        di = d[i][i]
+    diag, vt, _ = _smith(gram, False)
+    for di, num in zip(diag, vt):
         if di == 0:
             raise LatticeError("gram matrix is degenerate")
         if di == 1:
             continue
         divisors.append(di)
-        num = tuple(v[r][i] for r in range(rank))
-        lifts.append(num)
+        lifts.append(tuple(num))
+        # G·v_i as a sum of Gram rows over the lift's support (G is symmetric);
         # U·G·V = D gives G·v_i = d_i·U^-1·e_i, so the division is exact
-        duals.append(tuple(_dot(row, num) // di for row in gram))
+        dual = [0] * len(num)
+        for r, x in enumerate(num):
+            if x:
+                dual = [y + x * g for y, g in zip(dual, gram[r])]
+        duals.append(tuple(y // di for y in dual))
     return DiscriminantGroup(tuple(divisors), tuple(lifts), tuple(duals))
 
 

@@ -10,22 +10,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .lattice import (
     GramLattice,
     LatticeError,
     LatticeVector,
+    _complement,
     direct_sum,
     from_summands,
+    gram_apply,
     inner,
     is_even,
     make_standard,
     norm,
-    orthogonal_sublattice,
     rescale,
     signature,
-    sublattice_coordinates,
     twist,
 )
 from .finite_forms import (
@@ -322,10 +323,12 @@ def find_flip_triple(v: K3Vertex, bound: int = 3, limit: int = 40) -> Optional[F
 
     The h are drawn lazily, so the search stops at the first h with a partner.
     """
-    vs = enumerate_vectors(v.lminus, -2, bound, limit)
-    for h in islice(_search(v.lminus, 6, None, bound), limit):
-        for w in vs:
-            if inner(h, w) == 0:
+    l = v.lminus
+    # each w paired with G·w once, so testing an h is one dot product
+    vs = [(w, gram_apply(l, w.coords)) for w in enumerate_vectors(l, -2, bound, limit)]
+    for h in islice(_search(l, 6, None, bound), limit):
+        for w, gw in vs:
+            if sum(map(mul, h.coords, gw)) == 0:
                 return FlipTriple(h, w)
     return None
 
@@ -378,12 +381,13 @@ def verify_flip_cycle(
     cv2 = catalog.lookup(terminal_key(c.key, cls_v2))
 
     # push h1 into L-(c_{v1}) = v1-perp and h2 into L-(c_{v2}) = v2-perp
-    sub1 = orthogonal_sublattice(c.lminus, v1)
-    h1_in_sub = sub1.vector(sublattice_coordinates(c.lminus, v1, h1))
-    cls_h1_sub = classify_element(sub1, h1_in_sub)
-    sub2 = orthogonal_sublattice(c.lminus, v2)
-    h2_in_sub = sub2.vector(sublattice_coordinates(c.lminus, v2, h2))
-    cls_h2_sub = classify_element(sub2, h2_in_sub)
+    # (h_i is orthogonal to v_i, so its coordinates there are (V^-1·h_i)[1:])
+    def pushed_class(v: LatticeVector, h: LatticeVector) -> ElementClass:
+        sub, vinv = _complement(c.lminus, v)
+        return classify_element(sub, sub.vector(sum(map(mul, r, h.coords)) for r in vinv[1:]))
+
+    cls_h1_sub = pushed_class(v1, h1)
+    cls_h2_sub = pushed_class(v2, h2)
 
     # identity 2: w_(+)[c,h1] = w[c_{v2},h2]
     e_cv2 = k4_edge(cv2.vid, cls_h2_sub)
@@ -548,9 +552,7 @@ class StructuralReport:
         return not self.failures
 
 
-def structural_checks(
-    k3: DeformationGraph, k4: DeformationGraph, catalog: Catalog
-) -> StructuralReport:
+def structural_checks(k3: DeformationGraph, catalog: Catalog) -> StructuralReport:
     """Eigenlattice bookkeeping along every K3 edge.
 
     Odd edges satisfy L+(origin) + <-2> = L+(terminal); even edges satisfy

@@ -1,10 +1,11 @@
 """Exact integer lattices: Gram matrices, standard constructors, and core operations.
 
 Everything here is arbitrary-precision integer arithmetic; there are no
-rationals and no floating point.  Signatures come from exact symmetric
-elimination, orthogonal complements and their coordinates from unimodular
-column reduction, and characteristic vectors from ``gf2_solve``, the one
-GF(2) solver of the package.
+rationals and no floating point.  Signatures come from fraction-free
+(Bareiss) symmetric elimination, whose exact divisions keep every entry a
+minor of the input, so no gcd pass is needed.  Orthogonal complements and
+their coordinates come from unimodular column reduction, and characteristic
+vectors from ``gf2_solve``, the one GF(2) solver of the package.
 
 ``inertia`` (and so ``signature``) is memoized: it delegates to ``_inertia``,
 a ``functools.lru_cache`` keyed by the Gram tuple alone (labels and summands
@@ -16,10 +17,10 @@ neither the key nor the shared result can be mutated; errors are not cached.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 Gram = Tuple[Tuple[int, ...], ...]
@@ -270,16 +271,13 @@ def rescale(l: GramLattice, k: int) -> GramLattice:
 
 def gram_apply(l: GramLattice, coords: Sequence[int]) -> Tuple[int, ...]:
     """The dual coordinates G·x of a vector."""
-    return tuple(
-        sum(l.gram[i][j] * coords[j] for j in range(l.rank)) for i in range(l.rank)
-    )
+    return tuple(sum(map(mul, row, coords)) for row in l.gram)
 
 
 def inner(x: LatticeVector, y: LatticeVector) -> int:
     """Exact inner product x^T·gram·y."""
     _check_same_ambient(x, y)
-    gx = gram_apply(x.ambient, x.coords)
-    return sum(g * c for g, c in zip(gx, y.coords))
+    return sum(map(mul, gram_apply(x.ambient, x.coords), y.coords))
 
 
 def norm(x: LatticeVector) -> int:
@@ -287,69 +285,52 @@ def norm(x: LatticeVector) -> int:
 
 
 def inertia(l: GramLattice) -> Tuple[int, int, int]:
-    """Exact inertia (positive, negative, zero) by symmetric integer elimination.
+    """Exact inertia (positive, negative, zero) by symmetric Bareiss elimination.
 
-    Congruence steps scale by |pivot| and subtract, which keeps everything in
-    integers; zero-diagonal blocks are handled by the standard hyperbolic
-    row+column addition.  A gcd reduction after every step keeps entries small.
+    Each step replaces the trailing block by (p·a_ij − a_ik·a_kj) // p_prev,
+    a division that is exact (Bareiss 1968): every entry is a bordered minor
+    of a unimodular congruent of the input, so p is a leading principal minor
+    and the step's LDLᵀ pivot has sign sign(p)·sign(p_prev).  A zero diagonal
+    is handled by the hyperbolic row+column addition, which keeps that.
     """
     return _inertia(l.gram)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _inertia(gram: Gram) -> Tuple[int, int, int]:
-    n = len(gram)
-    a = [list(row) for row in gram]
-    pos = neg = zero = 0
-    k = 0
-    while k < n:
-        piv = None
-        for i in range(k, n):
-            if a[i][i] != 0:
-                piv = i
-                break
+    a = [list(row) for row in gram]  # the block still to eliminate
+    pos = neg = 0
+    prev = 1  # the last pivot, a leading principal minor
+    while a:
+        m = len(a)
+        piv = next((i for i in range(m) if a[i][i]), None)
         if piv is None:
-            off = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        off = (i, j)
-                        break
-                if off:
-                    break
+            off = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
             if off is None:
-                zero += n - k
-                break
+                return pos, neg, m
             i, j = off
-            for t in range(k, n):
-                a[i][t] += a[j][t]
-            for t in range(k, n):
-                a[t][i] += a[t][j]
-            piv = i
-        if piv != k:
-            a[piv], a[k] = a[k], a[piv]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
             for row in a:
-                row[piv], row[k] = row[k], row[piv]
-        p = a[k][k]
-        if p > 0:
+                row[i] += row[j]
+            piv = i
+        if piv:
+            a[piv], a[0] = a[0], a[piv]
+            for row in a:
+                row[piv], row[0] = row[0], row[piv]
+        p = a[0][0]
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        ap, sgn = abs(p), (1 if p > 0 else -1)
-        sub = [
-            [ap * a[i][j] - sgn * a[i][k] * a[k][j] for j in range(k + 1, n)]
-            for i in range(k + 1, n)
+        top = a[0][1:]
+        # a row with a zero in the pivot column is only rescaled by p / prev
+        a = [
+            [(p * x - c * y) // prev for x, y in zip(r[1:], top)] if (c := r[0])
+            else [p * x // prev for x in r[1:]]
+            for r in a[1:]
         ]
-        g = 0
-        for row in sub:
-            g = math.gcd(g, *row)
-        if g > 1:
-            sub = [[x // g for x in row] for row in sub]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = sub[i - k - 1][j - k - 1]
-        k += 1
-    return pos, neg, zero
+        prev = p
+    return pos, neg, 0
 
 
 def signature(l: GramLattice) -> Tuple[int, int]:
@@ -489,9 +470,9 @@ def _row_kernel_basis(c: Sequence[int]) -> Tuple[List[List[int]], List[List[int]
     return [[v[i][j] for i in range(n)] for j in range(1, n)], vinv
 
 
-def _complement_basis(
-    l: GramLattice, v: LatticeVector
-) -> Tuple[List[List[int]], List[List[int]]]:
+def _complement(l: GramLattice, v: LatticeVector) -> Tuple[GramLattice, List[List[int]]]:
+    """v-perp on an integral basis, with the V^-1 of ``_row_kernel_basis``:
+    a vector x of v-perp has coordinates (V^-1·x)[1:] in that basis."""
     if v.ambient.gram != l.gram:
         raise LatticeError("vector does not live in the given lattice")
     if v.is_zero():
@@ -499,17 +480,17 @@ def _complement_basis(
     c = gram_apply(l, v.coords)
     if all(x == 0 for x in c):
         raise LatticeError("vector pairs trivially with the whole lattice")
-    return _row_kernel_basis(c)
+    basis, vinv = _row_kernel_basis(c)
+    # G·b once per basis row, then the Gram entries as row dot products
+    gb = [gram_apply(l, row) for row in basis]
+    gram = [[sum(map(mul, ra, gbb)) for gbb in gb] for ra in basis]
+    label = f"perp({l.label})" if l.label else ""
+    return GramLattice.from_rows(gram, label), vinv
 
 
 def orthogonal_sublattice(l: GramLattice, v: LatticeVector) -> GramLattice:
     """Gram matrix of {x in L : <x,v> = 0} on an integral basis."""
-    basis, _ = _complement_basis(l, v)
-    # G·b once per basis row, then the Gram entries as row dot products
-    gb = [gram_apply(l, row) for row in basis]
-    gram = [[sum(x * y for x, y in zip(ra, gbb)) for gbb in gb] for ra in basis]
-    label = f"perp({l.label})" if l.label else ""
-    return GramLattice.from_rows(gram, label)
+    return _complement(l, v)[0]
 
 
 def sublattice_coordinates(
@@ -522,5 +503,5 @@ def sublattice_coordinates(
     """
     if inner(x, v) != 0:
         raise LatticeError("vector is not orthogonal to v")
-    _, vinv = _complement_basis(l, v)
-    return tuple(sum(a * b for a, b in zip(row, x.coords)) for row in vinv[1:])
+    _, vinv = _complement(l, v)
+    return tuple(sum(map(mul, row, x.coords)) for row in vinv[1:])

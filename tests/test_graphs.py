@@ -363,9 +363,8 @@ def test_synthesize_w_and_h_arithmetic(catalog):
 # structural checks
 # ---------------------------------------------------------------------------
 
-def test_structural_checks_all_pass(k3_graph, k4_graph, catalog):
-    g4, _ = k4_graph
-    rep = structural_checks(k3_graph, g4, catalog)
+def test_structural_checks_all_pass(k3_graph, catalog):
+    rep = structural_checks(k3_graph, catalog)
     assert rep.ok
     assert rep.verified == 126
     assert not rep.undecidable

@@ -1,0 +1,281 @@
+"""The exact kernels against test-only copies of the eliminations they replaced.
+
+``lattice._inertia`` (Bareiss elimination) is compared with the gcd-reducing
+symmetric elimination, and ``finite_forms._discriminant_group`` (the Smith
+kernel that tracks only V) with the full (U, D, V) Smith normal form that
+cleared rows and columns with per-row loops.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from k4graph import (
+    FiniteQuadraticForm,
+    LatticeError,
+    brown_invariant,
+    parity,
+)
+from k4graph.finite_forms import DiscriminantGroup, _discriminant_group, bilinear_table
+from k4graph.lattice import GramLattice, _inertia, direct_sum_all, from_summands, is_even
+from k4graph.verification import _congruent, _random_unimodular
+
+
+# ---------------------------------------------------------------------------
+# reference kernels
+# ---------------------------------------------------------------------------
+
+def _reference_inertia(gram):
+    """Symmetric elimination scaled by |pivot|, with a gcd pass after each step."""
+    n = len(gram)
+    a = [list(row) for row in gram]
+    pos = neg = 0
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
+        if piv is None:
+            off = next(
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0), None
+            )
+            if off is None:
+                return pos, neg, n - k
+            i, j = off
+            for t in range(k, n):
+                a[i][t] += a[j][t]
+            for t in range(k, n):
+                a[t][i] += a[t][j]
+            piv = i
+        a[piv], a[k] = a[k], a[piv]
+        for row in a:
+            row[piv], row[k] = row[k], row[piv]
+        p = a[k][k]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        ap, sgn = abs(p), (1 if p > 0 else -1)
+        sub = [
+            [ap * a[i][j] - sgn * a[i][k] * a[k][j] for j in range(k + 1, n)]
+            for i in range(k + 1, n)
+        ]
+        g = 0
+        for row in sub:
+            g = math.gcd(g, *row)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = sub[i - k - 1][j - k - 1] // max(g, 1)
+    return pos, neg, 0
+
+
+def _reference_snf(m):
+    """(U, D, V) with U·m·V = D, pivoting on the first entry of least magnitude."""
+    a = [list(row) for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_op(i, j, q):
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):
+        for r in range(rows):
+            a[r][i] -= q * a[r][j]
+        for r in range(cols):
+            v[r][i] -= q * v[r][j]
+
+    for s in range(min(rows, cols)):
+        while True:
+            best = None
+            for i in range(s, rows):
+                for j in range(s, cols):
+                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                break
+            i, j = best
+            a[s], a[i] = a[i], a[s]
+            u[s], u[i] = u[i], u[s]
+            for r in range(rows):
+                a[r][s], a[r][j] = a[r][j], a[r][s]
+            for r in range(cols):
+                v[r][s], v[r][j] = v[r][j], v[r][s]
+            done = True
+            for i in range(s + 1, rows):
+                if a[i][s] != 0:
+                    row_op(i, s, a[i][s] // a[s][s])
+                    done = done and a[i][s] == 0
+            for j in range(s + 1, cols):
+                if a[s][j] != 0:
+                    col_op(j, s, a[s][j] // a[s][s])
+                    done = done and a[s][j] == 0
+            if not done:
+                continue
+            offender = next(
+                (
+                    i
+                    for i in range(s + 1, rows)
+                    if any(a[i][j] % a[s][s] for j in range(s + 1, cols))
+                ),
+                None,
+            )
+            if offender is None:
+                break
+            row_op(s, offender, -1)
+        if a[s][s] < 0:
+            a[s] = [-x for x in a[s]]
+            u[s] = [-x for x in u[s]]
+    return u, a, v
+
+
+def _reference_disc(gram):
+    _, d, v = _reference_snf(gram)
+    divisors, lifts, duals = [], [], []
+    for i in range(len(gram)):
+        if d[i][i] == 0:
+            raise LatticeError("gram matrix is degenerate")
+        if d[i][i] > 1:
+            num = tuple(row[i] for row in v)
+            divisors.append(d[i][i])
+            lifts.append(num)
+            duals.append(tuple(_dot(row, num) // d[i][i] for row in gram))
+    return DiscriminantGroup(tuple(divisors), tuple(lifts), tuple(duals))
+
+
+def _det(gram):
+    """The determinant by Bareiss elimination with row pivoting."""
+    a = [list(row) for row in gram]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            a[i] = [(a[k][k] * x - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
+        prev = a[k][k]
+    return sign * prev
+
+
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _parity_and_brown(disc):
+    """(parity, Brown) of an even lattice's discriminant form, built from the
+    group's lifts and duals; Brown is None above the Gauss-sum limit."""
+    qvals = tuple(_dot(n, dual) % 4 for n, dual in zip(disc.lifts, disc.duals))
+    f = FiniteQuadraticForm(disc.rank, qvals, bilinear_table(disc))
+    return parity(f), brown_invariant(f) if f.d <= 12 else None
+
+
+# ---------------------------------------------------------------------------
+# inertia
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _symmetric(draw):
+    """Symmetric n×n matrices, n <= 7, entries -3..3; some hollow, some degenerate."""
+    n = draw(st.integers(0, 7))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(st.integers(-3, 3))
+    if n and draw(st.booleans()):  # hollow: exercises the hyperbolic step
+        for i in range(n):
+            a[i][i] = 0
+    if n >= 2 and draw(st.booleans()):  # coordinate j copies i: e_j - e_i spans a kernel
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        a[j] = list(a[i])
+        for row in a:
+            row[j] = row[i]
+    return tuple(map(tuple, a))
+
+
+@given(_symmetric())
+@settings(max_examples=200, deadline=None)
+def test_inertia_matches_reference_elimination(gram):
+    assert _inertia.__wrapped__(gram) == _reference_inertia(gram)
+
+
+def test_inertia_matches_reference_on_catalog_and_congruences(catalog):
+    rng = random.Random(1968)
+    for v in catalog:
+        for lat in (v.lplus, v.lminus):
+            expected = _reference_inertia(lat.gram)
+            assert _inertia.__wrapped__(lat.gram) == expected
+            for _ in range(2):
+                moved = _congruent(lat.gram, _random_unimodular(rng, lat.rank))
+                assert _inertia.__wrapped__(moved.gram) == expected
+
+
+# ---------------------------------------------------------------------------
+# discriminant group
+# ---------------------------------------------------------------------------
+
+def _check_discriminant_group(lat):
+    """The kernel against the reference SNF route and the defining identities."""
+    gram = lat.gram
+    disc = _discriminant_group.__wrapped__(gram)
+    ref = _reference_disc(gram)
+    assert disc.divisors == ref.divisors
+    assert disc == ref  # the same lifts, so the same classify witnesses
+    for n, dual, d in zip(disc.lifts, disc.duals, disc.divisors):
+        assert [_dot(row, n) for row in gram] == [d * y for y in dual]
+    assert disc.order == abs(_det(gram))
+    return disc
+
+
+def _check_congruent(lat, rng):
+    """A random congruent of lat: the same divisors and, if even, the same form."""
+    disc = _check_discriminant_group(lat)
+    moved = _congruent(lat.gram, _random_unimodular(rng, lat.rank))
+    moved_disc = _check_discriminant_group(moved)
+    assert moved_disc.divisors == disc.divisors
+    if disc.is_two_periodic and is_even(lat):  # odd forms depend on the chosen w
+        assert _parity_and_brown(moved_disc) == _parity_and_brown(disc)
+
+
+def test_discriminant_group_on_catalog_and_congruences(catalog):
+    rng = random.Random(1979)
+    for v in catalog:
+        for lat in (v.lplus, v.lminus):
+            _check_congruent(lat, rng)
+
+
+# 2-elementary blocks, plus <6> and A2 for divisors other than 2
+_BLOCKS = ("<1>", "<2>", "<-2>", "U", "U(2)", "D4", "E7", "E8", "E8(2)", "<6>", "A2")
+_EXTRA = {"<6>": ((6,),), "A2": ((2, -1), (-1, 2))}
+
+
+def _block(name):
+    if name in _EXTRA:
+        return GramLattice.from_rows(_EXTRA[name], name)
+    return from_summands((name,))
+
+
+@given(
+    st.lists(st.sampled_from(_BLOCKS), min_size=1, max_size=4),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_discriminant_group_on_random_block_sums(names, seed):
+    _check_congruent(direct_sum_all([_block(n) for n in names]), random.Random(seed))
+
+
+@given(_symmetric())
+@settings(max_examples=100, deadline=None)
+def test_discriminant_group_degenerate_raises(gram):
+    if _det(gram) == 0:
+        with pytest.raises(LatticeError):
+            _discriminant_group.__wrapped__(gram)
+        with pytest.raises(LatticeError):
+            _reference_disc(gram)
+    else:
+        _check_discriminant_group(GramLattice.from_rows(gram))
+
