@@ -10,6 +10,12 @@ standard-block decomposition of a catalog eigenlattice and prunes on
 achievable norm intervals, norm congruences, and per-block class
 capabilities, so a "none" answer on the catalog lattices is cheap even at
 rank 12.
+
+Searches share their per-block work: ``_block_table`` keeps up to ``MEMO_SIZE``
+tables keyed by (block name, bound, lo, hi, parities).  A table extends its
+``_block_vectors`` walk only as far as read, under the reader's remaining
+budget, and records the walk's ticks at each entry and at the end; readers are
+charged the differences, so ``visited`` and budget errors match an unshared walk.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
+from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .lattice import (
@@ -274,8 +281,8 @@ class _SearchState:
     visited: int = 0
     budget: int = DEFAULT_BUDGET
 
-    def tick(self) -> None:
-        self.visited += 1
+    def tick(self, n: int = 1) -> None:
+        self.visited += n
         if self.visited > self.budget:
             raise SearchBudgetError(
                 "enumeration budget exceeded; reduce the rank or the bound"
@@ -338,15 +345,49 @@ def _block_vectors(
             yield coords, n
 
 
-def _block_is_even(block: _BlockData, coords: Sequence[int]) -> bool:
-    for i in range(block.rank):
-        if sum(block.gram[i][j] * coords[j] for j in range(block.rank)) % 2:
-            return False
-    return True
+class _BlockTable:
+    """One block window's walk, as entries (coords, norm, is_even, is_wu, ticks)."""
+
+    def __init__(self, name: str, bound: int, lo: int, hi: int, parities) -> None:
+        self.block = _block_data(name)
+        self._window = (bound, lo, hi, parities)
+        self._reset()
+
+    def _reset(self) -> None:
+        self.entries: List[Tuple[Tuple[int, ...], int, bool, bool, int]] = []
+        self.total: Optional[int] = None  # ticks of the whole walk, once it ends
+        self._walk_state = _SearchState()
+        self._walk = _block_vectors(self.block, *self._window, self._walk_state)
+
+    def _fill(self, i: int, budget: int) -> bool:
+        """Walk until entry i exists, at most ``budget`` ticks from the walk's start."""
+        if self.total is None and len(self.entries) <= i:
+            self._walk_state.budget = budget
+            try:
+                for coords, n in islice(self._walk, i + 1 - len(self.entries)):
+                    even = all(sum(map(mul, row, coords)) % 2 == 0 for row in self.block.gram)
+                    wu = all((c - p) % 2 == 0 for c, p in zip(coords, self.block.wu_parities))
+                    self.entries.append((coords, n, even, wu, self._walk_state.visited))
+                if len(self.entries) <= i:
+                    self.total = self._walk_state.visited
+            except BaseException:  # the walk is dead: start it again for later readers
+                self._reset()
+                raise
+        return i < len(self.entries)
+
+    def read(self, state: _SearchState) -> Iterator[Tuple[Tuple[int, ...], int, bool, bool, int]]:
+        """The walk's entries in order, charging ``state`` the walk's own ticks."""
+        i = prev = 0
+        while self._fill(i, prev + state.budget - state.visited):
+            entry = self.entries[i]
+            state.tick(entry[4] - prev)
+            prev = entry[4]
+            yield entry
+            i += 1
+        state.tick(self.total - prev)
 
 
-def _block_is_wu(block: _BlockData, coords: Sequence[int]) -> bool:
-    return all((c - p) % 2 == 0 for c, p in zip(coords, block.wu_parities))
+_block_table = lru_cache(maxsize=MEMO_SIZE)(_BlockTable)
 
 
 def _search_blocks(
@@ -420,16 +461,16 @@ def _search_blocks(
         if lo > hi:
             return
         parities = b.wu_parities if cls is ElementClass.WU else None
-        for coords, n in _block_vectors(b, bound, lo, hi, parities, state):
+        for coords, n, even, wu, _ in _block_table(b.name, bound, lo, hi, parities).read(state):
             o2 = odd_seen
             w2 = wu_all
             if cls is not ElementClass.WU:
-                if not _block_is_even(b, coords):
+                if not even:
                     if cls is ElementClass.EVEN_NON_WU:
                         continue
                     o2 = True
                     w2 = False
-                elif not _block_is_wu(b, coords):
+                elif not wu:
                     w2 = False
             if not feasible(i + 1, rem - n, o2, w2):
                 continue
@@ -452,6 +493,8 @@ def _search(
     standard summands only, the rest pinned to zero; lattices without a
     block decomposition are walked over the whole box.
     """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     state = _SearchState(budget=search_budget())
     if l.summands is None:
         if (2 * bound + 1) ** l.rank > state.budget:
@@ -496,8 +539,6 @@ def search_witness(
 
     The order is that of ``_search``.  A "none" answer is evidence, not proof.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
     return next(_search(lminus, target_square, cls, bound), None)
 
 
@@ -505,6 +546,8 @@ def enumerate_vectors(
     l: GramLattice, target_square: int, bound: int, limit: int
 ) -> List[LatticeVector]:
     """Up to ``limit`` vectors of the given square, any class, deterministic order."""
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
     return list(islice(_search(l, target_square, None, bound), limit))
 
 

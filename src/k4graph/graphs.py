@@ -9,7 +9,7 @@ stated in ``IRREGULAR``, which replaces [8S]_I by the sentinel vertex ``irr``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -41,7 +41,6 @@ from .elements import (
     ElementClass,
     _search,
     classify_element,
-    enumerate_vectors,
     exists_class,
 )
 
@@ -321,13 +320,19 @@ def flip(t: FlipTriple) -> FlipTriple:
 def find_flip_triple(v: K3Vertex, bound: int = 3, limit: int = 40) -> Optional[FlipTriple]:
     """Bounded search for an orthogonal (h, v) pair in L-(c), or None.
 
-    The h are drawn lazily, so the search stops at the first h with a partner.
+    h and v are drawn lazily: a new v only when none drawn so far pairs with h.
     """
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
     l = v.lminus
-    # each w paired with G·w once, so testing an h is one dot product
-    vs = [(w, gram_apply(l, w.coords)) for w in enumerate_vectors(l, -2, bound, limit)]
+    drawn: List[Tuple[LatticeVector, List[int]]] = []  # each w with G·w
+    def draw():
+        for w in islice(_search(l, -2, None, bound), limit):
+            drawn.append((w, gram_apply(l, w.coords)))
+            yield drawn[-1]
+    fresh = draw()  # one generator for every h, so each w is drawn once
     for h in islice(_search(l, 6, None, bound), limit):
-        for w, gw in vs:
+        for w, gw in chain(drawn, fresh):
             if sum(map(mul, h.coords, gw)) == 0:
                 return FlipTriple(h, w)
     return None

