@@ -1,15 +1,17 @@
 """Odd / Wu / even-non-Wu classification of eigenlattice elements.
 
-``exists_class`` decides the edge sets of both graphs by a constant-time
-rule on the diagonal component (s, t) and two special cases; it is not
-derived from the lattice.  Its positive answers are confirmed by explicit
-witnesses; its negative answers are only cross-checked by the bounded
-search, which is evidence, not proof.  Classification is integer
-arithmetic on the discriminant group's lifts.  The bounded search walks the
-standard-block decomposition of a catalog eigenlattice and prunes on
-achievable norm intervals, norm congruences, and per-block class
-capabilities, so a "none" answer on the catalog lattices is cheap even at
-rank 12.
+``exists_class`` decides the edge sets of both graphs from the lattice alone.
+An odd element exists only where the Gram matrix is not 0 mod 2.  An even x is
+2y with y in L*, so x^2 mod 16 and whether x is Wu depend only on x mod 4L, and
+both add up over an orthogonal sum (Nikulin's discriminant-form calculus): the
+pairs a catalog eigenlattice reaches are the sumset of the per-block tables
+``EVEN_SQUARES``.  A negative answer is therefore a proof; a positive one is
+backed by the explicit witness of ``construct_witness``, re-checked with
+``classify_element``.  Classification is integer arithmetic on the discriminant
+group's lifts.  The bounded search walks the standard-block decomposition of a
+catalog eigenlattice and prunes on achievable norm intervals, norm
+congruences, and per-block class capabilities, so a "none" answer on the
+catalog lattices is cheap even at rank 12.
 
 Searches share their per-block work: ``_block_table`` keeps up to ``MEMO_SIZE``
 tables keyed by (block name, bound, lo, hi, parities).  A table extends its
@@ -112,46 +114,48 @@ def classify_element(lminus: GramLattice, x: LatticeVector) -> ElementClass:
 # existence predicates
 # ---------------------------------------------------------------------------
 
+# (x^2 mod 16, x is Wu) over the even x of each standard block, taken mod 4L;
+# tests/test_elements.py recomputes every entry from the lattice
+EVEN_SQUARES = {
+    "<2>": frozenset({(0, False), (2, True), (8, False)}),
+    "<-2>": frozenset({(0, False), (8, False), (14, True)}),
+    "U": frozenset({(0, True), (8, True)}),
+    "U(2)": frozenset({(0, False), (0, True), (4, False), (8, False), (12, False)}),
+    "D4": frozenset({(0, True), (4, False), (8, True), (12, False)}),
+    "E7": frozenset({(0, False), (2, True), (8, False), (10, True)}),
+    "E8": frozenset({(0, True), (8, True)}),
+    "E8(2)": frozenset({(0, False), (0, True), (4, False), (8, False), (12, False)}),
+}
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _even_reach(names: Tuple[str, ...]) -> frozenset:
+    """The (x^2 mod 16, is_wu) pairs of the even x in a sum of standard blocks."""
+    reach = {(0, True)}
+    for name in names:
+        reach = {((a + b) % 16, w and u) for a, w in reach for b, u in EVEN_SQUARES[name]}
+    return frozenset(reach)
+
+
 def exists_class(v: K3Vertex, n: int, cls: ElementClass) -> bool:
     """Does L-(c) contain an element of square 8n-2 in the given class?
 
-    Decided purely from the diagonal component (s, t) and the [kS]/[8S]_I
-    special cases; constant time, total.
+    ODD: the Gram matrix is not 0 mod 2.  Wu and even-non-Wu: the block tables
+    reach (8n-2 mod 16, cls is WU).  "No" is a proof; "yes" is confirmed by
+    ``construct_witness``.
     """
     if n not in (0, 1):
         raise ValueError("n must be 0 or 1")
-    s, t = v.diag_s, v.diag_t
     if cls is ElementClass.ODD:
-        return not (v.kS_flag or v.vid == "[8S]_I")
-    if cls is ElementClass.WU:
-        if v.kS_flag:
-            return (s - t) % 8 == (4 * n - 1) % 8
-        return (s - t) % 4 == 3
-    if cls is ElementClass.EVEN_NON_WU:
-        return t > 1 or (t == 1 and (s - t) % 4 != 3)
-    raise ValueError(f"unknown class {cls!r}")
+        return any(x % 2 for row in v.lminus.gram for x in row)
+    if cls not in (ElementClass.WU, ElementClass.EVEN_NON_WU):
+        raise ValueError(f"unknown class {cls!r}")
+    return ((8 * n - 2) % 16, cls is ElementClass.WU) in _even_reach(v.lminus_summands)
 
 
 # ---------------------------------------------------------------------------
-# block infrastructure for witnesses and bounded search
+# block infrastructure for the bounded search
 # ---------------------------------------------------------------------------
-
-def _block_offsets(names: Sequence[str]) -> List[int]:
-    offs = []
-    pos = 0
-    for name in names:
-        offs.append(pos)
-        pos += make_standard(name).rank
-    return offs
-
-
-def _embed(total_rank: int, pieces: Sequence[Tuple[int, Sequence[int]]]) -> List[int]:
-    out = [0] * total_rank
-    for off, coords in pieces:
-        for i, c in enumerate(coords):
-            out[off + i] = c
-    return out
-
 
 class _BlockData:
     """Per standard block: classification parities and norm congruence data."""
@@ -300,8 +304,8 @@ def _block_vectors(
     """Block vectors with norm in [lo, hi], optionally with fixed coordinate parities.
 
     Definite blocks are walked tail-first with monotone partial-sum pruning;
-    rank <= 2 indefinite blocks are enumerated outright over the box, one
-    tick per box point that passes the parity filter.
+    the indefinite blocks (U and U(2), rank 2) are enumerated outright over
+    the box, one tick per box point that passes the parity filter.
     """
     r = block.rank
     vals = _value_order(bound)
@@ -338,11 +342,12 @@ def _block_vectors(
         return
 
     axes = [[v for v in vals if parities is None or (v - parities[k]) % 2 == 0] for k in range(r)]
-    for coords in product(*axes):
+    (g00, g01), (_, g11) = block.gram
+    for a, b in product(*axes):
         state.tick()
-        n = sum(x * y * g for x, row in zip(coords, block.gram) for y, g in zip(coords, row))
+        n = g00 * a * a + 2 * g01 * a * b + g11 * b * b
         if lo <= n <= hi:
-            yield coords, n
+            yield (a, b), n
 
 
 class _BlockTable:
@@ -491,11 +496,21 @@ def _search(
     the order 0, 1, -1, 2, -2, ...; definite blocks are walked tail-first.
     Lattices of rank above ``RESTRICT_RANK`` are searched on the leading
     standard summands only, the rest pinned to zero; lattices without a
-    block decomposition are walked over the whole box.
+    block decomposition are walked over the whole box.  The bound and the
+    budget are checked at the call, before the first vector is asked for.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    state = _SearchState(budget=search_budget())
+    return _search_vectors(l, target_square, cls, bound, _SearchState(budget=search_budget()))
+
+
+def _search_vectors(
+    l: GramLattice,
+    target_square: int,
+    cls: Optional[ElementClass],
+    bound: int,
+    state: _SearchState,
+) -> Iterator[LatticeVector]:
     if l.summands is None:
         if (2 * bound + 1) ** l.rank > state.budget:
             raise SearchBudgetError(
@@ -558,115 +573,84 @@ def enumerate_vectors(
 def construct_witness(v: K3Vertex, n: int, cls: ElementClass) -> LatticeVector:
     """An explicit x in L-(c) with x^2 = 8n-2 of the requested class.
 
-    Follows the constructive case analysis behind the existence predicates;
-    every returned vector is re-checked with classify_element.
+    Follows a constructive case analysis on the block decomposition; every
+    returned vector is re-checked for its norm and with classify_element, and
+    a construction that fails raises ``WitnessError``.
     """
     if not exists_class(v, n, cls):
         raise WitnessError(f"{v.vid}: no {cls.value} element of square {8 * n - 2}")
-    target = 8 * n - 2
-    names = v.lminus_summands
-    lat = v.lminus
-    offs = _block_offsets(names)
-
-    def block_index(name: str) -> Optional[int]:
-        return names.index(name) if name in names else None
-
-    x: Optional[LatticeVector] = None
     if cls is ElementClass.ODD:
-        iu = block_index("U")
-        if iu is not None:
-            x = lat.vector(_embed(lat.rank, [(offs[iu], (1, 4 * n - 1))]))
-        else:
-            i2 = block_index("<2>")
-            ie8 = block_index("E8")
-            if i2 is not None and ie8 is not None:
-                # 2n*e_+ plus (2n-1) times a simple root of E8
-                x = lat.vector(
-                    _embed(lat.rank, [(offs[i2], (2 * n,)), (offs[ie8], (2 * n - 1,) + (0,) * 7)])
-                )
-            else:
-                iu2 = block_index("U(2)")
-                id4 = block_index("D4")
-                if iu2 is not None and id4 is not None:
-                    x = lat.vector(
-                        _embed(lat.rank, [(offs[iu2], (1, 2 * n)), (offs[id4], (1, 0, 0, 0))])
-                    )
+        x = _odd_witness(v, n)
     elif cls is ElementClass.EVEN_NON_WU:
         x = _even_witness(v, n)
-        if x is not None and classify_element(lat, x) is not ElementClass.EVEN_NON_WU:
-            x = None  # construction landed on a Wu element; fall back to search
-    elif cls is ElementClass.WU:
+    else:
         x = _wu_witness(v, n)
-
-    if x is None:
-        x = search_witness(lat, target, cls, bound=3)
-    if x is None:
+    if x is None or norm(x) != 8 * n - 2 or classify_element(v.lminus, x) is not cls:
         raise WitnessError(f"witness construction failed for {v.vid}, n={n}, {cls.value}")
-    if norm(x) != target or classify_element(lat, x) is not cls:
-        raise WitnessError(f"constructed witness is wrong for {v.vid}, n={n}, {cls.value}")
     return x
 
 
-def _even_witness(v: K3Vertex, n: int) -> Optional[LatticeVector]:
-    lat = v.lminus
+def _vector(
+    v: K3Vertex, pieces: Sequence[Tuple[Optional[str], Tuple[int, ...]]]
+) -> LatticeVector:
+    """The L-(c) vector with each (name, coords) piece starting at the first
+    block called name, or at coordinate 0 where name is None."""
     names = v.lminus_summands
-    offs = _block_offsets(names)
-    s, t = v.diag_s, v.diag_t
-    if t < 1:
-        return None
-    if s >= 1:
-        # (k+1, k) across the first <2> and first <-2>, k = 2n-1
-        k = 2 * n - 1
-        i2 = names.index("<2>")
-        im2 = names.index("<-2>")
-        return lat.vector(_embed(lat.rank, [(offs[i2], (k + 1,)), (offs[im2], (k,))]))
+    out = [0] * v.lminus.rank
+    for name, coords in pieces:
+        off = sum(make_standard(b).rank for b in names[: names.index(name)]) if name else 0
+        out[off : off + len(coords)] = coords
+    return v.lminus.vector(out)
+
+
+def _odd_witness(v: K3Vertex, n: int) -> Optional[LatticeVector]:
+    names = v.lminus_summands
     if "U" in names:
-        im2 = names.index("<-2>")
-        iu = names.index("U")
-        return lat.vector(_embed(lat.rank, [(offs[im2], (1,)), (offs[iu], (2, 2 * n))]))
+        return _vector(v, [("U", (1, 4 * n - 1))])
+    if "<2>" in names and "E8" in names:
+        # 2n*e_+ plus (2n-1) times a simple root of E8
+        return _vector(v, [("<2>", (2 * n,)), ("E8", (2 * n - 1,) + (0,) * 7)])
+    if "U(2)" in names and "D4" in names:
+        return _vector(v, [("U(2)", (1, 2 * n)), ("D4", (1, 0, 0, 0))])
+    return None
+
+
+def _even_witness(v: K3Vertex, n: int) -> Optional[LatticeVector]:
+    names = v.lminus_summands
+    if "<-2>" in names and "<2>" in names:
+        # (2n, 2n-1) across the first <2> and the first <-2>
+        return _vector(v, [("<2>", (2 * n,)), ("<-2>", (2 * n - 1,))])
+    if "<-2>" in names and "U" in names:
+        return _vector(v, [("<-2>", (1,)), ("U", (2, 2 * n))])
     return None
 
 
 def _wu_witness(v: K3Vertex, n: int) -> Optional[LatticeVector]:
-    lat = v.lminus
     names = v.lminus_summands
-    offs = _block_offsets(names)
     s, t = v.diag_s, v.diag_t
     target = 8 * n - 2
     if v.kS_flag:
-        # all-odd coordinate vectors are exactly the Wu candidates here
-        base = 2 * (s - t)
-        need = target - base
-        if need % 16 != 0:
-            return None
-        # bump coordinates from 1 to higher odd values: slot i adds or
-        # subtracts 8*m*(m+1) when raised to 2m+1
-        for coords in _odd_bumps(s, t, need):
-            return lat.vector(_embed(lat.rank, [(0, coords)]))
-        return None
+        # all-odd coordinate vectors are exactly the Wu candidates here; bump
+        # coordinates from 1 to higher odd values: slot i adds or subtracts
+        # 8*m*(m+1) when raised to 2m+1
+        coords = next(_odd_bumps(s, t, target - 2 * (s - t)), None)
+        return None if coords is None else _vector(v, [(None, coords)])
     if (s - t) % 4 != 3:
         return None
-    diag = (1,) * (s + t)
     if "U" in names:
-        iu = names.index("U")
         k, rem = divmod(target - 2 * (s - t), 8)
         assert rem == 0
-        return lat.vector(_embed(lat.rank, [(0, diag), (offs[iu], (2, 2 * k))]))
+        return _vector(v, [(None, (1,) * (s + t)), ("U", (2, 2 * k))])
     if "E8" in names and s >= 1:
         # (3,1,...,1) on the diagonal plus twice a pair of orthogonal roots
-        ie8 = names.index("E8")
-        diag3 = (3,) + (1,) * (s + t - 1)
-        base = 2 * (s - t) + 16
-        need = (base - target) // 8
-        if need not in (0, 1, 2) or (base - target) % 8 != 0:
-            return None
+        need = (2 * (s - t) + 16 - target) // 8
         # simple roots 1 and 3 of the fixed E8 basis are orthogonal
         e8 = [0] * 8
         if need >= 1:
             e8[1] = 2
         if need == 2:
             e8[3] = 2
-        return lat.vector(_embed(lat.rank, [(0, diag3), (offs[ie8], tuple(e8))]))
+        return _vector(v, [(None, (3,) + (1,) * (s + t - 1)), ("E8", tuple(e8))])
     return None
 
 

@@ -2,8 +2,10 @@
 
 Each suite returns a SuiteResult with human-readable failure strings; the
 CLI exit status is the conjunction.  The suites are deterministic (seeded
-randomness only); the full run takes about 0.65 s of CPU time with Python 3.11
-on one core of a small x86-64 cloud VM.
+randomness only); the full run takes about 0.5 s of CPU time with Python 3.11
+on one core of a small x86-64 cloud VM.  Only the graphs suite searches (for
+flip pairs); the predicates suite proves its negatives from the block tables
+of ``elements.EVEN_SQUARES`` and confirms its positives with witnesses.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .elements import (
     classify_element,
     construct_witness,
     exists_class,
-    search_witness,
 )
 from . import graphs as G
 
@@ -250,12 +251,6 @@ def suite_predicates(catalog: Catalog) -> SuiteResult:
                     res.check(
                         classify_element(v.lminus, -x) is cls,
                         f"{v.vid} n={n} {cls.value}: class is sign-invariant",
-                    )
-                elif v.lminus.rank <= 12:
-                    hit = search_witness(v.lminus, 8 * n - 2, cls, bound=3)
-                    res.check(
-                        hit is None,
-                        f"{v.vid} n={n} {cls.value}: predicate false but search found {hit}",
                     )
     return res
 

@@ -12,7 +12,7 @@ from k4graph import (
     norm,
     search_witness,
 )
-from k4graph.lattice import from_summands
+from k4graph.lattice import STANDARD_GRAMS, from_summands
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +97,68 @@ def test_exists_even_non_wu_gate(catalog):
     assert not exists_class(v, 0, ElementClass.EVEN_NON_WU)
 
 
+def _even_squares_walk(name):
+    """(x^2 mod 16, is_wu) over x = 2a + sum b_j lift_j, a and b in {0, 1}.
+
+    These x are one representative of each class of 2L*/4L, and every even x
+    lies in one of these classes.  The walk is in Gray-code order: each step adds or removes
+    one generator h and updates q_k = x·G·h_k with the precomputed h·G·h_k.
+    Since lift_j = 2 g_j, x is Wu iff x·G·lift_j = lift_j·G·lift_j mod 4.
+    """
+    from k4graph.finite_forms import _discriminant_group
+
+    gram = make_standard(name).gram
+    r = len(gram)
+    lifts = list(_discriminant_group(gram).lifts)
+    gens = [[2 if i == j else 0 for j in range(r)] for i in range(r)] + lifts
+    gg = [[sum(a * b for a, b in zip(row, h)) for row in gram] for h in gens]
+    pair = [[sum(a * b for a, b in zip(h, gk)) for gk in gg] for h in gens]
+    wu_at = [(r + j, pair[r + j][r + j]) for j in range(len(lifts))]
+    on = [False] * len(gens)
+    q = [0] * len(gens)
+    square = 0
+    out = {(0, all(c % 4 == 0 for _, c in wu_at))}
+    for step in range(1, 2 ** len(gens)):
+        k = (step & -step).bit_length() - 1
+        sign = -1 if on[k] else 1
+        on[k] = not on[k]
+        square += 2 * sign * q[k] + pair[k][k]
+        q = [a + sign * b for a, b in zip(q, pair[k])]
+        out.add((square % 16, all((q[i] - c) % 4 == 0 for i, c in wu_at)))
+    return frozenset(out)
+
+
+def test_even_squares_tables_are_the_lattice_walk():
+    from k4graph.elements import EVEN_SQUARES
+
+    assert set(EVEN_SQUARES) == set(STANDARD_GRAMS) - {"<1>"}
+    for name, table in EVEN_SQUARES.items():
+        assert _even_squares_walk(name) == table, name
+
+
+def _diagonal_rule(v, n, cls):
+    """The hand-written (s, t) rule that decided existence before the tables."""
+    s, t = v.diag_s, v.diag_t
+    if cls is ElementClass.ODD:
+        return not (v.kS_flag or v.vid == "[8S]_I")
+    if cls is ElementClass.WU:
+        if v.kS_flag:
+            return (s - t) % 8 == (4 * n - 1) % 8
+        return (s - t) % 4 == 3
+    return t > 1 or (t == 1 and (s - t) % 4 != 3)
+
+
+def test_exists_class_matches_diagonal_rule(catalog):
+    answers = []
+    for v in catalog:
+        for n in (0, 1):
+            for cls in ElementClass:
+                got = exists_class(v, n, cls)
+                assert got == _diagonal_rule(v, n, cls), (v.vid, n, cls)
+                answers.append(got)
+    assert (answers.count(True), answers.count(False)) == (252, 198)
+
+
 # ---------------------------------------------------------------------------
 # witnesses
 # ---------------------------------------------------------------------------
@@ -144,6 +206,15 @@ def test_witness_requires_existence(catalog):
 
     with pytest.raises(WitnessError):
         construct_witness(catalog.by_id("[10S]"), 0, ElementClass.ODD)
+
+
+def test_failed_construction_raises_without_search(catalog, monkeypatch):
+    from k4graph import WitnessError, elements
+
+    v = next(v for v in catalog if exists_class(v, 0, ElementClass.EVEN_NON_WU))
+    monkeypatch.setattr(elements, "_even_witness", lambda v, n: None)
+    with pytest.raises(WitnessError, match="construction failed"):
+        construct_witness(v, 0, ElementClass.EVEN_NON_WU)
 
 
 def test_soundness_all_catalog(catalog):
@@ -376,7 +447,8 @@ def test_integer_block_walk_matches_fraction_reference():
 def test_indefinite_block_walk_is_filtered_box():
     # U and U(2) are enumerated outright: the walk yields exactly the box
     # points in _value_order that pass the parity filter and the norm window,
-    # with one tick per point that passes the parity filter
+    # with one tick per point that passes the parity filter; the window
+    # (-64, 64) holds every norm of both boxes up to bound 4
     from itertools import product
 
     from k4graph.elements import _SearchState, _block_data, _block_vectors, _value_order
@@ -384,8 +456,8 @@ def test_indefinite_block_walk_is_filtered_box():
     for name in ("U", "U(2)"):
         block = _block_data(name)
         g = block.gram
-        for bound in (1, 2, 3):
-            for lo, hi in ((0, 0), (-2, -2), (-4, 4), (2, 8)):
+        for bound in (1, 2, 3, 4):
+            for lo, hi in ((0, 0), (-2, -2), (-4, 4), (2, 8), (-64, 64)):
                 for parities in (None, block.wu_parities, (1, 0)):
                     passed = [
                         x for x in product(_value_order(bound), repeat=2)
@@ -519,13 +591,24 @@ def test_block_table_survives_interrupted_fill(monkeypatch):
     assert paused_state.visited == ref_state.visited
 
 
-def test_search_bound_is_checked(catalog):
-    lat = catalog.by_id("[7S]").lminus
+def test_search_bound_is_checked(catalog, monkeypatch):
+    from k4graph.graphs import find_flip_triple
+
+    v = catalog.by_id("[7S]")
+    lat = v.lminus
     for bound in (0, -1):
         with pytest.raises(ValueError, match="bound must be >= 1"):
             enumerate_vectors(lat, -2, bound, 5)
         with pytest.raises(ValueError, match="bound must be >= 1"):
             search_witness(lat, -2, ElementClass.ODD, bound)
+        # checked before any vector is asked for
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            enumerate_vectors(lat, -2, bound, 0)
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            find_flip_triple(v, bound=bound, limit=0)
+    monkeypatch.setenv("K4GRAPH_SEARCH_BUDGET", "abc")
+    with pytest.raises(SearchBudgetError, match="must be an integer"):
+        enumerate_vectors(lat, -2, 2, 0)
 
 
 def test_enumerate_vectors_limit(catalog):
