@@ -108,12 +108,9 @@ class K3Vertex:
     top: TopType
     lplus: GramLattice
     lminus: GramLattice
-    diag_s: int
-    diag_t: int
     r: int
     d: int
     vtype: str
-    kS_flag: bool
 
     @property
     def key(self) -> VertexKey:
@@ -128,6 +125,21 @@ class K3Vertex:
     def lminus_summands(self) -> Tuple[str, ...]:
         assert self.lminus.summands is not None
         return self.lminus.summands
+
+    @property
+    def diag_s(self) -> int:
+        """The number of <2> summands of L-."""
+        return self.lminus_summands.count("<2>")
+
+    @property
+    def diag_t(self) -> int:
+        """The number of <-2> summands of L-."""
+        return self.lminus_summands.count("<-2>")
+
+    @property
+    def kS_flag(self) -> bool:
+        """L- is diagonal: the kS family."""
+        return self.diag_s + self.diag_t == len(self.lminus_summands)
 
 
 def _vertex_id(p: int, q: int, subscript_i: bool) -> str:
@@ -146,17 +158,15 @@ def _diag_names(s: int, t: int) -> Tuple[str, ...]:
     return ("<2>",) * s + ("<-2>",) * t
 
 
-def _principal_summands(p: int, q: int) -> Tuple[Tuple[str, ...], Tuple[str, ...], int, int]:
-    """(L+ blocks, L- blocks, s, t) for the principal vertex S_p + qS."""
+def _principal_summands(p: int, q: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """(L+ blocks, L- blocks) for the principal vertex S_p + qS."""
     s_plus, nondiag_plus = PRINCIPAL_LPLUS[q]
     t_plus = PRINCIPAL_LPLUS_PMAX[q] - p
     s_minus, nondiag_minus = PRINCIPAL_LMINUS[p]
     t_minus = PRINCIPAL_LMINUS_QMAX[p] - q
     if t_plus < 0 or t_minus < 0:
         raise CatalogError(f"(p, q) = ({p}, {q}) is outside the principal series")
-    lplus = _diag_names(s_plus, t_plus) + nondiag_plus
-    lminus = _diag_names(s_minus, t_minus) + nondiag_minus
-    return lplus, lminus, s_minus, t_minus
+    return _diag_names(s_plus, t_plus) + nondiag_plus, _diag_names(s_minus, t_minus) + nondiag_minus
 
 
 class Catalog(Sequence[K3Vertex]):
@@ -199,16 +209,13 @@ def _make_vertex(
     top: TopType,
     plus_names: Tuple[str, ...],
     minus_names: Tuple[str, ...],
-    s: int,
-    t: int,
 ) -> K3Vertex:
     lplus = from_summands(plus_names, label=f"L+{vid}")
     lminus = from_summands(minus_names, label=f"L-{vid}")
     r = lplus.rank
     d_plus = discriminant_group(lplus).rank
-    kS = len(minus_names) == s + t
     vt = "I" if parity(discriminant_quadratic(lminus)) == "even" else "II"
-    return K3Vertex(vid, top, lplus, lminus, s, t, r, d_plus, vt, kS)
+    return K3Vertex(vid, top, lplus, lminus, r, d_plus, vt)
 
 
 def _validate_vertex(v: K3Vertex) -> List[str]:
@@ -262,10 +269,9 @@ def build_catalog() -> Catalog:
     # principal series, enumerated by the negative-eigenlattice table rows
     for p in sorted(PRINCIPAL_LMINUS):
         for q in range(PRINCIPAL_LMINUS_QMAX[p], -1, -1):
-            plus_names, minus_names, s, t = _principal_summands(p, q)
             top = TopType("spheres", p, q, False)
             vid = _vertex_id(p, q, False)
-            vertices.append(_make_vertex(vid, top, plus_names, minus_names, s, t))
+            vertices.append(_make_vertex(vid, top, *_principal_summands(p, q)))
             seen_pq.add((p, q))
     principal_count = len(vertices)
     if principal_count != 64:
@@ -285,7 +291,7 @@ def build_catalog() -> Catalog:
             top = TopType("two_tori")
         else:
             top = TopType("empty")
-        vertices.append(_make_vertex(vid, top, plus_names, minus_names, 0, 0))
+        vertices.append(_make_vertex(vid, top, plus_names, minus_names))
     if len(vertices) != 75:
         raise CatalogError(f"catalog has {len(vertices)} entries, expected 75")
     for v in vertices:

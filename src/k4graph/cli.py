@@ -15,6 +15,7 @@ from .catalog import Catalog, CatalogError, build_catalog
 from .elements import (
     ElementClass,
     SearchBudgetError,
+    WitnessError,
     construct_witness,
     exists_class,
     search_witness,
@@ -209,6 +210,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 1
+    except WitnessError as exc:  # a predicate promised a witness: verify or classify
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return VERIFY_ERROR
 
 
 if __name__ == "__main__":

@@ -1,17 +1,17 @@
 """Odd / Wu / even-non-Wu classification of eigenlattice elements.
 
-``exists_class`` decides the edge sets of both graphs from the lattice alone.
-An odd element exists only where the Gram matrix is not 0 mod 2.  An even x is
-2y with y in L*, so x^2 mod 16 and whether x is Wu depend only on x mod 4L, and
-both add up over an orthogonal sum (Nikulin's discriminant-form calculus): the
-pairs a catalog eigenlattice reaches are the sumset of the per-block tables
-``EVEN_SQUARES``.  A negative answer is therefore a proof; a positive one is
-backed by the explicit witness of ``construct_witness``, re-checked with
-``classify_element``.  Classification is integer arithmetic on the discriminant
-group's lifts.  The bounded search walks the standard-block decomposition of a
-catalog eigenlattice and prunes on achievable norm intervals, norm
-congruences, and per-block class capabilities, so a "none" answer on the
-catalog lattices is cheap even at rank 12.
+x^2 mod 16 and the class of x add up block by block over an orthogonal sum
+(Nikulin's discriminant-form calculus): x is odd if a block part is odd, Wu
+if every block part is Wu, and even-non-Wu otherwise.  So the (square, class)
+pairs a catalog eigenlattice reaches are folded from the one per-block table
+``SQUARES``.  ``exists_class`` reads the fold, which decides the edge sets of
+both graphs from the lattice alone: a negative answer is a proof; a positive
+one is backed by the explicit witness of ``construct_witness``, re-checked
+with ``classify_element``.  Classification is integer arithmetic on the
+discriminant group's lifts.  The bounded search walks the standard-block
+decomposition of a catalog eigenlattice and prunes on achievable norm
+intervals and on the residues mod 16 that ``SQUARES`` lets the remaining
+blocks add, so a "none" answer on the catalog lattices is cheap even at rank 12.
 
 Searches share their per-block work: ``_block_table`` keeps up to ``MEMO_SIZE``
 tables keyed by (block name, bound, lo, hi, parities).  A table extends its
@@ -27,7 +27,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import chain, islice, product
 from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -114,43 +114,56 @@ def classify_element(lminus: GramLattice, x: LatticeVector) -> ElementClass:
 # existence predicates
 # ---------------------------------------------------------------------------
 
-# (x^2 mod 16, x is Wu) over the even x of each standard block, taken mod 4L;
-# tests/test_elements.py recomputes every entry from the lattice
-EVEN_SQUARES = {
-    "<2>": frozenset({(0, False), (2, True), (8, False)}),
-    "<-2>": frozenset({(0, False), (8, False), (14, True)}),
-    "U": frozenset({(0, True), (8, True)}),
-    "U(2)": frozenset({(0, False), (0, True), (4, False), (8, False), (12, False)}),
-    "D4": frozenset({(0, True), (4, False), (8, True), (12, False)}),
-    "E7": frozenset({(0, False), (2, True), (8, False), (10, True)}),
-    "E8": frozenset({(0, True), (8, True)}),
-    "E8(2)": frozenset({(0, False), (0, True), (4, False), (8, False), (12, False)}),
+_O, _W, _N = ElementClass.ODD, ElementClass.WU, ElementClass.EVEN_NON_WU
+_ODD_EVERYWHERE = frozenset((r, _O) for r in range(0, 16, 2))
+
+# (x^2 mod 16, class of x) over all x of each standard block, with the class
+# read in the block: odd iff G·x is not 0 mod 2, Wu iff x = wu_parities mod 2.
+# An even x is 2y with y in L*, so its pair depends only on x mod 4L; in an
+# even block an odd x reaches its whole class mod 4 (x + 2ku with x·u odd
+# adds 0, 4, 8, 12).  tests/test_elements.py recomputes every entry
+SQUARES = {
+    "<1>": frozenset({(0, _W), (4, _W), (1, _O), (9, _O)}),
+    "<2>": frozenset({(0, _N), (2, _W), (8, _N)}),
+    "<-2>": frozenset({(0, _N), (8, _N), (14, _W)}),
+    "U": frozenset({(0, _W), (8, _W)}) | _ODD_EVERYWHERE,
+    "U(2)": frozenset({(0, _N), (0, _W), (4, _N), (8, _N), (12, _N)}),
+    "D4": frozenset({(0, _W), (4, _N), (8, _W), (12, _N), (2, _O), (6, _O), (10, _O), (14, _O)}),
+    "E7": frozenset({(0, _N), (2, _W), (8, _N), (10, _W)}) | _ODD_EVERYWHERE,
+    "E8": frozenset({(0, _W), (8, _W)}) | _ODD_EVERYWHERE,
+    "E8(2)": frozenset({(0, _N), (0, _W), (4, _N), (8, _N), (12, _N)}),
 }
 
 
+def _join(a: ElementClass, b: ElementClass) -> ElementClass:
+    """The class of x + y for x and y in orthogonal summands."""
+    if a is _O or b is _O:
+        return _O
+    return _W if a is _W and b is _W else _N
+
+
 @lru_cache(maxsize=MEMO_SIZE)
-def _even_reach(names: Tuple[str, ...]) -> frozenset:
-    """The (x^2 mod 16, is_wu) pairs of the even x in a sum of standard blocks."""
-    reach = {(0, True)}
-    for name in names:
-        reach = {((a + b) % 16, w and u) for a, w in reach for b, u in EVEN_SQUARES[name]}
-    return frozenset(reach)
+def _reach(names: Tuple[str, ...]) -> frozenset:
+    """The (x^2 mod 16, class) pairs of the x in a sum of standard blocks."""
+    if not names:
+        return frozenset({(0, _W)})
+    rest = _reach(names[1:])
+    return frozenset(
+        ((a + b) % 16, _join(c, d)) for a, c in SQUARES[names[0]] for b, d in rest
+    )
 
 
 def exists_class(v: K3Vertex, n: int, cls: ElementClass) -> bool:
     """Does L-(c) contain an element of square 8n-2 in the given class?
 
-    ODD: the Gram matrix is not 0 mod 2.  Wu and even-non-Wu: the block tables
-    reach (8n-2 mod 16, cls is WU).  "No" is a proof; "yes" is confirmed by
-    ``construct_witness``.
+    Yes iff the blocks of L-(c) reach (8n-2 mod 16, cls) in ``SQUARES``.
+    "No" is a proof; "yes" is confirmed by ``construct_witness``.
     """
     if n not in (0, 1):
         raise ValueError("n must be 0 or 1")
-    if cls is ElementClass.ODD:
-        return any(x % 2 for row in v.lminus.gram for x in row)
-    if cls not in (ElementClass.WU, ElementClass.EVEN_NON_WU):
+    if not isinstance(cls, ElementClass):
         raise ValueError(f"unknown class {cls!r}")
-    return ((8 * n - 2) % 16, cls is ElementClass.WU) in _even_reach(v.lminus_summands)
+    return ((8 * n - 2) % 16, cls) in _reach(v.lminus_summands)
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +171,11 @@ def exists_class(v: K3Vertex, n: int, cls: ElementClass) -> bool:
 # ---------------------------------------------------------------------------
 
 class _BlockData:
-    """Per standard block: classification parities and norm congruence data."""
+    """Per standard block: the Wu parity pattern, norm interval and LDL data."""
 
     def __init__(self, name: str):
         self.name = name
         lat = make_standard(name)
-        self.lat = lat
         self.rank = lat.rank
         self.gram = lat.gram
         disc, pair = _disc_data(lat.gram)
@@ -172,46 +184,22 @@ class _BlockData:
         coeffs, _ = gf2_solve(pair, [row[j] for j, row in enumerate(pair)])
         if coeffs is None:
             raise LatticeError(f"no characteristic class for block {name}")
-        # w = num/2 with num = sum c_i lifts[i], and G·w = sum c_i duals[i]
+        # w = num/2 with num = sum c_i lifts[i]; the Wu vectors are exactly
+        # 2*w + 2Z^r: a parity pattern
         num = [sum(c * g[a] for c, g in zip(coeffs, disc.lifts)) for a in range(self.rank)]
-        gw = [sum(c * g[a] for c, g in zip(coeffs, disc.duals)) for a in range(self.rank)]
-        # Wu-compatible vectors are exactly 2*w + 2Z^r: a parity pattern
         self.wu_parities = tuple(x % 2 for x in num)
-        # (2w)^2 = 2 num·(G w) mod 8, valid since the block is even
-        self.wu_norm_mod8 = 2 * sum(a * b for a, b in zip(num, gw)) % 8
-        # congruence d | x^2 for all block vectors
-        self.norm_gcd = _norm_gcd(self.gram)
-        # congruence on norms of even block vectors, from a generating set of
-        # the even sublattice: 2e_i together with lifts of ker(G mod 2)
-        _, kernel = gf2_solve(self.gram, [0] * self.rank)
-        self.even_norm_gcd = self._even_norm_gcd(kernel)
-        self.even_gram = all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
         # crude achievable-norm interval scale: |x^2| <= bound^2 * sum |g_ij|
         self.abs_scale = sum(abs(x) for row in self.gram for x in row)
         sig = signature(lat)
         self.neg_definite = sig[0] == 0
         self.pos_definite = sig[1] == 0
-        # capabilities within any window containing the basis vectors
-        self.can_odd = any(x % 2 for row in self.gram for x in row)
-        # a box-1 vector is even iff its 0/1 pattern lies in ker(G mod 2): the
-        # zero vector is not Wu when the parities are nonzero, and a nonzero
-        # kernel vector differs from an all-zero parity pattern
-        self.can_even_nonwu = any(self.wu_parities) or bool(kernel)
         self.ldl = self._integer_ldl() if self.neg_definite or self.pos_definite else None
 
-    def _even_norm_gcd(self, kernel: List[List[int]]) -> int:
-        r = self.rank
-        gens = [[2 if i == j else 0 for j in range(r)] for i in range(r)] + kernel
-        g = 0
-        for a in range(len(gens)):
-            for b in range(a, len(gens)):
-                val = sum(
-                    gens[a][i] * self.gram[i][j] * gens[b][j]
-                    for i in range(r)
-                    for j in range(r)
-                )
-                g = math.gcd(g, val if a == b else 2 * val)
-        return g if g else 1
+    def kind(self, coords: Tuple[int, ...]) -> ElementClass:
+        """The block-local class of a block vector, as ``SQUARES`` reads it."""
+        if any(sum(map(mul, row, coords)) % 2 for row in self.gram):
+            return _O
+        return _W if all((c - p) % 2 == 0 for c, p in zip(coords, self.wu_parities)) else _N
 
     def norm_bounds(self, bound: int) -> Tuple[int, int]:
         m = bound * bound * self.abs_scale
@@ -256,16 +244,6 @@ class _BlockData:
 @lru_cache(maxsize=None)
 def _block_data(name: str) -> _BlockData:
     return _BlockData(name)
-
-
-def _norm_gcd(gram) -> int:
-    g = 0
-    r = len(gram)
-    for i in range(r):
-        g = math.gcd(g, gram[i][i])
-        for j in range(i + 1, r):
-            g = math.gcd(g, 2 * gram[i][j])
-    return g if g else 1
 
 
 def _value_order(bound: int) -> List[int]:
@@ -351,7 +329,7 @@ def _block_vectors(
 
 
 class _BlockTable:
-    """One block window's walk, as entries (coords, norm, is_even, is_wu, ticks)."""
+    """One block window's walk, as entries (coords, norm, block-local class, ticks)."""
 
     def __init__(self, name: str, bound: int, lo: int, hi: int, parities) -> None:
         self.block = _block_data(name)
@@ -359,7 +337,7 @@ class _BlockTable:
         self._reset()
 
     def _reset(self) -> None:
-        self.entries: List[Tuple[Tuple[int, ...], int, bool, bool, int]] = []
+        self.entries: List[Tuple[Tuple[int, ...], int, ElementClass, int]] = []
         self.total: Optional[int] = None  # ticks of the whole walk, once it ends
         self._walk_state = _SearchState()
         self._walk = _block_vectors(self.block, *self._window, self._walk_state)
@@ -370,9 +348,8 @@ class _BlockTable:
             self._walk_state.budget = budget
             try:
                 for coords, n in islice(self._walk, i + 1 - len(self.entries)):
-                    even = all(sum(map(mul, row, coords)) % 2 == 0 for row in self.block.gram)
-                    wu = all((c - p) % 2 == 0 for c, p in zip(coords, self.block.wu_parities))
-                    self.entries.append((coords, n, even, wu, self._walk_state.visited))
+                    kind = self.block.kind(coords)
+                    self.entries.append((coords, n, kind, self._walk_state.visited))
                 if len(self.entries) <= i:
                     self.total = self._walk_state.visited
             except BaseException:  # the walk is dead: start it again for later readers
@@ -380,13 +357,13 @@ class _BlockTable:
                 raise
         return i < len(self.entries)
 
-    def read(self, state: _SearchState) -> Iterator[Tuple[Tuple[int, ...], int, bool, bool, int]]:
+    def read(self, state: _SearchState) -> Iterator[Tuple[Tuple[int, ...], int, ElementClass, int]]:
         """The walk's entries in order, charging ``state`` the walk's own ticks."""
         i = prev = 0
         while self._fill(i, prev + state.budget - state.visited):
             entry = self.entries[i]
-            state.tick(entry[4] - prev)
-            prev = entry[4]
+            state.tick(entry[3] - prev)
+            prev = entry[3]
             yield entry
             i += 1
         state.tick(self.total - prev)
@@ -395,8 +372,20 @@ class _BlockTable:
 _block_table = lru_cache(maxsize=MEMO_SIZE)(_BlockTable)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _fits(names: Tuple[str, ...], cls: Optional[ElementClass]) -> frozenset:
+    """The (x^2 mod 16, prefix class) pairs such that the blocks ``names``
+    can add x to the prefix and make a vector of class ``cls`` (any if None)."""
+    return frozenset(
+        (r, kind)
+        for r, c in _reach(names)
+        for kind in ElementClass
+        if cls is None or _join(kind, c) is cls
+    )
+
+
 def _search_blocks(
-    names: Sequence[str],
+    names: Tuple[str, ...],
     target: int,
     cls: Optional[ElementClass],
     bound: int,
@@ -406,59 +395,21 @@ def _search_blocks(
     blocks = [_block_data(name) for name in names]
     nblocks = len(blocks)
     bounds = [b.norm_bounds(bound) for b in blocks]
-    # suffix aggregates for interval and congruence pruning
+    # suffix norm intervals, and the residues each suffix can add
     suf_lo = [0] * (nblocks + 1)
     suf_hi = [0] * (nblocks + 1)
-    suf_gcd = [0] * (nblocks + 1)
-    suf_even_gcd = [0] * (nblocks + 1)
-    suf_wu_off = [0] * (nblocks + 1)
-    suf_wu_exact = [True] * (nblocks + 1)  # wu norms fixed mod 8 on even blocks
-    suf_can_odd = [False] * (nblocks + 1)
-    suf_can_enw = [False] * (nblocks + 1)
     for i in range(nblocks - 1, -1, -1):
         suf_lo[i] = suf_lo[i + 1] + bounds[i][0]
         suf_hi[i] = suf_hi[i + 1] + bounds[i][1]
-        suf_gcd[i] = math.gcd(suf_gcd[i + 1], blocks[i].norm_gcd)
-        suf_even_gcd[i] = math.gcd(suf_even_gcd[i + 1], blocks[i].even_norm_gcd)
-        suf_wu_off[i] = (suf_wu_off[i + 1] + blocks[i].wu_norm_mod8) % 8
-        suf_wu_exact[i] = suf_wu_exact[i + 1] and blocks[i].even_gram
-        suf_can_odd[i] = suf_can_odd[i + 1] or blocks[i].can_odd
-        suf_can_enw[i] = suf_can_enw[i + 1] or blocks[i].can_even_nonwu
+    fits = [_fits(names[i:], cls) for i in range(nblocks + 1)]
 
-    def feasible(i: int, rem: int, odd_seen: bool, wu_all: bool) -> bool:
-        if not (suf_lo[i] <= rem <= suf_hi[i]):
-            return False
-        if cls is ElementClass.WU and suf_wu_exact[i]:
-            if (rem - suf_wu_off[i]) % 8 != 0:
-                return False
-        elif cls is ElementClass.EVEN_NON_WU:
-            g = suf_even_gcd[i]
-            if g > 1 and rem % g != 0:
-                return False
-        elif cls is not ElementClass.WU:
-            g = suf_gcd[i]
-            if g > 1 and rem % g != 0:
-                return False
-        if cls is ElementClass.ODD and not odd_seen and not suf_can_odd[i]:
-            return False
-        if cls is ElementClass.EVEN_NON_WU and wu_all and not suf_can_enw[i]:
-            return False
-        return True
+    def feasible(i: int, rem: int, kind: ElementClass) -> bool:
+        return suf_lo[i] <= rem <= suf_hi[i] and (rem % 16, kind) in fits[i]
 
-    def rec(i: int, rem: int, odd_seen: bool, wu_all: bool, prefix: List[Tuple[int, ...]]):
+    def rec(i: int, rem: int, kind: ElementClass, prefix: List[Tuple[int, ...]]):
         if i == nblocks:
-            if rem != 0:
-                return
-            if cls is ElementClass.ODD and not odd_seen:
-                return
-            if cls is ElementClass.WU and not wu_all:
-                return
-            if cls is ElementClass.EVEN_NON_WU and wu_all:
-                return
-            flat: List[int] = []
-            for c in prefix:
-                flat.extend(c)
-            yield tuple(flat)
+            if rem == 0 and (cls is None or kind is cls):
+                yield tuple(chain.from_iterable(prefix))
             return
         b = blocks[i]
         lo = max(bounds[i][0], rem - suf_hi[i + 1])
@@ -466,25 +417,15 @@ def _search_blocks(
         if lo > hi:
             return
         parities = b.wu_parities if cls is ElementClass.WU else None
-        for coords, n, even, wu, _ in _block_table(b.name, bound, lo, hi, parities).read(state):
-            o2 = odd_seen
-            w2 = wu_all
-            if cls is not ElementClass.WU:
-                if not even:
-                    if cls is ElementClass.EVEN_NON_WU:
-                        continue
-                    o2 = True
-                    w2 = False
-                elif not wu:
-                    w2 = False
-            if not feasible(i + 1, rem - n, o2, w2):
-                continue
-            prefix.append(coords)
-            yield from rec(i + 1, rem - n, o2, w2, prefix)
-            prefix.pop()
+        for coords, n, block_kind, _ in _block_table(b.name, bound, lo, hi, parities).read(state):
+            k2 = _join(kind, block_kind)
+            if feasible(i + 1, rem - n, k2):
+                prefix.append(coords)
+                yield from rec(i + 1, rem - n, k2, prefix)
+                prefix.pop()
 
-    if feasible(0, target, False, True):
-        yield from rec(0, target, False, True, [])
+    if feasible(0, target, _W):
+        yield from rec(0, target, _W, [])
 
 
 def _search(
@@ -538,7 +479,9 @@ def _search_vectors(
         any(_block_data(n).wu_parities) for n in names[len(used):]
     ):
         return
-    for coords in _search_blocks(used, target_square, cls, bound, state):
+    for coords in _search_blocks(tuple(used), target_square, cls, bound, state):
+        if not any(coords):
+            continue
         vec = l.vector(list(coords) + [0] * (l.rank - used_rank))
         # the pinned tail can flip Wu-compatibility of the full vector
         if cls in (ElementClass.EVEN_NON_WU, ElementClass.WU):

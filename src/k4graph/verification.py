@@ -4,8 +4,9 @@ Each suite returns a SuiteResult with human-readable failure strings; the
 CLI exit status is the conjunction.  The suites are deterministic (seeded
 randomness only); the full run takes about 0.5 s of CPU time with Python 3.11
 on one core of a small x86-64 cloud VM.  Only the graphs suite searches (for
-flip pairs); the predicates suite proves its negatives from the block tables
-of ``elements.EVEN_SQUARES`` and confirms its positives with witnesses.
+flip pairs); the predicates suite proves its negatives for all three classes
+from the one block table ``elements.SQUARES`` and confirms its positives with
+witnesses.
 """
 
 from __future__ import annotations

@@ -182,3 +182,18 @@ def test_predicates_suite_runs_no_search(monkeypatch, capsys):
     # witnesses, so a budget too small for any search does not reach the suite
     monkeypatch.setenv("K4GRAPH_SEARCH_BUDGET", "5")
     assert run_cli(["verify", "--suite", "predicates"], capsys) == (0, "predicates   pass\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--suite", "predicates"], ["classify", "--vertex", "[9S]", "--square", "-2"]],
+)
+def test_failed_witness_construction_exits_1(argv, monkeypatch, capsys):
+    # a witness the constructions cannot deliver is a verification failure,
+    # reported on stderr, not a traceback
+    from k4graph import elements
+
+    monkeypatch.setattr(elements, "_even_witness", lambda v, n: None)
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err == "verification failed: witness construction failed for [9S], n=0, even-non-wu\n"

@@ -98,13 +98,16 @@ def test_exists_even_non_wu_gate(catalog):
 
 
 def _even_squares_walk(name):
-    """(x^2 mod 16, is_wu) over x = 2a + sum b_j lift_j, a and b in {0, 1}.
+    """(x^2 mod 16, class) over x = 2a + sum b_j lift_j, a and b in {0, 1}.
 
     These x are one representative of each class of 2L*/4L, and every even x
     lies in one of these classes.  The walk is in Gray-code order: each step adds or removes
     one generator h and updates q_k = x·G·h_k with the precomputed h·G·h_k.
-    Since lift_j = 2 g_j, x is Wu iff x·G·lift_j = lift_j·G·lift_j mod 4.
+    Since lift_j = 2 g_j, x is Wu iff x·G·lift_j = lift_j·G·lift_j mod 4; the
+    walk also keeps x mod 2 and checks that Wu means x = wu_parities mod 2,
+    the block-local test the search reads.
     """
+    from k4graph.elements import _block_data
     from k4graph.finite_forms import _discriminant_group
 
     gram = make_standard(name).gram
@@ -114,26 +117,54 @@ def _even_squares_walk(name):
     gg = [[sum(a * b for a, b in zip(row, h)) for row in gram] for h in gens]
     pair = [[sum(a * b for a, b in zip(h, gk)) for gk in gg] for h in gens]
     wu_at = [(r + j, pair[r + j][r + j]) for j in range(len(lifts))]
+    masks = [sum((c % 2) << i for i, c in enumerate(h)) for h in gens]
+    wu_mask = sum(p << i for i, p in enumerate(_block_data(name).wu_parities))
     on = [False] * len(gens)
     q = [0] * len(gens)
-    square = 0
-    out = {(0, all(c % 4 == 0 for _, c in wu_at))}
-    for step in range(1, 2 ** len(gens)):
-        k = (step & -step).bit_length() - 1
-        sign = -1 if on[k] else 1
-        on[k] = not on[k]
-        square += 2 * sign * q[k] + pair[k][k]
-        q = [a + sign * b for a, b in zip(q, pair[k])]
-        out.add((square % 16, all((q[i] - c) % 4 == 0 for i, c in wu_at)))
-    return frozenset(out)
+    square = parity = 0
+    out = set()
+    for step in range(2 ** len(gens)):
+        if step:
+            k = (step & -step).bit_length() - 1
+            sign = -1 if on[k] else 1
+            on[k] = not on[k]
+            square += 2 * sign * q[k] + pair[k][k]
+            q = [a + sign * b for a, b in zip(q, pair[k])]
+            parity ^= masks[k]
+        wu = all((q[i] - c) % 4 == 0 for i, c in wu_at)
+        assert wu == (parity == wu_mask), (name, step)
+        out.add((square % 16, ElementClass.WU if wu else ElementClass.EVEN_NON_WU))
+    return out
+
+
+def _odd_squares(name):
+    """(x^2 mod 16, ODD) over the odd x of a block.
+
+    In an even block x^2 mod 4 depends only on x mod 2L, and x + 2ku with
+    x·u odd reaches x^2 + 0, 4, 8, 12 mod 16, so each odd x mod 2L gives its
+    whole class mod 4.  <1> is odd, so it is walked directly over x mod 8.
+    """
+    from itertools import product
+
+    gram = make_standard(name).gram
+    if name == "<1>":
+        return {(x * x % 16, ElementClass.ODD) for x in range(1, 8, 2)}
+    out = set()
+    for x in product((0, 1), repeat=len(gram)):
+        gx = [sum(g * c for g, c in zip(row, x)) for row in gram]
+        if any(v % 2 for v in gx):
+            sq = sum(a * b for a, b in zip(x, gx))
+            out.update(((sq + 4 * k) % 16, ElementClass.ODD) for k in range(4))
+    return out
 
 
 def test_even_squares_tables_are_the_lattice_walk():
-    from k4graph.elements import EVEN_SQUARES
+    # every SQUARES entry: the even x of the Gray-code walk and the odd x
+    from k4graph.elements import SQUARES
 
-    assert set(EVEN_SQUARES) == set(STANDARD_GRAMS) - {"<1>"}
-    for name, table in EVEN_SQUARES.items():
-        assert _even_squares_walk(name) == table, name
+    assert set(SQUARES) == set(STANDARD_GRAMS)
+    for name, table in SQUARES.items():
+        assert _even_squares_walk(name) | _odd_squares(name) == table, name
 
 
 def _diagonal_rule(v, n, cls):
@@ -347,6 +378,32 @@ def test_search_matches_naive_enumeration():
                 assert norm(via_blocks) == target
                 assert classify_element(lat, via_blocks) is cls
 
+    # every residue mod 16, odd targets and the zero target included: each
+    # target between the box's extreme norms against one plain box walk
+    from itertools import product
+
+    from k4graph.elements import _value_order
+
+    residues = set()
+    for names in (("D4",), ("E7",), ("E8",), ("<1>", "E7"), ("<1>", "<-2>", "D4", "U")):
+        lat = from_summands(names)
+        found = set()
+        for coords in product(_value_order(1), repeat=lat.rank):
+            if any(coords):
+                x = lat.vector(coords)
+                found.add((norm(x), classify_element(lat, x)))
+        norms = [n for n, _ in found]
+        for target in range(min(norms) - 1, max(norms) + 2):
+            for cls in (None, *ElementClass):
+                hit = search_witness(lat, target, cls, bound=1)
+                want = target in norms if cls is None else (target, cls) in found
+                assert (hit is not None) == want, (names, target, cls)
+                if hit is not None:
+                    assert norm(hit) == target
+                    assert cls is None or classify_element(lat, hit) is cls
+                    residues.add(target % 16)
+    assert residues == set(range(16))
+
 
 def test_enumerate_vectors_deterministic(catalog):
     v = catalog.by_id("[7S]")
@@ -493,7 +550,11 @@ class _UncachedTable:
         for coords, n in _block_vectors(*self.args, state):
             even = all(sum(g * c for g, c in zip(row, coords)) % 2 == 0 for row in block.gram)
             wu = all((c - p) % 2 == 0 for c, p in zip(coords, block.wu_parities))
-            yield coords, n, even, wu, None
+            if not even:
+                kind = ElementClass.ODD
+            else:
+                kind = ElementClass.WU if wu else ElementClass.EVEN_NON_WU
+            yield coords, n, kind, None
 
 
 def _searched_blocks(lat):
@@ -584,10 +645,10 @@ def test_block_table_survives_interrupted_fill(monkeypatch):
     paused = table.read(paused_state)
     head = [next(paused) for _ in range(3)]
     with pytest.raises(SearchBudgetError):
-        list(table.read(_SearchState(budget=head[-1][4])))
+        list(table.read(_SearchState(budget=head[-1][3])))
     assert table.entries == []
     got = head + list(paused)
-    assert [e[:4] for e in got] == [e[:4] for e in ref]
+    assert [e[:3] for e in got] == [e[:3] for e in ref]
     assert paused_state.visited == ref_state.visited
 
 
