@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .lattice import GramLattice, from_summands, is_even, signature
-from .finite_forms import discriminant_group, discriminant_quadratic, parity
+from .finite_forms import _two_elementary, discriminant_quadratic, parity
 
 
 class CatalogError(ValueError):
@@ -212,18 +212,19 @@ def _make_vertex(
 ) -> K3Vertex:
     lplus = from_summands(plus_names, label=f"L+{vid}")
     lminus = from_summands(minus_names, label=f"L-{vid}")
-    r = lplus.rank
-    d_plus = discriminant_group(lplus).rank
+    disc_plus = _two_elementary(lplus.gram)
+    if disc_plus is None or _two_elementary(lminus.gram) is None:
+        raise CatalogError(f"catalog entry {vid}: discriminant groups must be 2-periodic")
     vt = "I" if parity(discriminant_quadratic(lminus)) == "even" else "II"
-    return K3Vertex(vid, top, lplus, lminus, r, d_plus, vt)
+    return K3Vertex(vid, top, lplus, lminus, lplus.rank, disc_plus.rank, vt)
 
 
 def _validate_vertex(v: K3Vertex) -> List[str]:
     """Every per-vertex invariant the entry violates, in a fixed order.
 
     The vertex came from ``_make_vertex``, which already needed both
-    eigenlattices non-degenerate and L- to have a 2-periodic discriminant,
-    so every check here can be evaluated.
+    eigenlattices non-degenerate with 2-periodic discriminants, so every
+    check here can be evaluated.
     """
     out: List[str] = []
     if v.lplus.rank + v.lminus.rank != 22:
@@ -238,10 +239,8 @@ def _validate_vertex(v: K3Vertex) -> List[str]:
         out.append(f"sigma_+(L-) = {sm[0]} != 2")
     if v.r != v.lplus.rank:
         out.append("r does not equal rank(L+)")
-    dg_plus = discriminant_group(v.lplus)
-    dg_minus = discriminant_group(v.lminus)
-    if not (dg_plus.is_two_periodic and dg_minus.is_two_periodic):
-        out.append("discriminant groups must be 2-periodic")
+    dg_plus = _two_elementary(v.lplus.gram)
+    dg_minus = _two_elementary(v.lminus.gram)
     if v.d != dg_plus.rank or v.d != dg_minus.rank:
         out.append(
             f"discriminant ranks disagree: d={v.d}, L+ gives {dg_plus.rank}, L- gives {dg_minus.rank}"

@@ -43,7 +43,7 @@ from .lattice import (
     norm,
     signature,
 )
-from .finite_forms import _discriminant_group, bilinear_table
+from .finite_forms import _two_elementary, bilinear_table
 from .catalog import K3Vertex
 
 
@@ -86,8 +86,8 @@ def search_budget() -> int:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _disc_data(gram: Gram):
-    disc = _discriminant_group(gram)
-    if not disc.is_two_periodic:
+    disc = _two_elementary(gram)
+    if disc is None:
         raise LatticeError("classification needs a 2-periodic discriminant")
     return disc, bilinear_table(disc)
 

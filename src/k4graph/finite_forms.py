@@ -10,18 +10,21 @@ b = m/2 in Q/Z (m lives mod 2).  The Brown invariant is computed by the exact
 Gauss sum over the whole group, matched against the eight possible eighth
 roots of unity times 2^(d/2).
 
-Both ``smith_normal_form`` and ``_discriminant_group`` run one Smith kernel,
-``_smith``.  The group needs only the divisors and the columns of V, kept as
-the rows of Vᵀ so that a column operation is one row operation there; it
-skips U, which only ``smith_normal_form`` tracks.
+``_smith`` is the one Smith kernel.  ``smith_normal_form`` and the public
+``discriminant_group``, which serves any divisors, run it; the group keeps
+only the divisors and the columns of V (as the rows of Vᵀ) and skips U.
+Every internal caller asks only 2-elementary questions and reads
+``_two_elementary``: the GF(2) kernel of the Gram matrix, and det G from the
+elimination that also gives the inertia, so each Gram is eliminated once.
 
-``discriminant_group`` and ``discriminant_quadratic`` are memoized through
-``_discriminant_group`` and ``_discriminant_quadratic``, each a
-``functools.lru_cache`` of ``lattice.MEMO_SIZE`` entries.  The key is the Gram
-tuple; for ``discriminant_quadratic`` it also holds the coordinates of the
+``_discriminant_group`` (behind ``discriminant_group``), ``_two_elementary``,
+``_discriminant_quadratic`` (behind ``discriminant_quadratic``) and
+``brown_invariant`` are each a ``functools.lru_cache`` of
+``lattice.MEMO_SIZE`` entries.  The key is the Gram tuple, or the form for
+Brown; for ``discriminant_quadratic`` it also holds the coordinates of the
 characteristic vector, on odd lattices only (even lattices ignore it).  The
-results are frozen dataclasses of tuples, so every caller may share one;
-errors are not cached.
+results are frozen dataclasses of tuples, or ints, so every caller may share
+one; errors are not cached.
 """
 
 from __future__ import annotations
@@ -38,9 +41,11 @@ from .lattice import (
     GramLattice,
     LatticeVector,
     LatticeError,
+    _elimination,
     _freeze,
     _json_ints,
     _json_object,
+    gf2_solve,
     is_even,
     signature,
 )
@@ -209,6 +214,29 @@ def _discriminant_group(gram: Gram) -> DiscriminantGroup:
     return DiscriminantGroup(tuple(divisors), tuple(lifts), tuple(duals))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _two_elementary(gram: Gram) -> Optional[DiscriminantGroup]:
+    """L*/L from one GF(2) elimination when it is 2-elementary, else None.
+
+    The x/2 for x in a kernel basis of G mod 2 lie in L*, and they present
+    the 2-torsion of L*/L, of order 2^dim ker.  That is all of L*/L exactly
+    when |det G| = 2^dim ker (Nikulin 1979, §1.3).  The lifts are the
+    ``gf2_solve`` kernel basis; the duals are G·x/2.
+    """
+    det = _elimination(gram)[3]
+    if det == 0:
+        raise LatticeError("gram matrix is degenerate")
+    _, kernel = gf2_solve(gram, [0] * len(gram))
+    if abs(det) != 1 << len(kernel):
+        return None
+    # G·x is the sum of the Gram rows on the support of x (G is symmetric)
+    duals = tuple(
+        tuple(y // 2 for y in map(sum, zip(*(gram[r] for r, c in enumerate(x) if c))))
+        for x in kernel
+    )
+    return DiscriminantGroup((2,) * len(kernel), _freeze(kernel), duals)
+
+
 def bilinear_table(disc: DiscriminantGroup) -> IntMatrix:
     """2·b(g_i, g_j) mod 2 on a 2-periodic group: lifts[i]·duals[j] mod 2."""
     return tuple(tuple(_dot(n, dual) % 2 for dual in disc.duals) for n in disc.lifts)
@@ -299,6 +327,8 @@ def discriminant_quadratic(
 ) -> FiniteQuadraticForm:
     """The discriminant quadratic form of a lattice with 2-periodic discriminant.
 
+    The generators are x/2 for the ``gf2_solve`` kernel basis x of G mod 2.
+
     For even l the canonical q(x+L) = x^2 mod 2Z is used and w must be omitted
     or a characteristic vector anyway; for odd l a characteristic w in L is
     required and q(x+L) = x^2 + <w,x> mod 2Z.
@@ -313,8 +343,8 @@ def discriminant_quadratic(
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _discriminant_quadratic(gram: Gram, wc: Optional[Tuple[int, ...]]) -> FiniteQuadraticForm:
-    disc = _discriminant_group(gram)
-    if not disc.is_two_periodic:
+    disc = _two_elementary(gram)
+    if disc is None:
         raise FormError("form out of scope: discriminant is not 2-periodic")
     # even: canonical q(x+L) = x^2 mod 2Z, and a supplied w is not used
     if any(row[i] % 2 for i, row in enumerate(gram)):
@@ -341,6 +371,7 @@ def parity(f: FiniteQuadraticForm) -> str:
     return "even" if all(k % 2 == 0 for k in f.qvals) else "odd"
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def brown_invariant(f: FiniteQuadraticForm, limit: int = 12) -> int:
     """Brown invariant mod 8 via the exact Gauss sum over all 2^d elements."""
     if f.d > limit:
@@ -408,7 +439,7 @@ def lattices_equivalent(a: GramLattice, b: GramLattice) -> str:
             return "undecidable"
         if min(sig) == 0 and l.rank > 2:
             return "undecidable"
-        if not discriminant_group(l).is_two_periodic:
+        if _two_elementary(l.gram) is None:
             return "undecidable"
     if signature(a) != signature(b):
         return "no"

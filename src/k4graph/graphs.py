@@ -30,7 +30,7 @@ from .lattice import (
     twist,
 )
 from .finite_forms import (
-    discriminant_group,
+    _two_elementary,
     discriminant_quadratic,
     lattices_equivalent,
     parity,
@@ -214,8 +214,8 @@ def _validate_irr(neg: GramLattice, catalog: Catalog) -> None:
     """The lattice facts that identify -M_- of the irregular K4 vertex."""
     if signature(neg) != (1, 13):
         raise StructuralError("irr: -M_- must have signature (1, 13)")
-    dg = discriminant_group(neg)
-    if not dg.is_two_periodic or dg.rank != 8:
+    dg = _two_elementary(neg.gram)
+    if dg is None or dg.rank != 8:
         raise StructuralError("irr: -M_- must have 2-periodic discriminant of rank 8")
     if parity(discriminant_quadratic(neg)) != "even":
         raise StructuralError("irr: -M_- must carry an even discriminant form")
@@ -534,8 +534,10 @@ def synthesize_k4_plus(c: K3Vertex, h: LatticeVector) -> GramLattice:
         raise StructuralError(
             f"{c.vid}: signature(M_+) = {signature(mplus)} != {expect_sig}"
         )
-    dg = discriminant_group(mplus)
-    if dg.rank != c.d or not dg.is_two_periodic:
+    dg = _two_elementary(mplus.gram)
+    if dg is None:
+        raise StructuralError(f"{c.vid}: discr M_+ is not 2-elementary")
+    if dg.rank != c.d:
         raise StructuralError(
             f"{c.vid}: rank(discr M_+) = {dg.rank} != d = {c.d}"
         )

@@ -3,15 +3,19 @@
 Everything here is arbitrary-precision integer arithmetic; there are no
 rationals and no floating point.  Signatures come from fraction-free
 (Bareiss) symmetric elimination, whose exact divisions keep every entry a
-minor of the input, so no gcd pass is needed.  Orthogonal complements and
-their coordinates come from unimodular column reduction, and characteristic
-vectors from ``gf2_solve``, the one GF(2) solver of the package.
+minor of the input, so no gcd pass is needed; its last pivot is det G, so
+one elimination, ``_elimination``, gives both the inertia and the
+determinant that ``finite_forms._two_elementary`` reads.  Orthogonal
+complements and their coordinates come from unimodular column reduction, and
+characteristic vectors and the GF(2) kernels of discriminant groups from
+``gf2_solve``, the one GF(2) solver of the package.
 
 ``inertia`` (and so ``signature``) is memoized: it delegates to ``_inertia``,
-a ``functools.lru_cache`` keyed by the Gram tuple alone (labels and summands
-do not change the answer) and bounded at ``MEMO_SIZE`` entries.  This is sound
-because a Gram is a tuple of tuples of ints and the result is a tuple, so
-neither the key nor the shared result can be mutated; errors are not cached.
+which reads ``_elimination``; both are ``functools.lru_cache`` keyed by the
+Gram tuple alone (labels and summands do not change the answer) and bounded
+at ``MEMO_SIZE`` entries.  This is sound because a Gram is a tuple of tuples
+of ints and the results are tuples, so neither the key nor the shared result
+can be mutated; errors are not cached.
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 Gram = Tuple[Tuple[int, ...], ...]
 
-# Entries per Gram-keyed memo: one verify run meets 437 distinct Gram
-# matrices, so 1024 holds them all; the memos add about 1 MB of peak RSS.
+# Entries per memo (the Gram-keyed ones, the per-form Brown invariant and
+# the block tables): one verify run eliminates 451 distinct Gram matrices and
+# reads 437 discriminant groups, so 1024 holds them all; the memos add about
+# 0.2 MB to its peak RSS.
 MEMO_SIZE = 1024
 
 
@@ -298,6 +304,13 @@ def inertia(l: GramLattice) -> Tuple[int, int, int]:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _inertia(gram: Gram) -> Tuple[int, int, int]:
+    return _elimination(gram)[:3]
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _elimination(gram: Gram) -> Tuple[int, int, int, int]:
+    """(positive, negative, zero, det): the last pivot is the leading minor of
+    full size of a unimodular congruent, so it is det G when no pivot is zero."""
     a = [list(row) for row in gram]  # the block still to eliminate
     pos = neg = 0
     prev = 1  # the last pivot, a leading principal minor
@@ -307,7 +320,7 @@ def _inertia(gram: Gram) -> Tuple[int, int, int]:
         if piv is None:
             off = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
             if off is None:
-                return pos, neg, m
+                return pos, neg, m, 0
             i, j = off
             a[i] = [x + y for x, y in zip(a[i], a[j])]
             for row in a:
@@ -330,7 +343,7 @@ def _inertia(gram: Gram) -> Tuple[int, int, int]:
             for r in a[1:]
         ]
         prev = p
-    return pos, neg, 0
+    return pos, neg, 0, prev
 
 
 def signature(l: GramLattice) -> Tuple[int, int]:
@@ -394,32 +407,37 @@ def gf2_solve(
 
     Returns a particular solution with every free variable 0, or None when the
     system is inconsistent, and a kernel basis of a: one vector per free
-    column, in increasing column order.
+    column, in increasing column order, with its 1 at that free column and 0
+    at every other.  Each row is packed into an int, bit c for column c and
+    bit n for the right-hand side, so a row operation is one XOR.
     """
     n = len(a[0]) if a else 0
-    rows = [[x & 1 for x in row] + [y & 1] for row, y in zip(a, b)]
+    rows = [
+        sum(1 << c for c, x in enumerate(row) if x & 1) | (y & 1) << n
+        for row, y in zip(a, b)
+    ]
     pivots: List[int] = []
     for c in range(n):
+        bit = 1 << c
         r = len(pivots)
-        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        sel = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                rows[i] = [x ^ y for x, y in zip(row, rows[r])]
+        p = rows[r]
+        rows = [x ^ p if x & bit and i != r else x for i, x in enumerate(rows)]
         pivots.append(c)
     solution: Optional[List[int]] = None
-    if not any(row[n] for row in rows[len(pivots):]):
+    if not any(x >> n for x in rows[len(pivots):]):
         solution = [0] * n
-        for i, c in enumerate(pivots):
-            solution[c] = rows[i][n]
+        for x, c in zip(rows, pivots):
+            solution[c] = x >> n
     kernel = []
     for f in (c for c in range(n) if c not in pivots):
         vec = [0] * n
         vec[f] = 1
-        for i, c in enumerate(pivots):
-            vec[c] = rows[i][f]
+        for x, c in zip(rows, pivots):
+            vec[c] = x >> f & 1
         kernel.append(vec)
     return solution, kernel
 

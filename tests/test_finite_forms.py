@@ -241,6 +241,8 @@ def test_brown_size_limit():
     with pytest.raises(FormError):
         brown_invariant(f)
     assert brown_invariant(f, limit=13) == 13 % 8
+    with pytest.raises(FormError):  # the limit is part of the memo key
+        brown_invariant(f)
 
 
 def test_brown_rejects_degenerate_gauss_sum():
@@ -337,3 +339,6 @@ def test_memo_matches_uncached_helpers(names, seed, degenerate):
         assert signature(lat) == (pos, neg)
         assert discriminant_group(lat) == _discriminant_group.__wrapped__(gram)
         assert discriminant_quadratic(lat, w) == _discriminant_quadratic.__wrapped__(gram, wc)
+        f = discriminant_quadratic(lat, w)
+        if f.d <= 12:
+            assert brown_invariant(f) == brown_invariant.__wrapped__(f)

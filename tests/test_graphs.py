@@ -32,7 +32,7 @@ from k4graph import (
     synthesize_k4_plus,
     verify_flip_cycle,
 )
-from k4graph.lattice import direct_sum, from_summands
+from k4graph.lattice import GramLattice, direct_sum, from_summands
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +370,21 @@ def test_synthesize_rejects_wrong_square(catalog):
     bad = construct_witness(v, 0, ElementClass.ODD)  # square -2
     with pytest.raises(LatticeError):
         synthesize_k4_plus(v, bad)
+
+
+def test_synthesize_names_a_non_2_elementary_m_plus(catalog, monkeypatch):
+    # a twist that lands on an odd lattice of signature (rank L-, 1) and det -3
+    from k4graph import StructuralError, graphs
+
+    v = catalog.by_id("[S1+9S]")
+    h = construct_witness(v, 1, ElementClass.ODD)
+    diag = (1,) * (v.lminus.rank - 1) + (3, -1)
+    fake = GramLattice.from_rows(
+        [[x if i == j else 0 for j in range(len(diag))] for i, x in enumerate(diag)]
+    )
+    monkeypatch.setattr(graphs, "twist", lambda l, w: fake)
+    with pytest.raises(StructuralError, match="not 2-elementary"):
+        synthesize_k4_plus(v, h)
 
 
 def test_synthesize_optional_brown_check(catalog):

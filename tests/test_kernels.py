@@ -3,7 +3,9 @@
 ``lattice._inertia`` (Bareiss elimination) is compared with the gcd-reducing
 symmetric elimination, and ``finite_forms._discriminant_group`` (the Smith
 kernel that tracks only V) with the full (U, D, V) Smith normal form that
-cleared rows and columns with per-row loops.
+cleared rows and columns with per-row loops.  ``finite_forms._two_elementary``
+(the GF(2) kernel with the determinant of the Bareiss elimination) is
+compared with that Smith route on every Gram matrix the group tests meet.
 """
 
 import math
@@ -14,12 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k4graph import (
+    ElementClass,
     FiniteQuadraticForm,
+    FormError,
     LatticeError,
     brown_invariant,
+    classify_element,
+    discriminant_quadratic,
+    lattices_equivalent,
     parity,
 )
-from k4graph.finite_forms import DiscriminantGroup, _discriminant_group, bilinear_table
+from k4graph.finite_forms import (
+    DiscriminantGroup,
+    _discriminant_group,
+    _two_elementary,
+    bilinear_table,
+)
 from k4graph.lattice import GramLattice, _inertia, direct_sum_all, from_summands, is_even
 from k4graph.verification import _congruent, _random_unimodular
 
@@ -228,7 +240,25 @@ def _check_discriminant_group(lat):
     for n, dual, d in zip(disc.lifts, disc.duals, disc.divisors):
         assert [_dot(row, n) for row in gram] == [d * y for y in dual]
     assert disc.order == abs(_det(gram))
+    _check_two_elementary(lat, disc)
     return disc
+
+
+def _check_two_elementary(lat, ref):
+    """The GF(2) route against the Smith route's group ``ref`` of the same Gram:
+    None exactly off the 2-elementary Grams, else a group of order |det| whose
+    duals are G·lift / 2, with the Smith route's parity and Brown when even."""
+    gram = lat.gram
+    two = _two_elementary.__wrapped__(gram)
+    if not ref.is_two_periodic:
+        assert two is None
+        return
+    assert two is not None and two.is_two_periodic
+    assert two.order == abs(_det(gram))
+    for n, dual in zip(two.lifts, two.duals):
+        assert [_dot(row, n) for row in gram] == [2 * y for y in dual]
+    if is_even(lat):
+        assert _parity_and_brown(two) == _parity_and_brown(ref)
 
 
 def _check_congruent(lat, rng):
@@ -276,6 +306,31 @@ def test_discriminant_group_degenerate_raises(gram):
             _discriminant_group.__wrapped__(gram)
         with pytest.raises(LatticeError):
             _reference_disc(gram)
+        with pytest.raises(LatticeError):
+            _two_elementary.__wrapped__(gram)
     else:
         _check_discriminant_group(GramLattice.from_rows(gram))
 
+
+@given(_symmetric())
+@settings(max_examples=100, deadline=None)
+def test_out_of_scope_grams_raise_documented_errors(gram):
+    """A degenerate Gram raises LatticeError and a non-2-periodic one FormError
+    from the form; the oracle calls both undecidable, and classification
+    rejects a nonzero even vector in both, while an odd vector is odd before
+    the discriminant is read."""
+    if _det(gram) == 0:
+        error = LatticeError
+    elif not _reference_disc(gram).is_two_periodic:
+        error = FormError
+    else:
+        return
+    lat = GramLattice.from_rows(gram)
+    with pytest.raises(error):
+        discriminant_quadratic(lat)
+    assert lattices_equivalent(lat, lat) == "undecidable"
+    with pytest.raises(LatticeError):
+        classify_element(lat, lat.vector([2] + [0] * (lat.rank - 1)))
+    odd = next((i for i, row in enumerate(gram) if any(x % 2 for x in row)), None)
+    if odd is not None:
+        assert classify_element(lat, lat.basis_vector(odd)) is ElementClass.ODD

@@ -333,11 +333,25 @@ def test_gf2_solve_matches_brute_force(system):
     target = tuple(y % 2 for y in b)
     solvable = any(image(x) == target for x in space)
     kernel = {x for x in space if not any(image(x))}
+    # column c is free iff it lies in the span of the columns before it
+    free, span = [], {(0,) * len(a)}
+    for c in range(n):
+        col = tuple(row[c] % 2 for row in a)
+        if col in span:
+            free.append(c)
+        else:
+            span |= {tuple((s + t) % 2 for s, t in zip(v, col)) for v in span}
     x, basis = gf2_solve(a, b)
     if solvable:
         assert x is not None and set(x) <= {0, 1} and image(x) == target
+        assert all(x[f] == 0 for f in free)
     else:
         assert x is None
+    # the canonical basis: the k-th vector is 1 at the k-th free column and
+    # 0 at every other free column
+    assert len(basis) == len(free)
+    for k, v in enumerate(basis):
+        assert [v[f] for f in free] == [int(j == k) for j in range(len(free))]
     spanned = {
         tuple(sum(c * v[i] for c, v in zip(cs, basis)) % 2 for i in range(n))
         for cs in itertools.product((0, 1), repeat=len(basis))
