@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .lattice import GramLattice, from_summands, is_even, signature
-from .finite_forms import _two_elementary, discriminant_quadratic, parity
+from .finite_forms import _two_elementary
 
 
 class CatalogError(ValueError):
@@ -213,9 +213,10 @@ def _make_vertex(
     lplus = from_summands(plus_names, label=f"L+{vid}")
     lminus = from_summands(minus_names, label=f"L-{vid}")
     disc_plus = _two_elementary(lplus.gram)
-    if disc_plus is None or _two_elementary(lminus.gram) is None:
+    disc_minus = _two_elementary(lminus.gram)
+    if disc_plus is None or disc_minus is None:
         raise CatalogError(f"catalog entry {vid}: discriminant groups must be 2-periodic")
-    vt = "I" if parity(discriminant_quadratic(lminus)) == "even" else "II"
+    vt = "I" if disc_minus._delta == 0 else "II"
     return K3Vertex(vid, top, lplus, lminus, lplus.rank, disc_plus.rank, vt)
 
 
@@ -245,7 +246,7 @@ def _validate_vertex(v: K3Vertex) -> List[str]:
         out.append(
             f"discriminant ranks disagree: d={v.d}, L+ gives {dg_plus.rank}, L- gives {dg_minus.rank}"
         )
-    vt = "I" if parity(discriminant_quadratic(v.lminus)) == "even" else "II"
+    vt = "I" if dg_minus._delta == 0 else "II"
     if v.vtype != vt:
         out.append("parity of discr(L-) disagrees with vertex type")
     if v.top.kind == "spheres" and not v.top.subscript_I:

@@ -6,9 +6,10 @@ with the integral dual vector G·g, so every pairing with a lift is an
 integer dot product (for 2-periodic groups, Nikulin 1979, §1.3).
 Finite-form values are stored integrally in half-units: a quadratic value
 ``k`` means q = k/2 in Q/2Z (so k lives mod 4), a bilinear value ``m`` means
-b = m/2 in Q/Z (m lives mod 2).  The Brown invariant is computed by the exact
-Gauss sum over the whole group, matched against the eight possible eighth
-roots of unity times 2^(d/2).
+b = m/2 in Q/Z (m lives mod 2).  The Brown invariant comes from the GF(2)
+normal form of the form, a sum of <±1/2>, u(2) and v(2) (Nikulin 1979, §1.8),
+in O(d²) operations on bilinear rows packed into ints.  ``lattices_equivalent``
+builds no form at all: it compares the signature, a = rank of L*/L and δ.
 
 ``_smith`` is the one Smith kernel.  ``smith_normal_form`` and the public
 ``discriminant_group``, which serves any divisors, run it; the group keeps
@@ -20,11 +21,11 @@ elimination that also gives the inertia, so each Gram is eliminated once.
 ``_discriminant_group`` (behind ``discriminant_group``), ``_two_elementary``,
 ``_discriminant_quadratic`` (behind ``discriminant_quadratic``) and
 ``brown_invariant`` are each a ``functools.lru_cache`` of
-``lattice.MEMO_SIZE`` entries.  The key is the Gram tuple, or the form for
-Brown; for ``discriminant_quadratic`` it also holds the coordinates of the
-characteristic vector, on odd lattices only (even lattices ignore it).  The
-results are frozen dataclasses of tuples, or ints, so every caller may share
-one; errors are not cached.
+``lattice.MEMO_SIZE`` entries.  The key is the Gram tuple, or the form and
+the limit for Brown; for ``discriminant_quadratic`` it also holds the
+coordinates of the characteristic vector, on odd lattices only (even lattices
+ignore it).  The results are frozen dataclasses of tuples, or ints, so every
+caller may share one; errors are not cached.
 """
 
 from __future__ import annotations
@@ -180,6 +181,16 @@ class DiscriminantGroup:
     @property
     def rank(self) -> int:
         return len(self.divisors)
+
+    @property
+    def _delta(self) -> int:
+        """Nikulin's δ of a 2-periodic group: 0 iff b(x, x) = 0 for every x.
+
+        b(x, x) mod Z is additive, so the generators decide it; 2·b(g_i, g_i)
+        is lifts[i]·duals[i].  This is the parity of the discriminant form,
+        whatever characteristic vector an odd lattice's form is built with.
+        """
+        return int(any(_dot(n, dual) % 2 for n, dual in zip(self.lifts, self.duals)))
 
 
 def _dot(x: Sequence[int], y: Sequence[int]) -> int:
@@ -373,55 +384,65 @@ def parity(f: FiniteQuadraticForm) -> str:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def brown_invariant(f: FiniteQuadraticForm, limit: int = 12) -> int:
-    """Brown invariant mod 8 via the exact Gauss sum over all 2^d elements."""
+    """Brown invariant mod 8 of a non-degenerate form of rank d <= limit."""
     if f.d > limit:
-        raise FormError(f"group of rank {f.d} exceeds the enumeration limit {limit}")
-    d = f.d
-    # incremental subset sums: k(S | {j}) = k(S) + q_j + 2*b(S, g_j)
-    kvals = [0] * (1 << d)
-    rowmask = [
-        sum((f.bvals[j][i] & 1) << i for i in range(d)) for j in range(d)
-    ]
-    re_part, im_part = 1, 0  # the empty subset contributes i^0
-    for x in range(1, 1 << d):
-        j = (x & -x).bit_length() - 1
-        y = x ^ (1 << j)
-        k = (kvals[y] + f.qvals[j] + 2 * ((y & rowmask[j]).bit_count() & 1)) & 3
-        kvals[x] = k
-        if k == 0:
-            re_part += 1
-        elif k == 1:
-            im_part += 1
-        elif k == 2:
-            re_part -= 1
-        else:
-            im_part -= 1
-    # match (re, im) against 2^(d/2) · exp(i·pi·B/4)
-    if d % 2 == 0:
-        mag = 1 << (d // 2)
-        table = {(mag, 0): 0, (0, mag): 2, (-mag, 0): 4, (0, -mag): 6}
-    else:
-        mag = 1 << ((d - 1) // 2)
-        table = {
-            (mag, mag): 1,
-            (-mag, mag): 3,
-            (-mag, -mag): 5,
-            (mag, -mag): 7,
-        }
-    try:
-        return table[(re_part, im_part)]
-    except KeyError:
-        raise FormError(
-            f"Gauss sum {re_part}+{im_part}i is not sqrt(|G|) times an 8th root of unity; "
-            "malformed form"
-        ) from None
+        raise FormError(f"group of rank {f.d} exceeds the limit {limit}")
+    return _brown(f)
+
+
+def _brown(f: FiniteQuadraticForm) -> int:
+    """Brown invariant mod 8 by the GF(2) normal form, in O(d²) int operations.
+
+    A 2-elementary form is an orthogonal sum of <±1/2>, u(2) and v(2), whose
+    Brown invariants are ±1, 0 and 4 (Nikulin 1979, §1.8; Brown 1972).  Each
+    live element is (its generator mask, its bilinear row as a mask, 2q mod 4).
+    An x with b(x, x) ≠ 0 splits off as <q(x)>, else x and a partner y with
+    b(x, y) = 1/2 split off as a plane, v(2) iff q(x) = q(y) = 1; the rest is
+    projected onto the orthogonal complement.  A live x with no partner lies
+    in the radical, so the form is degenerate.
+    """
+    rows = [sum(bit << j for j, bit in enumerate(row)) for row in f.bvals]
+    live = [[1 << i, row, k] for i, (row, k) in enumerate(zip(rows, f.qvals))]
+    brown = 0
+
+    def pairs(u, v) -> int:  # 2·b(u, v) mod 2
+        return (u[1] & v[0]).bit_count() & 1
+
+    def add(u, v) -> None:  # u += v, with q(u + v) = q(u) + q(v) + 2b(u, v)
+        u[2] = (u[2] + v[2] + 2 * pairs(u, v)) & 3
+        u[0] ^= v[0]
+        u[1] ^= v[1]
+
+    while live:
+        x = next((u for u in live if u[2] & 1), None)
+        if x is not None:
+            live.remove(x)
+            brown += 2 - x[2]  # <1/2> adds 1, <3/2> adds -1
+            for u in live:
+                if pairs(u, x):
+                    add(u, x)
+            continue
+        x = live.pop()
+        y = next((u for u in live if pairs(u, x)), None)
+        if y is None:
+            raise FormError("degenerate form: an element pairs trivially with the group")
+        live.remove(y)
+        if x[2] == y[2] == 2:
+            brown += 4
+        for u in live:
+            by, bx = pairs(u, y), pairs(u, x)
+            if by:
+                add(u, x)
+            if bx:
+                add(u, y)
+    return brown % 8
 
 
 def forms_isomorphic(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> bool:
     """2-elementary finite quadratic forms are classified by (rank, parity, Brown)."""
     if a.d != b.d or parity(a) != parity(b):
         return False
-    return brown_invariant(a) == brown_invariant(b)
+    return _brown(a) == _brown(b)
 
 
 def lattices_equivalent(a: GramLattice, b: GramLattice) -> str:
@@ -429,7 +450,11 @@ def lattices_equivalent(a: GramLattice, b: GramLattice) -> str:
 
     Returns "yes"/"no" when both inputs are even, non-degenerate, 2-periodic
     and either indefinite or definite of rank <= 2; otherwise "undecidable".
+    Such a lattice is fixed by its signature, a = rank of L*/L and δ (Nikulin
+    1979, §3.6): its discriminant form is fixed by (a, δ, Brown), and on an
+    even lattice Brown ≡ σ₊ − σ₋ (mod 8) by Milgram's formula.
     """
+    keys = []
     for l in (a, b):
         if not is_even(l):
             return "undecidable"
@@ -439,10 +464,8 @@ def lattices_equivalent(a: GramLattice, b: GramLattice) -> str:
             return "undecidable"
         if min(sig) == 0 and l.rank > 2:
             return "undecidable"
-        if _two_elementary(l.gram) is None:
+        disc = _two_elementary(l.gram)
+        if disc is None:
             return "undecidable"
-    if signature(a) != signature(b):
-        return "no"
-    return "yes" if forms_isomorphic(
-        discriminant_quadratic(a), discriminant_quadratic(b)
-    ) else "no"
+        keys.append((sig, disc.rank, disc._delta))
+    return "yes" if keys[0] == keys[1] else "no"

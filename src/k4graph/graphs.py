@@ -31,9 +31,7 @@ from .lattice import (
 )
 from .finite_forms import (
     _two_elementary,
-    discriminant_quadratic,
     lattices_equivalent,
-    parity,
     smith_normal_form,
 )
 from .catalog import Catalog, CatalogError, K3Vertex, VertexKey
@@ -217,7 +215,7 @@ def _validate_irr(neg: GramLattice, catalog: Catalog) -> None:
     dg = _two_elementary(neg.gram)
     if dg is None or dg.rank != 8:
         raise StructuralError("irr: -M_- must have 2-periodic discriminant of rank 8")
-    if parity(discriminant_quadratic(neg)) != "even":
+    if dg._delta:
         raise StructuralError("irr: -M_- must carry an even discriminant form")
     for v in catalog:
         verdict = lattices_equivalent(neg, v.lplus)

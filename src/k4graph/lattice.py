@@ -2,20 +2,19 @@
 
 Everything here is arbitrary-precision integer arithmetic; there are no
 rationals and no floating point.  Signatures come from fraction-free
-(Bareiss) symmetric elimination, whose exact divisions keep every entry a
-minor of the input, so no gcd pass is needed; its last pivot is det G, so
-one elimination, ``_elimination``, gives both the inertia and the
-determinant that ``finite_forms._two_elementary`` reads.  Orthogonal
+(Bareiss) symmetric elimination on the upper triangle, whose exact divisions
+keep every entry a minor of the input, so no gcd pass is needed; its last
+pivot is det G, so one elimination, ``_elimination``, gives both the inertia
+and the determinant that ``finite_forms._two_elementary`` reads.  Orthogonal
 complements and their coordinates come from unimodular column reduction, and
 characteristic vectors and the GF(2) kernels of discriminant groups from
 ``gf2_solve``, the one GF(2) solver of the package.
 
-``inertia`` (and so ``signature``) is memoized: it delegates to ``_inertia``,
-which reads ``_elimination``; both are ``functools.lru_cache`` keyed by the
-Gram tuple alone (labels and summands do not change the answer) and bounded
-at ``MEMO_SIZE`` entries.  This is sound because a Gram is a tuple of tuples
-of ints and the results are tuples, so neither the key nor the shared result
-can be mutated; errors are not cached.
+``inertia`` (and so ``signature``) is memoized: it reads ``_elimination``, a
+``functools.lru_cache`` keyed by the Gram tuple alone (labels and summands do
+not change the answer) and bounded at ``MEMO_SIZE`` entries.  This is sound
+because a Gram is a tuple of tuples of ints and the result is a tuple, so
+neither the key nor the shared result can be mutated; errors are not cached.
 """
 
 from __future__ import annotations
@@ -30,9 +29,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 Gram = Tuple[Tuple[int, ...], ...]
 
 # Entries per memo (the Gram-keyed ones, the per-form Brown invariant and
-# the block tables): one verify run eliminates 451 distinct Gram matrices and
-# reads 437 discriminant groups, so 1024 holds them all; the memos add about
-# 0.2 MB to its peak RSS.
+# the block tables): one verify run eliminates 451 distinct Gram matrices,
+# one memo entry each for both the inertia and the det, and reads 437
+# discriminant groups, so 1024 holds them all; the memos add about 0.2 MB to
+# its peak RSS.
 MEMO_SIZE = 1024
 
 
@@ -293,57 +293,56 @@ def norm(x: LatticeVector) -> int:
 def inertia(l: GramLattice) -> Tuple[int, int, int]:
     """Exact inertia (positive, negative, zero) by symmetric Bareiss elimination.
 
-    Each step replaces the trailing block by (p·a_ij − a_ik·a_kj) // p_prev,
+    Each step replaces the trailing block by (p·a_ij − a_0i·a_0j) // p_prev,
     a division that is exact (Bareiss 1968): every entry is a bordered minor
     of a unimodular congruent of the input, so p is a leading principal minor
-    and the step's LDLᵀ pivot has sign sign(p)·sign(p_prev).  A zero diagonal
-    is handled by the hyperbolic row+column addition, which keeps that.
+    and the step's LDLᵀ pivot has sign sign(p)·sign(p_prev).  A zero leading
+    pivot is made nonzero by one congruence, row/col 0 += ±row/col k, which
+    keeps that; an all-zero row 0 is a radical index and counts as zero.
     """
-    return _inertia(l.gram)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _inertia(gram: Gram) -> Tuple[int, int, int]:
-    return _elimination(gram)[:3]
+    return _elimination(l.gram)[:3]
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _elimination(gram: Gram) -> Tuple[int, int, int, int]:
     """(positive, negative, zero, det): the last pivot is the leading minor of
-    full size of a unimodular congruent, so it is det G when no pivot is zero."""
-    a = [list(row) for row in gram]  # the block still to eliminate
-    pos = neg = 0
+    full size of a unimodular congruent, so it is det G when no index is radical.
+
+    Only the upper triangle is stored: row i of the block holds a_ii .. a_i,m−1,
+    so row 0 is both the pivot row and the pivot column.
+    """
+    a = [list(row[i:]) for i, row in enumerate(gram)]  # the block still to eliminate
+    pos = neg = zero = 0
     prev = 1  # the last pivot, a leading principal minor
     while a:
-        m = len(a)
-        piv = next((i for i in range(m) if a[i][i]), None)
-        if piv is None:
-            off = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
-            if off is None:
-                return pos, neg, m, 0
-            i, j = off
-            a[i] = [x + y for x, y in zip(a[i], a[j])]
-            for row in a:
-                row[i] += row[j]
-            piv = i
-        if piv:
-            a[piv], a[0] = a[0], a[piv]
-            for row in a:
-                row[piv], row[0] = row[0], row[piv]
-        p = a[0][0]
+        top = a[0]
+        if not top[0]:
+            k = next((k for k in range(1, len(a)) if a[k][0]), None)
+            if k is None:
+                k = next((k for k, x in enumerate(top) if x), None)
+                if k is None:  # row and column 0 vanish: a radical index
+                    zero += 1
+                    del a[0]
+                    continue
+            # row/col 0 += s·row/col k makes a_00 = 2s·a_0k + a_kk, nonzero for
+            # this s; only row 0 changes, and it gains the full row k
+            s = 1 if 2 * top[k] + a[k][0] else -1
+            row_k = [a[j][k - j] for j in range(k)] + a[k]
+            top = a[0] = [x + s * y for x, y in zip(top, row_k)]
+            top[0] += s * top[k]
+        p = top[0]
         if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        top = a[0][1:]
         # a row with a zero in the pivot column is only rescaled by p / prev
         a = [
-            [(p * x - c * y) // prev for x, y in zip(r[1:], top)] if (c := r[0])
-            else [p * x // prev for x in r[1:]]
-            for r in a[1:]
+            [(p * x - c * y) // prev for x, y in zip(r, top[i:])] if (c := top[i])
+            else [p * x // prev for x in r]
+            for i, r in enumerate(a[1:], 1)
         ]
         prev = p
-    return pos, neg, 0, prev
+    return pos, neg, zero, 0 if zero else prev
 
 
 def signature(l: GramLattice) -> Tuple[int, int]:

@@ -1,18 +1,23 @@
 """The exact kernels against test-only copies of the eliminations they replaced.
 
-``lattice._inertia`` (Bareiss elimination) is compared with the gcd-reducing
-symmetric elimination, and ``finite_forms._discriminant_group`` (the Smith
+``lattice._elimination`` (half-matrix Bareiss elimination) is compared with
+the gcd-reducing symmetric elimination and, for its det, with a row-pivoting
+Bareiss determinant, and ``finite_forms._discriminant_group`` (the Smith
 kernel that tracks only V) with the full (U, D, V) Smith normal form that
 cleared rows and columns with per-row loops.  ``finite_forms._two_elementary``
 (the GF(2) kernel with the determinant of the Bareiss elimination) is
 compared with that Smith route on every Gram matrix the group tests meet.
+``finite_forms.brown_invariant`` (the GF(2) normal form) is compared with
+the Gauss sum over the whole group that it replaced, and
+``lattices_equivalent`` (signature, a and δ) with the full comparison of
+signature, rank, parity and Brown invariant.
 """
 
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from k4graph import (
@@ -23,8 +28,10 @@ from k4graph import (
     brown_invariant,
     classify_element,
     discriminant_quadratic,
+    find_characteristic,
     lattices_equivalent,
     parity,
+    signature,
 )
 from k4graph.finite_forms import (
     DiscriminantGroup,
@@ -32,7 +39,14 @@ from k4graph.finite_forms import (
     _two_elementary,
     bilinear_table,
 )
-from k4graph.lattice import GramLattice, _inertia, direct_sum_all, from_summands, is_even
+from k4graph.lattice import (
+    GramLattice,
+    _elimination,
+    direct_sum_all,
+    from_summands,
+    gf2_solve,
+    is_even,
+)
 from k4graph.verification import _congruent, _random_unimodular
 
 
@@ -180,10 +194,10 @@ def _dot(x, y):
 
 def _parity_and_brown(disc):
     """(parity, Brown) of an even lattice's discriminant form, built from the
-    group's lifts and duals; Brown is None above the Gauss-sum limit."""
+    group's lifts and duals."""
     qvals = tuple(_dot(n, dual) % 4 for n, dual in zip(disc.lifts, disc.duals))
     f = FiniteQuadraticForm(disc.rank, qvals, bilinear_table(disc))
-    return parity(f), brown_invariant(f) if f.d <= 12 else None
+    return parity(f), brown_invariant(f, limit=f.d)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +226,27 @@ def _symmetric(draw):
 @given(_symmetric())
 @settings(max_examples=200, deadline=None)
 def test_inertia_matches_reference_elimination(gram):
-    assert _inertia.__wrapped__(gram) == _reference_inertia(gram)
+    assert _elimination.__wrapped__(gram)[:3] == _reference_inertia(gram)
+
+
+@given(_symmetric())
+@settings(max_examples=200, deadline=None)
+def test_elimination_det_matches_reference(gram):
+    assert _elimination.__wrapped__(gram)[3] == _det(gram)
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        ((0, 1, 1), (1, 2, 0), (1, 0, 1)),  # s = -1 would make a_00 = -2 + 2 = 0
+        ((0, 1, 1), (1, -2, 0), (1, 0, 1)),  # s = +1 would
+        ((0, 3, 1), (3, 0, 1), (1, 1, 0)),  # hollow: the partner is off the diagonal
+        ((0, 0, 0), (0, 2, 1), (0, 1, 2)),  # row 0 is a radical index
+        ((0, 1, 0), (1, 0, 0), (0, 0, 0)),  # a radical index left after one step
+    ],
+)
+def test_elimination_zero_leading_pivot(gram):
+    assert _elimination.__wrapped__(gram) == (*_reference_inertia(gram), _det(gram))
 
 
 def test_inertia_matches_reference_on_catalog_and_congruences(catalog):
@@ -220,10 +254,10 @@ def test_inertia_matches_reference_on_catalog_and_congruences(catalog):
     for v in catalog:
         for lat in (v.lplus, v.lminus):
             expected = _reference_inertia(lat.gram)
-            assert _inertia.__wrapped__(lat.gram) == expected
+            assert _elimination.__wrapped__(lat.gram)[:3] == expected
             for _ in range(2):
                 moved = _congruent(lat.gram, _random_unimodular(rng, lat.rank))
-                assert _inertia.__wrapped__(moved.gram) == expected
+                assert _elimination.__wrapped__(moved.gram)[:3] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -334,3 +368,127 @@ def test_out_of_scope_grams_raise_documented_errors(gram):
     odd = next((i for i, row in enumerate(gram) if any(x % 2 for x in row)), None)
     if odd is not None:
         assert classify_element(lat, lat.basis_vector(odd)) is ElementClass.ODD
+
+
+# ---------------------------------------------------------------------------
+# Brown invariant and the lattice oracle
+# ---------------------------------------------------------------------------
+
+def _gauss_brown(f):
+    """Brown invariant mod 8 by the Gauss sum over all 2^d elements, matched
+    against 2^(d/2) times an eighth root of unity; FormError if it is not one."""
+    d = f.d
+    kvals = [0] * (1 << d)
+    rowmask = [sum((f.bvals[j][i] & 1) << i for i in range(d)) for j in range(d)]
+    re_part, im_part = 1, 0
+    for x in range(1, 1 << d):
+        j = (x & -x).bit_length() - 1
+        y = x ^ (1 << j)
+        k = (kvals[y] + f.qvals[j] + 2 * ((y & rowmask[j]).bit_count() & 1)) & 3
+        kvals[x] = k
+        if k == 0:
+            re_part += 1
+        elif k == 1:
+            im_part += 1
+        elif k == 2:
+            re_part -= 1
+        else:
+            im_part -= 1
+    if d % 2 == 0:
+        mag = 1 << (d // 2)
+        table = {(mag, 0): 0, (0, mag): 2, (-mag, 0): 4, (0, -mag): 6}
+    else:
+        mag = 1 << ((d - 1) // 2)
+        table = {(mag, mag): 1, (-mag, mag): 3, (-mag, -mag): 5, (mag, -mag): 7}
+    if (re_part, im_part) not in table:
+        raise FormError("Gauss sum is not sqrt(|G|) times an 8th root of unity")
+    return table[(re_part, im_part)]
+
+
+_TWO_ELEMENTARY = _BLOCKS[:9]  # the standard blocks
+_EVEN = _BLOCKS[1:9]  # the even ones
+# the rank of each block's discriminant group
+_DISC_RANK = {
+    "<1>": 0, "<2>": 1, "<-2>": 1, "U": 0, "U(2)": 2, "D4": 2, "E7": 1, "E8": 0, "E8(2)": 8,
+}
+
+
+@st.composite
+def _block_names(draw, blocks=_TWO_ELEMENTARY):
+    """U plus up to four standard blocks, with d <= 14."""
+    names = ["U"] + draw(st.lists(st.sampled_from(blocks), max_size=4))
+    assume(sum(_DISC_RANK[n] for n in names) <= 14)
+    return names
+
+
+def _moved(names, seed):
+    """The sum of the named blocks in a random congruent basis."""
+    lat = from_summands(names)
+    return _congruent(lat.gram, _random_unimodular(random.Random(seed), lat.rank))
+
+
+@given(_block_names(), st.integers(0, 2**32), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_normal_form_brown_matches_gauss_sum(names, seed, negate):
+    lat = _moved(names, seed)
+    f = discriminant_quadratic(lat, None if is_even(lat) else find_characteristic(lat))
+    if negate:
+        f = f.negate()
+    assert brown_invariant(f, limit=14) == _gauss_brown(f)
+
+
+@st.composite
+def _finite_forms(draw):
+    """Any symmetric 0/1 table of size <= 6, with q values that agree with
+    its diagonal; many are degenerate."""
+    d = draw(st.integers(0, 6))
+    b = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            b[i][j] = b[j][i] = draw(st.integers(0, 1))
+    q = tuple(b[i][i] + 2 * draw(st.integers(0, 1)) for i in range(d))
+    return FiniteQuadraticForm(d, q, tuple(map(tuple, b)))
+
+
+@given(_finite_forms())
+@settings(max_examples=200, deadline=None)
+def test_brown_versions_agree_and_reject_degenerate_forms(f):
+    _, radical = gf2_solve(f.bvals, [0] * f.d)
+    if radical:
+        with pytest.raises(FormError):
+            brown_invariant(f)
+        with pytest.raises(FormError):
+            _gauss_brown(f)
+    else:
+        assert brown_invariant(f) == _gauss_brown(f)
+
+
+@given(
+    _block_names(_EVEN),
+    _block_names(_EVEN),
+    st.sampled_from(("congruent", "swap", "independent")),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=80, deadline=None)
+def test_lattices_equivalent_matches_full_invariants(names, other, how, seed):
+    """b is a congruent of a, or a with each U(2) swapped for <2> + <-2> (the
+    same signature and d, δ equal iff a has another odd block), or unrelated."""
+    if how == "congruent":
+        other = names
+    elif how == "swap":
+        other = [m for n in names for m in (("<2>", "<-2>") if n == "U(2)" else (n,))]
+    a, b = _moved(names, seed), _moved(other, seed + 1)
+
+    def invariants(lat):
+        f = discriminant_quadratic(lat)
+        return signature(lat), f.d, parity(f), _gauss_brown(f)
+
+    assert lattices_equivalent(a, b) == ("yes" if invariants(a) == invariants(b) else "no")
+
+
+def test_lattices_equivalent_at_discriminant_rank_16():
+    lat = from_summands(("U", "E8(2)", "E8(2)"))
+    moved = _congruent(lat.gram, _random_unimodular(random.Random(16), lat.rank))
+    assert lattices_equivalent(lat, moved) == "yes"
+    assert lattices_equivalent(lat, from_summands(("U", "E8(2)", "E8"))) == "no"
+    assert brown_invariant(discriminant_quadratic(moved), limit=16) == 0
