@@ -468,7 +468,7 @@ def _search_vectors(
     used: List[str] = []
     used_rank = 0
     for name in names:
-        r = make_standard(name).rank
+        r = _block_data(name).rank
         if used_rank + r > RESTRICT_RANK:
             break
         used.append(name)

@@ -17,6 +17,9 @@ only the divisors and the columns of V (as the rows of Vᵀ) and skips U.
 Every internal caller asks only 2-elementary questions and reads
 ``_two_elementary``: the GF(2) kernel of the Gram matrix, and det G from the
 elimination that also gives the inertia, so each Gram is eliminated once.
+A block-diagonal Gram embeds its blocks' groups, from the same memo, at their
+offsets, which gives the whole Gram's group on either route: the GF(2) reduced
+row echelon form is unique, and a block-diagonal matrix's is its blocks'.
 
 ``_discriminant_group`` (behind ``discriminant_group``), ``_two_elementary``,
 ``_discriminant_quadratic`` (behind ``discriminant_quadratic``) and
@@ -42,6 +45,8 @@ from .lattice import (
     GramLattice,
     LatticeVector,
     LatticeError,
+    _blocks,
+    _diagonal,
     _elimination,
     _freeze,
     _json_ints,
@@ -235,8 +240,17 @@ def _two_elementary(gram: Gram) -> Optional[DiscriminantGroup]:
     ``gf2_solve`` kernel basis; the duals are G·x/2.
     """
     det = _elimination(gram)[3]
-    if det == 0:
+    if det == 0:  # decided over all blocks before any block may return None
         raise LatticeError("gram matrix is degenerate")
+    blocks = _blocks(gram)
+    if len(blocks) > 1:
+        discs = [_two_elementary(block) for block in blocks]
+        if any(disc is None for disc in discs):
+            return None
+        widths = list(map(len, blocks))
+        lifts = _diagonal([disc.lifts for disc in discs], widths)
+        duals = _diagonal([disc.duals for disc in discs], widths)
+        return DiscriminantGroup((2,) * len(lifts), lifts, duals)
     _, kernel = gf2_solve(gram, [0] * len(gram))
     if abs(det) != 1 << len(kernel):
         return None

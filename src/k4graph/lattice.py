@@ -8,7 +8,11 @@ pivot is det G, so one elimination, ``_elimination``, gives both the inertia
 and the determinant that ``finite_forms._two_elementary`` reads.  Orthogonal
 complements and their coordinates come from unimodular column reduction, and
 characteristic vectors and the GF(2) kernels of discriminant groups from
-``gf2_solve``, the one GF(2) solver of the package.
+``gf2_solve``, the one GF(2) solver of the package.  ``_diagonal`` assembles
+every direct sum in one pass, and ``_elimination`` and
+``finite_forms._two_elementary`` read a Gram's diagonal ``_blocks`` one at a
+time through their memos, so the catalog's sums of standard blocks are
+answered, exactly as whole Grams, from the nine blocks' memo entries.
 
 ``inertia`` (and so ``signature``) is memoized: it reads ``_elimination``, a
 ``functools.lru_cache`` keyed by the Gram tuple alone (labels and summands do
@@ -23,16 +27,16 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 Gram = Tuple[Tuple[int, ...], ...]
 
 # Entries per memo (the Gram-keyed ones, the per-form Brown invariant and
-# the block tables): one verify run eliminates 451 distinct Gram matrices,
-# one memo entry each for both the inertia and the det, and reads 437
-# discriminant groups, so 1024 holds them all; the memos add about 0.2 MB to
-# its peak RSS.
+# the block tables): one verify run eliminates 466 distinct Grams, diagonal
+# blocks included, one entry each for the inertia and the det, and reads 452
+# discriminant groups, so 1024 holds them all; they add 0.2 MB to its peak RSS.
 MEMO_SIZE = 1024
 
 
@@ -220,46 +224,43 @@ STANDARD_GRAMS: dict[str, Gram] = {
 
 def make_standard(name: str) -> GramLattice:
     """Build one of the named standard lattices on its fixed documented basis."""
-    try:
-        gram = STANDARD_GRAMS[name]
-    except KeyError:
-        raise LatticeError(f"unknown standard lattice {name!r}") from None
-    return GramLattice(len(gram), gram, name, (name,))
+    return from_summands((name,))
+
+
+def _diagonal(blocks: Sequence[Sequence[Tuple[int, ...]]], widths: Sequence[int]) -> Gram:
+    """The block-diagonal matrix of these blocks and widths, each row built once."""
+    n, off, rows = sum(widths), 0, []
+    for block, w in zip(blocks, widths):
+        left, right = (0,) * off, (0,) * (n - off - w)
+        rows += [left + row + right for row in block]
+        off += w
+    return tuple(rows)
 
 
 def direct_sum(a: GramLattice, b: GramLattice) -> GramLattice:
     """Block-diagonal sum; ranks add, labels concatenate."""
-    n, m = a.rank, b.rank
-    rows = []
-    for i in range(n):
-        rows.append(tuple(a.gram[i]) + (0,) * m)
-    for j in range(m):
-        rows.append((0,) * n + tuple(b.gram[j]))
-    if not a.label:
-        label = b.label
-    elif not b.label:
-        label = a.label
-    else:
-        label = f"{a.label}+{b.label}"
-    summands = None
-    if a.summands is not None and b.summands is not None:
-        summands = a.summands + b.summands
-    return GramLattice(n + m, _freeze(rows), label, summands)
+    return direct_sum_all((a, b))
 
 
 def direct_sum_all(parts: Sequence[GramLattice]) -> GramLattice:
-    out = GramLattice.empty()
-    for p in parts:
-        out = direct_sum(out, p)
-    return out
+    """Block-diagonal sum of the parts in one pass; the empty sum is labelled "0"."""
+    parts = tuple(parts)
+    named = all(p.summands is not None for p in parts)
+    summands = tuple(name for p in parts for name in p.summands) if named else None
+    label = "+".join(p.label for p in parts if p.label) if parts else "0"
+    gram = _diagonal([p.gram for p in parts], [p.rank for p in parts])
+    return GramLattice(len(gram), gram, label, summands)
 
 
 def from_summands(names: Sequence[str], label: str = "") -> GramLattice:
     """Direct sum of named standard lattices, remembering the block structure."""
-    lat = direct_sum_all([make_standard(n) for n in names])
-    if label:
-        lat = GramLattice(lat.rank, lat.gram, label, lat.summands)
-    return lat
+    names = tuple(names)
+    try:
+        grams = [STANDARD_GRAMS[name] for name in names]
+    except KeyError as exc:
+        raise LatticeError(f"unknown standard lattice {exc.args[0]!r}") from None
+    gram = _diagonal(grams, [len(g) for g in grams])
+    return GramLattice(len(gram), gram, label or "+".join(names) or "0", names)
 
 
 def rescale(l: GramLattice, k: int) -> GramLattice:
@@ -277,7 +278,7 @@ def rescale(l: GramLattice, k: int) -> GramLattice:
 
 def gram_apply(l: GramLattice, coords: Sequence[int]) -> Tuple[int, ...]:
     """The dual coordinates G·x of a vector."""
-    return tuple(sum(map(mul, row, coords)) for row in l.gram)
+    return tuple([sum(map(mul, row, coords)) for row in l.gram])
 
 
 def inner(x: LatticeVector, y: LatticeVector) -> int:
@@ -309,8 +310,13 @@ def _elimination(gram: Gram) -> Tuple[int, int, int, int]:
     full size of a unimodular congruent, so it is det G when no index is radical.
 
     Only the upper triangle is stored: row i of the block holds a_ii .. a_i,m−1,
-    so row 0 is both the pivot row and the pivot column.
+    so row 0 is both the pivot row and the pivot column.  A block-diagonal
+    Gram adds its blocks' counts and multiplies their dets, through this memo.
     """
+    blocks = _blocks(gram)
+    if len(blocks) > 1:
+        pos, neg, zero, dets = zip(*map(_elimination, blocks))
+        return sum(pos), sum(neg), sum(zero), prod(dets)
     a = [list(row[i:]) for i, row in enumerate(gram)]  # the block still to eliminate
     pos = neg = zero = 0
     prev = 1  # the last pivot, a leading principal minor
@@ -343,6 +349,26 @@ def _elimination(gram: Gram) -> Tuple[int, int, int, int]:
         ]
         prev = p
     return pos, neg, zero, 0 if zero else prev
+
+
+def _blocks(gram: Gram) -> List[Gram]:
+    """The finest split of a symmetric Gram into contiguous diagonal blocks, in
+    order.  A row only moves the end of its block past its last nonzero entry,
+    and once the end is n every later row is in the last block, so a dense
+    Gram costs O(n) steps, and its only block is the Gram itself."""
+    n = len(gram)
+    cuts, end = [], 0
+    for i, row in enumerate(gram):
+        if i == end:  # the block before row i has closed
+            cuts.append(i)
+            end = i + 1
+        while end < n and any(row[end:]):
+            end += 1
+        if end == n:
+            break
+    if len(cuts) == 1:
+        return [gram]
+    return [tuple([r[s:e] for r in gram[s:e]]) for s, e in zip(cuts, cuts[1:] + [n])]
 
 
 def signature(l: GramLattice) -> Tuple[int, int]:

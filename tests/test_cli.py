@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -67,6 +68,25 @@ def test_build_summaries_differ_in_one_vertex_two_edges(capsys):
     e4 = {(e["from"], e["to"], e["class"]) for e in g4["edges"]}
     assert e3 - e4 == {("[7S]", "[8S]_I", "wu")}
     assert e4 - e3 == {("[3S]", "irr", "wu")}
+
+
+# sha256 of stdout, pinned at commit 3b2ff15, before block-diagonal Grams were
+# eliminated per block; a kernel change must leave these bytes alone
+_STDOUT_SHA256 = {
+    "catalog --format json": "48be2b04a1695e1e2ea51c5da0a929c6b471d7c0a78a8db1bede3a7f40916319",
+    "catalog --format table": "18889c9f23d4136210564a457b4ba825de9cec6cb32dedd43f6db953ef07ee1d",
+    "build --graph k3 --format json": "b569519aa2c14bc726c798898b65061dfc928300d801686cb393f42391092e3d",
+    "build --graph k3 --format dot": "08877101ecbdae70360308cacadd0401ff63ae3552ca2631a3e20c72bbda0ff6",
+    "build --graph k4 --format json": "9b021c860b290b5023a723c3f5a4d97b7f66509057546d4716a52df8d7d5d5d1",
+    "build --graph k4 --format dot": "9b5e9473a3d4917a0c5504ebe05e3ea304ac9cf69762a3b17d20e7e847458aad",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_STDOUT_SHA256))
+def test_output_bytes_are_pinned(argv, capsys):
+    code, out, _ = run_cli(argv.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _STDOUT_SHA256[argv]
 
 
 def test_export_writes_file(tmp_path, capsys):

@@ -10,9 +10,13 @@ compared with that Smith route on every Gram matrix the group tests meet.
 ``finite_forms.brown_invariant`` (the GF(2) normal form) is compared with
 the Gauss sum over the whole group that it replaced, and
 ``lattices_equivalent`` (signature, a and δ) with the full comparison of
-signature, rank, parity and Brown invariant.
+signature, rank, parity and Brown invariant.  The block route of
+``_elimination`` and ``_two_elementary`` is compared with the whole-Gram
+elimination, and the one-pass block-diagonal assembly with the pairwise fold
+it replaced.
 """
 
+import itertools
 import math
 import random
 
@@ -40,8 +44,11 @@ from k4graph.finite_forms import (
     bilinear_table,
 )
 from k4graph.lattice import (
+    STANDARD_GRAMS,
     GramLattice,
+    _blocks,
     _elimination,
+    _freeze,
     direct_sum_all,
     from_summands,
     gf2_solve,
@@ -492,3 +499,111 @@ def test_lattices_equivalent_at_discriminant_rank_16():
     assert lattices_equivalent(lat, moved) == "yes"
     assert lattices_equivalent(lat, from_summands(("U", "E8(2)", "E8"))) == "no"
     assert brown_invariant(discriminant_quadratic(moved), limit=16) == 0
+
+
+# ---------------------------------------------------------------------------
+# block-diagonal Grams: one-pass assembly and the per-block route
+# ---------------------------------------------------------------------------
+
+def _whole_two_elementary(gram):
+    """The GF(2) route on the whole Gram, blocks or not: det by row-pivoting
+    Bareiss, the ``gf2_solve`` kernel basis as lifts, G·x/2 as duals."""
+    det = _det(gram)
+    if det == 0:
+        raise LatticeError("gram matrix is degenerate")
+    _, kernel = gf2_solve(gram, [0] * len(gram))
+    if abs(det) != 1 << len(kernel):
+        return None
+    duals = tuple(tuple(_dot(row, x) // 2 for row in gram) for x in kernel)
+    return DiscriminantGroup((2,) * len(kernel), _freeze(kernel), duals)
+
+
+def _check_block_route(gram):
+    """Both block-route kernels equal the whole-Gram references, or both
+    sides raise LatticeError."""
+    assert _elimination.__wrapped__(gram) == (*_reference_inertia(gram), _det(gram))
+    try:
+        expected = _whole_two_elementary(gram)
+    except LatticeError:
+        with pytest.raises(LatticeError):
+            _two_elementary.__wrapped__(gram)
+    else:
+        assert _two_elementary.__wrapped__(gram) == expected
+
+
+def _pairwise_sum(parts):
+    """The fold the one-pass assembly replaced: one direct sum per part."""
+    rank, gram, summands = 0, (), ()
+    for p in parts:
+        rows = [tuple(r) + (0,) * p.rank for r in gram]
+        rows += [(0,) * rank + tuple(r) for r in p.gram]
+        rank, gram = rank + p.rank, _freeze(rows)
+        summands = None if None in (summands, p.summands) else summands + p.summands
+    return rank, gram, summands
+
+
+def _split_points(gram):
+    """Every k with 0 < k < n at which the Gram splits into two diagonal blocks."""
+    n = len(gram)
+    return [k for k in range(1, n) if not any(gram[i][j] for i in range(k) for j in range(k, n))]
+
+
+def test_block_route_on_catalog(catalog):
+    for v in catalog:
+        for lat in (v.lplus, v.lminus):
+            sizes = [len(STANDARD_GRAMS[name]) for name in lat.summands]
+            assert list(map(len, _blocks(lat.gram))) == sizes
+            _check_block_route(lat.gram)
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(sorted(STANDARD_GRAMS)), _symmetric()), min_size=1, max_size=5
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_block_route_on_random_block_sums(parts):
+    """Standard blocks mixed with random symmetric ones: degenerate, odd and
+    non-2-elementary blocks included."""
+    grams = [STANDARD_GRAMS[p] if isinstance(p, str) else p for p in parts]
+    gram = direct_sum_all([GramLattice.from_rows(g) for g in grams]).gram
+    _check_block_route(gram)
+    blocks = _blocks(gram)
+    assert direct_sum_all([GramLattice.from_rows(b) for b in blocks]).gram == gram
+    ends = list(itertools.accumulate(map(len, blocks)))
+    assert ends == _split_points(gram) + ([len(gram)] if gram else [])
+    assert not any(_split_points(b) for b in blocks)
+
+
+@pytest.mark.parametrize("gram", [((3, 0), (0, 0)), ((0, 0), (0, 3))])
+def test_block_route_decides_degeneracy_first(gram):
+    """The non-2-elementary block <3> must not hide the degenerate one."""
+    assert _elimination.__wrapped__(gram) == (1, 0, 1, 0)
+    with pytest.raises(LatticeError):
+        _two_elementary.__wrapped__(gram)
+
+
+def test_blocks_of_small_grams():
+    assert _blocks(()) == []
+    dense = ((2, 1, 1), (1, 2, 1), (1, 1, 2))
+    assert len(_blocks(dense)) == 1 and _blocks(dense)[0] is dense
+    # A3 closes only at its last row, though its first row stops at column 1
+    a3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+    # row 0 reaches column 2 past a zero; <6> sits between two blocks
+    gram = direct_sum_all(
+        [GramLattice.from_rows(g) for g in (a3, ((6,),), ((2, 0, 1), (0, 2, 0), (1, 0, 2)))]
+    ).gram
+    assert _blocks(gram) == [a3, ((6,),), ((2, 0, 1), (0, 2, 0), (1, 0, 2))]
+    assert _blocks(((0, 0), (0, 0))) == [((0,),), ((0,),)]
+
+
+@given(st.lists(st.sampled_from(sorted(STANDARD_GRAMS)), max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_one_pass_sum_matches_pairwise_fold(names):
+    parts = [_block(n) for n in names]
+    lat = from_summands(names)
+    assert (lat.rank, lat.gram, lat.summands) == _pairwise_sum(parts)
+    summed = direct_sum_all(parts)
+    assert (summed.rank, summed.gram, summed.summands) == _pairwise_sum(parts)
+    unnamed = [GramLattice.from_rows(p.gram) for p in parts]
+    assert direct_sum_all(unnamed).summands == (None if names else ())

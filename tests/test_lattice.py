@@ -26,6 +26,7 @@ from k4graph import (
     twist,
 )
 from k4graph.lattice import (
+    direct_sum_all,
     from_summands,
     gf2_solve,
     gram_apply,
@@ -109,6 +110,20 @@ def test_direct_sum_empty_identity():
     u = make_standard("U")
     assert direct_sum(u, GramLattice.empty()).gram == u.gram
     assert direct_sum(GramLattice.empty(), u).gram == u.gram
+
+
+def test_sum_labels():
+    """An unlabelled sum is labelled by its parts, with no "0" for the empty
+    start of a fold; only the empty sum reads "0"."""
+    u, e8 = make_standard("U"), make_standard("E8")
+    assert from_summands(("U", "E8")).label == "U+E8"
+    assert direct_sum_all([u, e8]).label == "U+E8"
+    assert direct_sum(u, e8).label == "U+E8"
+    assert from_summands(("U", "E8"), label="demo").label == "demo"
+    assert from_summands(()).label == direct_sum_all([]).label == "0"
+    assert direct_sum_all([GramLattice.from_rows([[2]]), u]).label == "U"
+    # any iterable is read once
+    assert direct_sum_all(iter([u, e8])).summands == from_summands(iter(["U", "E8"])).summands
 
 
 def test_rescale():
