@@ -9,10 +9,9 @@ invariant before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .lattice import GramLattice, from_summands, is_even, signature
+from .lattice import GramLattice, _Record, _set, from_summands, is_even, signature
 from .finite_forms import _two_elementary
 
 
@@ -77,21 +76,24 @@ EXCEPTIONAL: Tuple[Tuple[str, Optional[Tuple[int, int]], Tuple[str, ...], Tuple[
 )
 
 
-@dataclass(frozen=True)
-class TopType:
+class TopType(_Record, frozen=True):
     """Topological type of the real locus: S_p + qS, a pair of tori, or empty."""
 
-    kind: str  # "spheres" | "two_tori" | "empty"
-    p: Optional[int] = None
-    q: Optional[int] = None
-    subscript_I: bool = False
+    __slots__ = ("kind", "p", "q", "subscript_I")
 
-    def __post_init__(self) -> None:
-        if self.kind == "spheres":
-            if self.p is None or self.q is None or self.p < 0 or self.q < 0:
+    def __init__(
+        self, kind: str, p: Optional[int] = None, q: Optional[int] = None,
+        subscript_I: bool = False,
+    ) -> None:
+        if kind == "spheres":
+            if p is None or q is None or p < 0 or q < 0:
                 raise CatalogError("S_p + qS types need p >= 0 and q >= 0")
-        elif self.kind not in ("two_tori", "empty"):
-            raise CatalogError(f"unknown topological kind {self.kind!r}")
+        elif kind not in ("two_tori", "empty"):
+            raise CatalogError(f"unknown topological kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "subscript_I", subscript_I)
 
 
 class VertexKey(NamedTuple):
@@ -100,17 +102,22 @@ class VertexKey(NamedTuple):
     vtype: str  # "I" | "II"
 
 
-@dataclass(frozen=True)
-class K3Vertex:
+class K3Vertex(_Record, frozen=True):
     """One catalog entry: a real K3-involution class with its eigenlattices."""
 
-    vid: str
-    top: TopType
-    lplus: GramLattice
-    lminus: GramLattice
-    r: int
-    d: int
-    vtype: str
+    __slots__ = ("vid", "top", "lplus", "lminus", "r", "d", "vtype")
+
+    def __init__(
+        self, vid: str, top: TopType, lplus: GramLattice, lminus: GramLattice,
+        r: int, d: int, vtype: str,
+    ) -> None:
+        _set(self, "vid", vid)
+        _set(self, "top", top)
+        _set(self, "lplus", lplus)
+        _set(self, "lminus", lminus)
+        _set(self, "r", r)
+        _set(self, "d", d)
+        _set(self, "vtype", vtype)
 
     @property
     def key(self) -> VertexKey:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, product
 from operator import mul
@@ -37,6 +36,8 @@ from .lattice import (
     GramLattice,
     LatticeError,
     LatticeVector,
+    STANDARD_GRAMS,
+    _Record,
     gf2_solve,
     gram_apply,
     make_standard,
@@ -258,10 +259,12 @@ def _value_order(bound: int) -> List[int]:
 # bounded search
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _SearchState:
-    visited: int = 0
-    budget: int = DEFAULT_BUDGET
+class _SearchState(_Record):
+    __slots__ = ("visited", "budget")
+
+    def __init__(self, visited: int = 0, budget: int = DEFAULT_BUDGET) -> None:
+        self.visited = visited
+        self.budget = budget
 
     def tick(self, n: int = 1) -> None:
         self.visited += n
@@ -541,7 +544,7 @@ def _vector(
     names = v.lminus_summands
     out = [0] * v.lminus.rank
     for name, coords in pieces:
-        off = sum(make_standard(b).rank for b in names[: names.index(name)]) if name else 0
+        off = sum(len(STANDARD_GRAMS[b]) for b in names[: names.index(name)]) if name else 0
         out[off : off + len(coords)] = coords
     return v.lminus.vector(out)
 

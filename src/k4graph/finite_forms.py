@@ -27,14 +27,13 @@ row echelon form is unique, and a block-diagonal matrix's is its blocks'.
 ``lattice.MEMO_SIZE`` entries.  The key is the Gram tuple, or the form and
 the limit for Brown; for ``discriminant_quadratic`` it also holds the
 coordinates of the characteristic vector, on odd lattices only (even lattices
-ignore it).  The results are frozen dataclasses of tuples, or ints, so every
+ignore it).  The results are frozen records of tuples, or ints, so every
 caller may share one; errors are not cached.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -51,6 +50,8 @@ from .lattice import (
     _freeze,
     _json_ints,
     _json_object,
+    _Record,
+    _set,
     gf2_solve,
     is_even,
     signature,
@@ -158,8 +159,7 @@ def _smith(
 # discriminant groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(_Record, frozen=True):
     """L*/L presented by elementary divisors and integer generator lifts.
 
     The i-th generator is g_i = lifts[i] / divisors[i], stored as its integer
@@ -168,9 +168,12 @@ class DiscriminantGroup:
     / divisors[i]: every pairing is a dot product of integer vectors.
     """
 
-    divisors: Tuple[int, ...]
-    lifts: IntMatrix
-    duals: IntMatrix
+    __slots__ = ("divisors", "lifts", "duals")
+
+    def __init__(self, divisors: Tuple[int, ...], lifts: IntMatrix, duals: IntMatrix) -> None:
+        _set(self, "divisors", divisors)
+        _set(self, "lifts", lifts)
+        _set(self, "duals", duals)
 
     @property
     def order(self) -> int:
@@ -271,33 +274,33 @@ def bilinear_table(disc: DiscriminantGroup) -> IntMatrix:
 # finite quadratic forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteQuadraticForm:
+class FiniteQuadraticForm(_Record, frozen=True):
     """A quadratic form q: (Z/2)^d -> Q/2Z with bilinear form b -> Q/Z.
 
     qvals[i] stores 2·q(g_i) mod 4 and bvals[i][j] stores 2·b(g_i,g_j) mod 2
     for a fixed generating set g_1..g_d.
     """
 
-    d: int
-    qvals: Tuple[int, ...]
-    bvals: IntMatrix
+    __slots__ = ("d", "qvals", "bvals")
 
-    def __post_init__(self) -> None:
-        if len(self.qvals) != self.d or len(self.bvals) != self.d:
+    def __init__(self, d: int, qvals: Tuple[int, ...], bvals: IntMatrix) -> None:
+        if len(qvals) != d or len(bvals) != d:
             raise FormError("value tables do not match rank d")
-        if any(len(row) != self.d for row in self.bvals):
+        if any(len(row) != d for row in bvals):
             raise FormError("bilinear table is not square")
-        for i in range(self.d):
-            if not 0 <= self.qvals[i] < 4:
+        for i in range(d):
+            if not 0 <= qvals[i] < 4:
                 raise FormError("quadratic values must be reduced mod 4")
-            for j in range(self.d):
-                if self.bvals[i][j] not in (0, 1):
+            for j in range(d):
+                if bvals[i][j] not in (0, 1):
                     raise FormError("bilinear values must be reduced mod 2")
-                if self.bvals[i][j] != self.bvals[j][i]:
+                if bvals[i][j] != bvals[j][i]:
                     raise FormError("bilinear table is not symmetric")
-            if self.qvals[i] % 2 != self.bvals[i][i]:
+            if qvals[i] % 2 != bvals[i][i]:
                 raise FormError("q mod Z must agree with b on the diagonal")
+        _set(self, "d", d)
+        _set(self, "qvals", qvals)
+        _set(self, "bvals", bvals)
 
     def q_of(self, x: Sequence[int]) -> int:
         """2·q(sum x_i g_i) mod 4 via the quadratic extension rule."""

@@ -8,7 +8,6 @@ stated in ``IRREGULAR``, which replaces [8S]_I by the sentinel vertex ``irr``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -17,7 +16,9 @@ from .lattice import (
     GramLattice,
     LatticeError,
     LatticeVector,
+    _Record,
     _complement,
+    _set,
     direct_sum,
     from_summands,
     gram_apply,
@@ -55,25 +56,33 @@ class StructuralError(RuntimeError):
     """A built graph violates one of its structural guarantees."""
 
 
-@dataclass(frozen=True)
-class EdgeLabel:
-    origin: VertexKey
-    cls: ElementClass
-    square: int  # -2 for K3 edges, 6 for K4 edges
+class EdgeLabel(_Record, frozen=True):
+    __slots__ = ("origin", "cls", "square")
+
+    def __init__(self, origin: VertexKey, cls: ElementClass, square: int) -> None:
+        _set(self, "origin", origin)
+        _set(self, "cls", cls)
+        _set(self, "square", square)  # -2 for K3 edges, 6 for K4 edges
 
 
-@dataclass(frozen=True)
-class GraphEdge:
-    src: str
-    dst: str
-    label: EdgeLabel
+class GraphEdge(_Record, frozen=True):
+    __slots__ = ("src", "dst", "label")
+
+    def __init__(self, src: str, dst: str, label: EdgeLabel) -> None:
+        _set(self, "src", src)
+        _set(self, "dst", dst)
+        _set(self, "label", label)
 
 
-@dataclass(frozen=True)
-class DeformationGraph:
-    kind: str  # "k3" | "k4"
-    vertex_ids: Tuple[str, ...]
-    edges: Tuple[GraphEdge, ...]
+class DeformationGraph(_Record, frozen=True):
+    __slots__ = ("kind", "vertex_ids", "edges")
+
+    def __init__(
+        self, kind: str, vertex_ids: Tuple[str, ...], edges: Tuple[GraphEdge, ...]
+    ) -> None:
+        _set(self, "kind", kind)  # "k3" | "k4"
+        _set(self, "vertex_ids", vertex_ids)
+        _set(self, "edges", edges)
 
     def out_edges(self, vid: str) -> Tuple[GraphEdge, ...]:
         return tuple(e for e in self.edges if e.src == vid)
@@ -104,11 +113,13 @@ class DeformationGraph:
         return len(seen) == len(self.vertex_ids)
 
 
-@dataclass(frozen=True)
-class K4VertexData:
-    key: str
-    mminus: GramLattice
-    source: str  # the corresponding K3 vertex id, or "irr"
+class K4VertexData(_Record, frozen=True):
+    __slots__ = ("key", "mminus", "source")
+
+    def __init__(self, key: str, mminus: GramLattice, source: str) -> None:
+        _set(self, "key", key)
+        _set(self, "mminus", mminus)
+        _set(self, "source", source)  # the corresponding K3 vertex id, or "irr"
 
 
 # The lattice identification of the irregular K4 vertex: -M_- = U(2) + 3D4.
@@ -227,12 +238,16 @@ def _validate_irr(neg: GramLattice, catalog: Catalog) -> None:
 # regular subgraphs and the graph isomorphism F
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FReport:
-    vertices: int
-    edges: int
-    bijective: bool
-    mismatches: List[str] = field(default_factory=list)
+class FReport(_Record):
+    __slots__ = ("vertices", "edges", "bijective", "mismatches")
+
+    def __init__(
+        self, vertices: int, edges: int, bijective: bool, mismatches: Optional[List[str]] = None
+    ) -> None:
+        self.vertices = vertices
+        self.edges = edges
+        self.bijective = bijective
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def ok(self) -> bool:
@@ -286,22 +301,22 @@ def k4_equals_k3_after_swap(k3: DeformationGraph, k4: DeformationGraph) -> bool:
 # flips and flip cycles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlipTriple:
+class FlipTriple(_Record, frozen=True):
     """An orthogonal pair h, v in L-(c) with h^2 = 6, v^2 = -2."""
 
-    h: LatticeVector
-    v: LatticeVector
+    __slots__ = ("h", "v")
 
-    def __post_init__(self) -> None:
-        if self.h.ambient.gram != self.v.ambient.gram:
+    def __init__(self, h: LatticeVector, v: LatticeVector) -> None:
+        if h.ambient.gram != v.ambient.gram:
             raise LatticeError("flip pair must share one ambient lattice")
-        if norm(self.h) != 6:
-            raise LatticeError(f"h^2 = {norm(self.h)} != 6")
-        if norm(self.v) != -2:
-            raise LatticeError(f"v^2 = {norm(self.v)} != -2")
-        if inner(self.h, self.v) != 0:
+        if norm(h) != 6:
+            raise LatticeError(f"h^2 = {norm(h)} != 6")
+        if norm(v) != -2:
+            raise LatticeError(f"v^2 = {norm(v)} != -2")
+        if inner(h, v) != 0:
             raise LatticeError("h and v are not orthogonal")
+        _set(self, "h", h)
+        _set(self, "v", v)
 
     @property
     def ambient(self) -> GramLattice:
@@ -336,11 +351,13 @@ def find_flip_triple(v: K3Vertex, bound: int = 3, limit: int = 40) -> Optional[F
     return None
 
 
-@dataclass
-class FlipCycleReport:
-    origin: str
-    identities: List[bool]
-    detail: List[str]
+class FlipCycleReport(_Record):
+    __slots__ = ("origin", "identities", "detail")
+
+    def __init__(self, origin: str, identities: List[bool], detail: List[str]) -> None:
+        self.origin = origin
+        self.identities = identities
+        self.detail = detail
 
     @property
     def ok(self) -> bool:
@@ -411,22 +428,32 @@ def verify_flip_cycle(
 # basic cycles
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BasicCycle:
-    origin: str
-    even_cls: ElementClass
-    edges_pos: Tuple[Tuple[str, ElementClass], ...]  # traversed forwards
-    edges_neg: Tuple[Tuple[str, ElementClass], ...]  # traversed backwards
-    regular: bool
+class BasicCycle(_Record):
+    __slots__ = ("origin", "even_cls", "edges_pos", "edges_neg", "regular")
+
+    def __init__(
+        self, origin: str, even_cls: ElementClass, edges_pos: Tuple[Tuple[str, ElementClass], ...],
+        edges_neg: Tuple[Tuple[str, ElementClass], ...], regular: bool,
+    ) -> None:
+        self.origin = origin
+        self.even_cls = even_cls
+        self.edges_pos = edges_pos  # traversed forwards
+        self.edges_neg = edges_neg  # traversed backwards
+        self.regular = regular
 
 
-@dataclass
-class BasicCycleReport:
-    cycles: List[BasicCycle]
-    all_regular: bool
-    cycle_rank: int  # |E| - |V| + 1 of the K3 graph
-    incidence_rank: int
-    incidence_divisors: Tuple[int, ...]
+class BasicCycleReport(_Record):
+    __slots__ = ("cycles", "all_regular", "cycle_rank", "incidence_rank", "incidence_divisors")
+
+    def __init__(
+        self, cycles: List[BasicCycle], all_regular: bool, cycle_rank: int, incidence_rank: int,
+        incidence_divisors: Tuple[int, ...],
+    ) -> None:
+        self.cycles = cycles
+        self.all_regular = all_regular
+        self.cycle_rank = cycle_rank  # |E| - |V| + 1 of the K3 graph
+        self.incidence_rank = incidence_rank
+        self.incidence_divisors = incidence_divisors
 
     @property
     def count_matches_rank(self) -> bool:
@@ -546,11 +573,16 @@ def synthesize_k4_plus(c: K3Vertex, h: LatticeVector) -> GramLattice:
 # per-edge lattice checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StructuralReport:
-    verified: int
-    undecidable: List[str] = field(default_factory=list)
-    failures: List[str] = field(default_factory=list)
+class StructuralReport(_Record):
+    __slots__ = ("verified", "undecidable", "failures")
+
+    def __init__(
+        self, verified: int, undecidable: Optional[List[str]] = None,
+        failures: Optional[List[str]] = None,
+    ) -> None:
+        self.verified = verified
+        self.undecidable = [] if undecidable is None else undecidable
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

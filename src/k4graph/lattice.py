@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from operator import mul
@@ -48,8 +47,49 @@ def _freeze(rows: Iterable[Iterable[int]]) -> Gram:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-@dataclass(frozen=True)
-class GramLattice:
+class _Record:
+    """Field equality and a dataclass-style repr over a subclass's ``__slots__``.
+
+    A record is unhashable, like a dataclass with ``eq``, unless its class is
+    declared with ``frozen=True``: then it hashes the tuple of its fields and
+    refuses assignment, so ``__init__`` sets the fields through ``_set``.
+    Copies and pickles are rebuilt through ``__init__``.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls, frozen: bool = False) -> None:
+        if frozen:
+            cls.__hash__ = _Record._hash
+            cls.__setattr__ = cls.__delattr__ = _Record._refuse
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def _hash(self) -> int:
+        return hash(self._values())
+
+    def _refuse(self, name: str, *value) -> None:
+        raise AttributeError(f"{self.__class__.__name__} is frozen: cannot set or delete {name!r}")
+
+
+_set = object.__setattr__
+
+
+class GramLattice(_Record, frozen=True):
     """A finite-rank integer symmetric bilinear form given by its Gram matrix.
 
     ``summands`` optionally records the ordered standard-block decomposition
@@ -57,20 +97,24 @@ class GramLattice:
     bounded vector searches exploit it, everything else ignores it.
     """
 
-    rank: int
-    gram: Gram
-    label: str = ""
-    summands: Optional[Tuple[str, ...]] = None
+    __slots__ = ("rank", "gram", "label", "summands")
 
-    def __post_init__(self) -> None:
-        if self.rank < 0:
+    def __init__(
+        self, rank: int, gram: Gram, label: str = "", summands: Optional[Tuple[str, ...]] = None
+    ) -> None:
+        if rank < 0:
             raise LatticeError("rank must be non-negative")
-        if len(self.gram) != self.rank or any(len(r) != self.rank for r in self.gram):
+        if len(gram) != rank or any(len(r) != rank for r in gram):
             raise LatticeError("gram matrix shape does not match rank")
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise LatticeError(f"gram matrix is not symmetric at ({i},{j})")
+        if tuple(zip(*gram)) != gram:  # the transpose is built in C; walk only on a miss
+            for i in range(rank):
+                for j in range(i + 1, rank):
+                    if gram[i][j] != gram[j][i]:
+                        raise LatticeError(f"gram matrix is not symmetric at ({i},{j})")
+        _set(self, "rank", rank)
+        _set(self, "gram", gram)
+        _set(self, "label", label)
+        _set(self, "summands", summands)
 
     @classmethod
     def empty(cls) -> "GramLattice":
@@ -150,16 +194,16 @@ def _json_ints(value, depth: int, error: type):
     raise error(f"expected an exact integer, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class LatticeVector:
+class LatticeVector(_Record, frozen=True):
     """An integer coordinate vector in a fixed ambient GramLattice basis."""
 
-    coords: Tuple[int, ...]
-    ambient: GramLattice
+    __slots__ = ("coords", "ambient")
 
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.ambient.rank:
+    def __init__(self, coords: Tuple[int, ...], ambient: GramLattice) -> None:
+        if len(coords) != ambient.rank:
             raise LatticeError("vector length does not match ambient rank")
+        _set(self, "coords", coords)
+        _set(self, "ambient", ambient)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

@@ -11,13 +11,12 @@ witnesses.
 
 from __future__ import annotations
 
-import inspect
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from .lattice import (
     GramLattice,
+    _Record,
     direct_sum,
     from_summands,
     inner,
@@ -50,11 +49,15 @@ from .elements import (
 from . import graphs as G
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    failures: List[str] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
+class SuiteResult(_Record):
+    __slots__ = ("name", "failures", "notes")
+
+    def __init__(
+        self, name: str, failures: Optional[List[str]] = None, notes: Optional[List[str]] = None
+    ) -> None:
+        self.name = name
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
 
     @property
     def ok(self) -> bool:
@@ -340,8 +343,9 @@ def run_suites(names: Optional[List[str]] = None) -> List[SuiteResult]:
     results = []
     for name in selected:
         fn = SUITES[name]
-        # signature() follows __wrapped__, so a wrapped suite still reads as its own
-        if "catalog" in inspect.signature(fn).parameters:
+        # a wrapped suite (functools.wraps sets __wrapped__) reads as its own
+        code = getattr(fn, "__wrapped__", fn).__code__
+        if "catalog" in code.co_varnames[: code.co_argcount]:
             if cat is None:
                 cat = build_catalog()
             results.append(fn(cat))

@@ -2,6 +2,7 @@ import pytest
 
 from k4graph import (
     CatalogError,
+    K3Vertex,
     VertexKey,
     brown_invariant,
     build_catalog,
@@ -167,10 +168,8 @@ def test_principal_pairing_consistency(catalog):
 
 
 def test_coords_rejects_inconsistent_entry(catalog):
-    import dataclasses
-
     v = catalog.by_id("[S4+2S]")
-    broken = dataclasses.replace(v, r=v.r + 1)
+    broken = K3Vertex(v.vid, v.top, v.lplus, v.lminus, v.r + 1, v.d, v.vtype)
     assert f"r = {v.r + 1} != 11 - p + q = {v.r}" in catalog_mod._validate_vertex(broken)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,10 +160,17 @@ def test_run_suites_reads_signatures_through_wrappers(monkeypatch):
             seen[_name] = len(args)
             return _fn(*args)
         monkeypatch.setitem(verification.SUITES, name, functools.wraps(fn)(wrapper))
-    results = verification.run_suites(["lattice", "catalog"])
-    assert [r.name for r in results] == ["lattice", "catalog"]
+
+    def suite_local(*args):
+        catalog = verification.SuiteResult("local")  # a local, not a parameter
+        seen["local"] = len(args)
+        return catalog
+
+    monkeypatch.setitem(verification.SUITES, "local", suite_local)
+    results = verification.run_suites(["lattice", "catalog", "local"])
+    assert [r.name for r in results] == ["lattice", "catalog", "local"]
     assert all(r.ok for r in results)
-    assert seen == {"lattice": 0, "catalog": 1}
+    assert seen == {"lattice": 0, "catalog": 1, "local": 0}
 
 
 def test_cli_entry_point_runs():
@@ -173,6 +181,25 @@ def test_cli_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.count("\n") >= 75
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every short CLI process pays for what `import k4graph.cli` loads, and a
+    # benchmark tracer rebinds names in these six modules right after it
+    import k4graph
+
+    src = str(Path(k4graph.__file__).resolve().parent.parent)
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import k4graph.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m in sys.argv[2:])))"
+    )
+    modules = ["lattice", "finite_forms", "catalog", "elements", "graphs", "verification"]
+    wanted = ["dataclasses", "inspect"] + [f"k4graph.{m}" for m in modules]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, src, *wanted], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == sorted(wanted[2:])
 
 
 @pytest.mark.parametrize("bound", ["0", "-1", "x"])
