@@ -601,11 +601,23 @@ def _wu_witness(v: K3Vertex, n: int) -> Optional[LatticeVector]:
 
 
 def _odd_bumps(s: int, t: int, need: int) -> Iterator[Tuple[int, ...]]:
-    """All-odd diagonal vectors (values 1/3/5) hitting base + need exactly."""
-    for vals in product((1, 3, 5), repeat=s + t):
-        delta = 0
-        for i, val in enumerate(vals):
-            step = val * val - 1  # 0, 8, 24
-            delta += 2 * step if i < s else -2 * step
-        if delta == need:
-            yield vals
+    """All-odd diagonal vectors (values 1/3/5) hitting base + need exactly, in
+    lexicographic order.  Raising slot i from 1 to 3 or 5 adds ±16 or ±48 (+
+    on the first s slots), and a prefix is extended only where the deltas
+    its suffix can reach include what is still needed."""
+    signs = (1,) * s + (-1,) * t
+    reach = [{0}]  # reach[k]: the deltas the last k slots can add
+    for sign in reversed(signs):
+        reach.append({r + sign * d for r in reach[-1] for d in (0, 16, 48)})
+
+    def walk(prefix: Tuple[int, ...], rest: int) -> Iterator[Tuple[int, ...]]:
+        if len(prefix) == len(signs):
+            yield prefix
+            return
+        sign, left = signs[len(prefix)], reach[len(signs) - len(prefix) - 1]
+        for val, d in ((1, 0), (3, 16), (5, 48)):
+            if rest - sign * d in left:
+                yield from walk(prefix + (val,), rest - sign * d)
+
+    if need in reach[-1]:
+        yield from walk((), need)

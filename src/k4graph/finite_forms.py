@@ -44,7 +44,6 @@ from .lattice import (
     GramLattice,
     LatticeVector,
     LatticeError,
-    _blocks,
     _diagonal,
     _elimination,
     _freeze,
@@ -52,6 +51,7 @@ from .lattice import (
     _json_object,
     _Record,
     _set,
+    _split,
     gf2_solve,
     is_even,
     signature,
@@ -245,7 +245,7 @@ def _two_elementary(gram: Gram) -> Optional[DiscriminantGroup]:
     det = _elimination(gram)[3]
     if det == 0:  # decided over all blocks before any block may return None
         raise LatticeError("gram matrix is degenerate")
-    blocks = _blocks(gram)
+    blocks = _split(gram)
     if len(blocks) > 1:
         discs = [_two_elementary(block) for block in blocks]
         if any(disc is None for disc in discs):

@@ -5,14 +5,17 @@ rationals and no floating point.  Signatures come from fraction-free
 (Bareiss) symmetric elimination on the upper triangle, whose exact divisions
 keep every entry a minor of the input, so no gcd pass is needed; its last
 pivot is det G, so one elimination, ``_elimination``, gives both the inertia
-and the determinant that ``finite_forms._two_elementary`` reads.  Orthogonal
-complements and their coordinates come from unimodular column reduction, and
-characteristic vectors and the GF(2) kernels of discriminant groups from
-``gf2_solve``, the one GF(2) solver of the package.  ``_diagonal`` assembles
-every direct sum in one pass, and ``_elimination`` and
-``finite_forms._two_elementary`` read a Gram's diagonal ``_blocks`` one at a
-time through their memos, so the catalog's sums of standard blocks are
-answered, exactly as whole Grams, from the nine blocks' memo entries.
+and the determinant that ``finite_forms._two_elementary`` reads.  An
+orthogonal complement comes from a gcd sweep of G·v by unimodular column
+operations, each applied to the Gram as a congruence, so its Gram is read off
+the swept Gram with no matrix product, and the inverse of the sweep gives
+coordinates in it.  Characteristic vectors and the GF(2) kernels of
+discriminant groups come from ``gf2_solve``, the one GF(2) solver of the
+package.  ``_diagonal`` assembles every direct sum in one pass, and
+``_elimination`` and ``finite_forms._two_elementary`` read a Gram's diagonal
+blocks, split once by the ``_split`` memo, one at a time through their memos,
+so the catalog's sums of standard blocks are answered, exactly as whole
+Grams, from the nine blocks' memo entries.
 
 ``inertia`` (and so ``signature``) is memoized: it reads ``_elimination``, a
 ``functools.lru_cache`` keyed by the Gram tuple alone (labels and summands do
@@ -326,9 +329,10 @@ def gram_apply(l: GramLattice, coords: Sequence[int]) -> Tuple[int, ...]:
 
 
 def inner(x: LatticeVector, y: LatticeVector) -> int:
-    """Exact inner product x^T·gram·y."""
+    """Exact inner product x^T·gram·y, summed over the support of x."""
     _check_same_ambient(x, y)
-    return sum(map(mul, gram_apply(x.ambient, x.coords), y.coords))
+    yc = y.coords
+    return sum([c * sum(map(mul, row, yc)) for c, row in zip(x.coords, x.ambient.gram) if c])
 
 
 def norm(x: LatticeVector) -> int:
@@ -357,7 +361,7 @@ def _elimination(gram: Gram) -> Tuple[int, int, int, int]:
     so row 0 is both the pivot row and the pivot column.  A block-diagonal
     Gram adds its blocks' counts and multiplies their dets, through this memo.
     """
-    blocks = _blocks(gram)
+    blocks = _split(gram)
     if len(blocks) > 1:
         pos, neg, zero, dets = zip(*map(_elimination, blocks))
         return sum(pos), sum(neg), sum(zero), prod(dets)
@@ -415,6 +419,13 @@ def _blocks(gram: Gram) -> List[Gram]:
     return [tuple([r[s:e] for r in gram[s:e]]) for s, e in zip(cuts, cuts[1:] + [n])]
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _split(gram: Gram) -> Tuple[Gram, ...]:
+    """``_blocks`` as a memoized tuple, so that ``_elimination`` and
+    ``finite_forms._two_elementary`` split each Gram once between them."""
+    return tuple(_blocks(gram))
+
+
 def signature(l: GramLattice) -> Tuple[int, int]:
     """Exact inertia indices (sigma_+, sigma_-); errors on degenerate input."""
     pos, neg, zero = inertia(l)
@@ -448,18 +459,18 @@ def twist(l: GramLattice, v: LatticeVector) -> GramLattice:
     """The v-twist: the unique form with q'(v) = -q(v), q' = q on v-perp.
 
     On the fixed basis the new Gram matrix is G -+ (Gv)(Gv)^T, which equals
-    gram·S_v and is symmetric on the nose.
+    gram·S_v and is symmetric on the nose; a row with (Gv)_i = 0 is kept.
     """
     if v.ambient.gram != l.gram:
         raise LatticeError("twist vector does not live in the given lattice")
-    nv = norm(v)
+    gv = gram_apply(l, v.coords)
+    nv = sum(map(mul, gv, v.coords))
     if nv not in (2, -2):
         raise LatticeError(f"twist vector must have square +-2, got {nv}")
-    gv = gram_apply(l, v.coords)
     s = 1 if nv == -2 else -1
     gram = tuple(
-        tuple(l.gram[i][j] + s * gv[i] * gv[j] for j in range(l.rank))
-        for i in range(l.rank)
+        tuple([x + a * y for x, y in zip(row, gv)]) if (a := s * g) else row
+        for row, g in zip(l.gram, gv)
     )
     label = f"t({l.label})" if l.label else ""
     return GramLattice(l.rank, gram, label, None)
@@ -519,60 +530,47 @@ def find_characteristic(l: GramLattice) -> LatticeVector:
     return l.vector(w)
 
 
-def _row_kernel_basis(c: Sequence[int]) -> Tuple[List[List[int]], List[List[int]]]:
-    """Integral basis of {x : sum c_i x_i = 0} via unimodular column reduction.
-
-    Returns the basis and the inverse of the unimodular V with c·V = (g, 0, ..., 0);
-    the basis is columns 1.. of V, so x = V·y has y = V^-1·x with y_0 = 0.
-    """
-    n = len(c)
-    row = list(c)
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # columns of V
-    vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # rows of V^-1
-    # Sweep gcd into position 0 by column operations, mirrored on V and,
-    # as the inverse row operations, on V^-1.
-    while True:
-        nz = [j for j in range(n) if row[j] != 0]
-        if not nz:
-            return [[v[i][j] for i in range(n)] for j in range(n)], vinv
-        if len(nz) == 1:
-            j = nz[0]
-            if j != 0:
-                row[0], row[j] = row[j], row[0]
-                for i in range(n):
-                    v[i][0], v[i][j] = v[i][j], v[i][0]
-                vinv[0], vinv[j] = vinv[j], vinv[0]
-            break
-        # reduce the entry of largest absolute value by the smallest nonzero
-        jmin = min(nz, key=lambda j: abs(row[j]))
-        for j in nz:
-            if j == jmin:
-                continue
-            q = row[j] // row[jmin]
-            if q:
-                row[j] -= q * row[jmin]
-                for i in range(n):
-                    v[i][j] -= q * v[i][jmin]
-                vinv[jmin] = [a + q * b for a, b in zip(vinv[jmin], vinv[j])]
-    return [[v[i][j] for i in range(n)] for j in range(1, n)], vinv
-
-
 def _complement(l: GramLattice, v: LatticeVector) -> Tuple[GramLattice, List[List[int]]]:
-    """v-perp on an integral basis, with the V^-1 of ``_row_kernel_basis``:
-    a vector x of v-perp has coordinates (V^-1·x)[1:] in that basis."""
+    """v-perp on an integral basis, with V^-1 for the unimodular V of the sweep:
+    a vector x of v-perp has coordinates (V^-1·x)[1:] in that basis.
+
+    Column operations sweep the gcd of c = G·v into position 0, so c·V =
+    (g, 0, ..., 0) and columns 1.. of V span v-perp.  V itself is never kept:
+    each operation acts on the Gram as the congruence H <- E^T·H·E, one row and
+    one column of H, so H ends as V^T·G·V and v-perp's Gram is its trailing
+    block.  V^-1 takes the inverse row operations.
+    """
     if v.ambient.gram != l.gram:
         raise LatticeError("vector does not live in the given lattice")
     if v.is_zero():
         raise LatticeError("orthogonal complement of the zero vector")
-    c = gram_apply(l, v.coords)
-    if all(x == 0 for x in c):
+    row = list(gram_apply(l, v.coords))
+    if not any(row):
         raise LatticeError("vector pairs trivially with the whole lattice")
-    basis, vinv = _row_kernel_basis(c)
-    # G·b once per basis row, then the Gram entries as row dot products
-    gb = [gram_apply(l, row) for row in basis]
-    gram = [[sum(map(mul, ra, gbb)) for gbb in gb] for ra in basis]
+    n = l.rank
+    h = [list(r) for r in l.gram]
+    vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # rows of V^-1
+    nz = [j for j in range(n) if row[j]]
+    while len(nz) > 1:
+        # reduce every other entry by the smallest nonzero one
+        jmin = min(nz, key=lambda j: abs(row[j]))
+        for j in nz:
+            if j == jmin or not (q := row[j] // row[jmin]):
+                continue
+            row[j] -= q * row[jmin]
+            # column j of V -= q·column jmin: row j of H, then column j by symmetry
+            hj = h[j] = [a - q * b for a, b in zip(h[j], h[jmin])]
+            hj[j] -= q * hj[jmin]
+            for r, x in zip(h, hj):
+                r[j] = x
+            vinv[jmin] = [a + q * b for a, b in zip(vinv[jmin], vinv[j])]
+        nz = [j for j in nz if row[j]]
+    if (j := nz[0]) != 0:  # swap columns 0 and j: rows and columns of H, rows of V^-1
+        h[0], h[j], vinv[0], vinv[j] = h[j], h[0], vinv[j], vinv[0]
+        for r in h:
+            r[0], r[j] = r[j], r[0]
     label = f"perp({l.label})" if l.label else ""
-    return GramLattice.from_rows(gram, label), vinv
+    return GramLattice(n - 1, tuple([tuple(r[1:]) for r in h[1:]]), label), vinv
 
 
 def orthogonal_sublattice(l: GramLattice, v: LatticeVector) -> GramLattice:
@@ -586,7 +584,7 @@ def sublattice_coordinates(
     """Coordinates of x in the basis used by orthogonal_sublattice(l, v).
 
     x must pair to zero with v; they are (V^-1·x)[1:] for the unimodular V
-    of ``_row_kernel_basis``, so they are integers.
+    of ``_complement``, so they are integers.
     """
     if inner(x, v) != 0:
         raise LatticeError("vector is not orthogonal to v")

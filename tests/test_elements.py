@@ -677,3 +677,42 @@ def test_enumerate_vectors_limit(catalog):
     assert enumerate_vectors(lat, -2, 2, 0) == []
     with pytest.raises(ValueError, match="limit must be >= 0"):
         enumerate_vectors(lat, -2, 2, -1)
+
+
+def _product_walk_deltas(s, t):
+    """The walk ``_odd_bumps`` replaced, over all of 3^(s+t): every all-odd
+    vector in lexicographic order with the delta the old loop computed."""
+    from itertools import product
+
+    for vals in product((1, 3, 5), repeat=s + t):
+        delta = 0
+        for i, val in enumerate(vals):
+            step = val * val - 1  # 0, 8, 24
+            delta += 2 * step if i < s else -2 * step
+        yield vals, delta
+
+
+def test_odd_bumps_match_product_walk():
+    from k4graph.elements import _odd_bumps
+
+    for s in range(5):
+        for t in range(5):
+            want = {}
+            for vals, delta in _product_walk_deltas(s, t):
+                want.setdefault(delta, []).append(vals)
+            for need in range(-200, 201):
+                assert list(_odd_bumps(s, t, need)) == want.get(need, []), (s, t, need)
+
+
+@pytest.mark.parametrize(
+    "vid, square, line",
+    [
+        ("[3S]", "6", "[3S] square=6 wu: yes  witness=[1, 3, 1, 1, 1, 1, 1, 1, 1]"),
+        ("[7S]", "-2", "[7S] square=-2 wu: yes  witness=[1, 1, 1, 1, 1]"),
+    ],
+)
+def test_odd_bumps_wu_witness_lines(vid, square, line, capsys):
+    from k4graph.cli import main
+
+    assert main(["classify", "--vertex", vid, "--square", square]) == 0
+    assert line in capsys.readouterr().out.splitlines()

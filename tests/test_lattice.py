@@ -1,7 +1,9 @@
 import itertools
 import json
 import random
+from operator import mul
 from pathlib import Path
+from typing import List, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,8 @@ from k4graph import (
     twist,
 )
 from k4graph.lattice import (
+    STANDARD_GRAMS,
+    _complement,
     direct_sum_all,
     from_summands,
     gf2_solve,
@@ -400,7 +404,6 @@ def test_orthogonal_rank_drop():
 
 
 def test_sublattice_coordinates_round_trip(catalog):
-    from k4graph.lattice import _row_kernel_basis
     from k4graph.verification import _congruent, _random_unimodular
 
     rng = random.Random(1979)
@@ -502,10 +505,47 @@ def test_json_hostile_payloads_raise_documented_error(data):
         assert cls.from_json(obj.to_json()) == obj
 
 
+# The column reduction that ``lattice._complement`` replaced, kept as the reference.
+def _row_kernel_basis(c: Sequence[int]) -> Tuple[List[List[int]], List[List[int]]]:
+    """Integral basis of {x : sum c_i x_i = 0} via unimodular column reduction.
+
+    Returns the basis and the inverse of the unimodular V with c·V = (g, 0, ..., 0);
+    the basis is columns 1.. of V, so x = V·y has y = V^-1·x with y_0 = 0.
+    """
+    n = len(c)
+    row = list(c)
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # columns of V
+    vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # rows of V^-1
+    # Sweep gcd into position 0 by column operations, mirrored on V and,
+    # as the inverse row operations, on V^-1.
+    while True:
+        nz = [j for j in range(n) if row[j] != 0]
+        if not nz:
+            return [[v[i][j] for i in range(n)] for j in range(n)], vinv
+        if len(nz) == 1:
+            j = nz[0]
+            if j != 0:
+                row[0], row[j] = row[j], row[0]
+                for i in range(n):
+                    v[i][0], v[i][j] = v[i][j], v[i][0]
+                vinv[0], vinv[j] = vinv[j], vinv[0]
+            break
+        # reduce the entry of largest absolute value by the smallest nonzero
+        jmin = min(nz, key=lambda j: abs(row[j]))
+        for j in nz:
+            if j == jmin:
+                continue
+            q = row[j] // row[jmin]
+            if q:
+                row[j] -= q * row[jmin]
+                for i in range(n):
+                    v[i][j] -= q * v[i][jmin]
+                vinv[jmin] = [a + q * b for a, b in zip(vinv[jmin], vinv[j])]
+    return [[v[i][j] for i in range(n)] for j in range(1, n)], vinv
+
+
 def _complement_gram_reference(l, v):
     """The complement Gram as B·G·B^T summed entry by entry, in O(n^4)."""
-    from k4graph.lattice import _row_kernel_basis
-
     basis, _ = _row_kernel_basis(gram_apply(l, v.coords))
     return tuple(
         tuple(
@@ -541,3 +581,157 @@ def test_orthogonal_matches_quartic_reference(catalog):
         assert orthogonal_sublattice(lat, x).gram == _complement_gram_reference(lat, x)
         checked += 1
     assert checked == len(lattices) == 165
+
+
+# ---------------------------------------------------------------------------
+# the Gram kernels against their dense definitions
+# ---------------------------------------------------------------------------
+
+def _dense_complement(l, v):
+    """The route ``_complement`` replaced: the kernel basis B of the column
+    reduction, then B·G·B^T as row dot products, with the same V^-1."""
+    basis, vinv = _row_kernel_basis(gram_apply(l, v.coords))
+    gb = [gram_apply(l, row) for row in basis]
+    return tuple(tuple(sum(map(mul, ra, gbb)) for gbb in gb) for ra in basis), vinv
+
+
+def _dense_inner(l, x, y):
+    return sum(x[i] * l.gram[i][j] * y[j] for i in range(l.rank) for j in range(l.rank))
+
+
+def _check_complement(lat, v):
+    sub, vinv = _complement(lat, v)
+    assert (sub.gram, vinv) == _dense_complement(lat, v)
+    assert sub.rank == lat.rank - 1
+
+
+def _lattice(names, seed):
+    """A sum of standard blocks, or for an odd seed a random congruent of it."""
+    from k4graph.verification import _congruent, _random_unimodular
+
+    lat = from_summands(names)
+    if seed % 2:
+        lat = _congruent(lat.gram, _random_unimodular(random.Random(seed), lat.rank))
+    return lat
+
+
+def test_complement_matches_dense_route_on_catalog(catalog):
+    rng = random.Random(1968)
+    checked = 0
+    for c in catalog:
+        for lat in (c.lplus, c.lminus):
+            n = lat.rank
+            # the first and the last basis vector, and two random vectors
+            vectors = [lat.basis_vector(0), lat.basis_vector(n - 1)]
+            while len(vectors) < 4:
+                coords = [rng.randint(-2, 2) for _ in range(n)]
+                if any(coords):
+                    vectors.append(lat.vector(coords))
+            for v in vectors:
+                _check_complement(lat, v)
+                checked += 1
+    assert checked == 4 * 2 * len(catalog)
+
+
+@given(
+    st.lists(st.sampled_from(sorted(STANDARD_GRAMS)), min_size=1, max_size=4),
+    st.integers(0, 2**16),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_complement_matches_dense_route_on_congruents(names, seed, data):
+    lat = _lattice(names, seed)
+    coords = data.draw(st.lists(st.integers(-3, 3), min_size=lat.rank, max_size=lat.rank))
+    if not any(coords):  # standard blocks are nondegenerate: only v = 0 pairs trivially
+        coords[data.draw(st.integers(0, lat.rank - 1))] = 1
+    _check_complement(lat, lat.vector(coords))
+
+
+@pytest.mark.parametrize(
+    "names, coords, gram, vinv",
+    [
+        # G·v = (2, 0): its one nonzero entry already sits at column 0
+        (("<2>", "<-2>"), (1, 0), ((-2,),), [[1, 0], [0, 1]]),
+        # G·v = (0, -2): the final swap of columns 0 and 1
+        (("<2>", "<-2>"), (0, 1), ((2,),), [[0, 1], [1, 0]]),
+        # rank 1: the complement is the zero lattice
+        (("<2>",), (3,), (), [[1]]),
+        # G·v = (1, 2, 0): one reduction step, then no swap
+        (("U", "<2>"), (2, 1, 0), ((-4, 0), (0, 2)), [[1, 2, 0], [0, 1, 0], [0, 0, 1]]),
+    ],
+)
+def test_complement_small_cases(names, coords, gram, vinv):
+    lat = from_summands(names)
+    sub, got = _complement(lat, lat.vector(coords))
+    assert (sub.gram, got) == (gram, vinv) == _dense_complement(lat, lat.vector(coords))
+
+
+def test_complement_errors():
+    lat = from_summands(("<2>", "<-2>"))
+    with pytest.raises(LatticeError, match="does not live"):
+        _complement(lat, from_summands(("U",)).vector([1, 0]))
+    with pytest.raises(LatticeError, match="zero vector"):
+        _complement(lat, lat.vector([0, 0]))
+    degenerate = GramLattice.from_rows([[0, 0], [0, 2]])
+    with pytest.raises(LatticeError, match="trivially"):
+        _complement(degenerate, degenerate.vector([1, 0]))
+
+
+@given(
+    st.lists(st.sampled_from(sorted(STANDARD_GRAMS)), min_size=1, max_size=4),
+    st.integers(0, 2**16),
+    st.sampled_from(["zero", "one-hot", "dense", "sparse"]),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_inner_matches_dense_product(names, seed, kind, data):
+    lat = _lattice(names, seed)
+    n = lat.rank
+    if kind == "zero":
+        x = [0] * n
+    elif kind == "one-hot":
+        x = [0] * n
+        x[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(-5, 5).filter(bool))
+    elif kind == "dense":
+        x = data.draw(st.lists(st.integers(-5, 5).filter(bool), min_size=n, max_size=n))
+    else:
+        x = data.draw(st.lists(st.sampled_from((0, 0, 0, -1, 1, 3)), min_size=n, max_size=n))
+    y = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    xv, yv = lat.vector(x), lat.vector(y)
+    assert inner(xv, yv) == _dense_inner(lat, x, y)
+    assert inner(yv, xv) == _dense_inner(lat, y, x)
+    assert norm(xv) == _dense_inner(lat, x, x)
+
+
+def test_twist_matches_entrywise_formula(catalog):
+    def formula(l, v):
+        gv = gram_apply(l, v.coords)
+        s = 1 if norm(v) == -2 else -1
+        return tuple(
+            tuple(l.gram[i][j] + s * gv[i] * gv[j] for j in range(l.rank)) for i in range(l.rank)
+        )
+
+    rng = random.Random(2014)
+    checked = 0
+    for c in catalog:
+        for lat in (c.lplus, c.lminus):
+            n = lat.rank
+            # basis roots, and sums of two basis vectors that pair nontrivially
+            candidates = [lat.basis_vector(i) for i in range(n)] + [
+                lat.basis_vector(i) + lat.basis_vector(j)
+                for i in range(n)
+                for j in range(i + 1, n)
+                if lat.gram[i][j]
+            ]
+            roots = [v for v in candidates if norm(v) in (2, -2)]
+            for v in rng.sample(roots, min(3, len(roots))):
+                t = twist(lat, v)
+                assert t.gram == formula(lat, v)
+                # a root orthogonal to v keeps its square and twists the twisted Gram
+                w = next((w for w in roots if w != v and inner(w, v) == 0), None)
+                if w is not None:
+                    tw = t.vector(w.coords)
+                    assert norm(tw) == norm(w)
+                    assert twist(t, tw).gram == formula(t, tw)
+                    checked += 1
+    assert checked > 100
