@@ -7,7 +7,6 @@ deterministic byte-for-byte for identical flags.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -43,6 +42,8 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 
 def _catalog_json(cat: Catalog) -> str:
+    import json  # only the commands that print JSON pay for the import
+
     entries = []
     for v in cat:
         entries.append(
@@ -93,6 +94,8 @@ def cmd_build(args: argparse.Namespace) -> int:
         print(f"structural verification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR
     if args.format == "json":
+        import json
+
         text = json.dumps(graph_json_dict(g, cat), indent=1) + "\n"
     else:
         text = graph_dot(g, cat)

@@ -4,14 +4,17 @@ x^2 mod 16 and the class of x add up block by block over an orthogonal sum
 (Nikulin's discriminant-form calculus): x is odd if a block part is odd, Wu
 if every block part is Wu, and even-non-Wu otherwise.  So the (square, class)
 pairs a catalog eigenlattice reaches are folded from the one per-block table
-``SQUARES``.  ``exists_class`` reads the fold, which decides the edge sets of
-both graphs from the lattice alone: a negative answer is a proof; a positive
-one is backed by the explicit witness of ``construct_witness``, re-checked
-with ``classify_element``.  Classification is integer arithmetic on the
-discriminant group's lifts.  The bounded search walks the standard-block
-decomposition of a catalog eigenlattice and prunes on achievable norm
-intervals and on the residues mod 16 that ``SQUARES`` lets the remaining
-blocks add, so a "none" answer on the catalog lattices is cheap even at rank 12.
+``SQUARES``, held as one 16-bit mask of residues per class: a block residue a
+adds to a whole mask as a rotation by a.  ``exists_class`` is a bit test of
+the fold, which decides the edge sets of both graphs from the lattice alone:
+a negative answer is a proof; a positive one is backed by the explicit
+witness of ``construct_witness``, re-checked with ``classify_element``.
+Classification is integer arithmetic on the discriminant group's lifts, with
+the bilinear table of a block-diagonal Gram read off its blocks' tables.  The
+bounded search walks the standard-block decomposition of a catalog
+eigenlattice and prunes on achievable norm intervals and on the residues mod
+16 that ``SQUARES`` lets the remaining blocks add, so a "none" answer on the
+catalog lattices is cheap even at rank 12.
 
 Searches share their per-block work: ``_block_table`` keeps up to ``MEMO_SIZE``
 tables keyed by (block name, bound, lo, hi, parities).  A table extends its
@@ -37,7 +40,9 @@ from .lattice import (
     LatticeError,
     LatticeVector,
     STANDARD_GRAMS,
+    _diagonal,
     _Record,
+    _split,
     gf2_solve,
     gram_apply,
     make_standard,
@@ -87,9 +92,15 @@ def search_budget() -> int:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _disc_data(gram: Gram):
+    """The 2-elementary group and its bilinear table; a block-diagonal Gram's
+    table is its blocks' tables, from this memo, placed side by side."""
     disc = _two_elementary(gram)
     if disc is None:
         raise LatticeError("classification needs a 2-periodic discriminant")
+    blocks = _split(gram)
+    if len(blocks) > 1:
+        tables = [_disc_data(block)[1] for block in blocks]
+        return disc, _diagonal(tables, list(map(len, tables)))
     return disc, bilinear_table(disc)
 
 
@@ -106,7 +117,7 @@ def classify_element(lminus: GramLattice, x: LatticeVector) -> ElementClass:
     # x/2 is in the dual; Wu iff b(x/2, g) = b(g, g) for every generator g,
     # where 2·b(x/2, g) = <x, g> = x·(G g)
     for j, dual in enumerate(disc.duals):
-        if sum(a * b for a, b in zip(x.coords, dual)) % 2 != pair[j][j]:
+        if sum(map(mul, x.coords, dual)) % 2 != pair[j][j]:
             return ElementClass.EVEN_NON_WU
     return ElementClass.WU
 
@@ -143,15 +154,24 @@ def _join(a: ElementClass, b: ElementClass) -> ElementClass:
     return _W if a is _W and b is _W else _N
 
 
+# a class's position in the residue-mask tuples of ``_reach`` and ``_fits``,
+# and for each class c the positions of _join(c, d) for d in that order
+_INDEX = {cls: i for i, cls in enumerate(ElementClass)}
+_JOINS = {c: tuple([_INDEX[_join(c, d)] for d in ElementClass]) for c in ElementClass}
+
+
 @lru_cache(maxsize=MEMO_SIZE)
-def _reach(names: Tuple[str, ...]) -> frozenset:
-    """The (x^2 mod 16, class) pairs of the x in a sum of standard blocks."""
+def _reach(names: Tuple[str, ...]) -> Tuple[int, ...]:
+    """Per class, in ``ElementClass`` order, the 16-bit mask with bit r set iff
+    some x of that class in a sum of standard blocks has x^2 = r mod 16."""
     if not names:
-        return frozenset({(0, _W)})
+        return tuple([int(cls is _W) for cls in ElementClass])  # x = 0 only
     rest = _reach(names[1:])
-    return frozenset(
-        ((a + b) % 16, _join(c, d)) for a, c in SQUARES[names[0]] for b, d in rest
-    )
+    out = [0, 0, 0]
+    for a, c in SQUARES[names[0]]:
+        for k, mask in zip(_JOINS[c], rest):  # every residue of rest, plus a
+            out[k] |= (mask << a | mask >> (16 - a)) & 0xFFFF
+    return tuple(out)
 
 
 def exists_class(v: K3Vertex, n: int, cls: ElementClass) -> bool:
@@ -164,7 +184,7 @@ def exists_class(v: K3Vertex, n: int, cls: ElementClass) -> bool:
         raise ValueError("n must be 0 or 1")
     if not isinstance(cls, ElementClass):
         raise ValueError(f"unknown class {cls!r}")
-    return ((8 * n - 2) % 16, cls) in _reach(v.lminus_summands)
+    return bool(_reach(v.lminus_summands)[_INDEX[cls]] >> (8 * n - 2) % 16 & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +396,16 @@ _block_table = lru_cache(maxsize=MEMO_SIZE)(_BlockTable)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _fits(names: Tuple[str, ...], cls: Optional[ElementClass]) -> frozenset:
-    """The (x^2 mod 16, prefix class) pairs such that the blocks ``names``
+def _fits(names: Tuple[str, ...], cls: Optional[ElementClass]) -> Tuple[int, ...]:
+    """Per prefix class, the mask of the x^2 mod 16 such that the blocks ``names``
     can add x to the prefix and make a vector of class ``cls`` (any if None)."""
-    return frozenset(
-        (r, kind)
-        for r, c in _reach(names)
-        for kind in ElementClass
-        if cls is None or _join(kind, c) is cls
-    )
+    reach = _reach(names)
+    out = [0, 0, 0]
+    for kind in ElementClass:
+        for c, mask in zip(ElementClass, reach):
+            if cls is None or _join(kind, c) is cls:
+                out[_INDEX[kind]] |= mask
+    return tuple(out)
 
 
 def _search_blocks(
@@ -407,7 +428,7 @@ def _search_blocks(
     fits = [_fits(names[i:], cls) for i in range(nblocks + 1)]
 
     def feasible(i: int, rem: int, kind: ElementClass) -> bool:
-        return suf_lo[i] <= rem <= suf_hi[i] and (rem % 16, kind) in fits[i]
+        return suf_lo[i] <= rem <= suf_hi[i] and bool(fits[i][_INDEX[kind]] >> rem % 16 & 1)
 
     def rec(i: int, rem: int, kind: ElementClass, prefix: List[Tuple[int, ...]]):
         if i == nblocks:

@@ -20,6 +20,11 @@ elimination that also gives the inertia, so each Gram is eliminated once.
 A block-diagonal Gram embeds its blocks' groups, from the same memo, at their
 offsets, which gives the whole Gram's group on either route: the GF(2) reduced
 row echelon form is unique, and a block-diagonal matrix's is its blocks'.
+The form of an orthogonal sum is the sum of its blocks' forms (Nikulin 1979,
+§1), so the route goes on to the forms: after the whole-Gram checks, an even
+block-diagonal Gram's quadratic values are its blocks' values in order, and
+its bilinear table (here and in ``elements._disc_data``) is its blocks'
+tables placed side by side, each from its own memo.
 
 ``_discriminant_group`` (behind ``discriminant_group``), ``_two_elementary``,
 ``_discriminant_quadratic`` (behind ``discriminant_quadratic``) and
@@ -33,7 +38,6 @@ caller may share one; errors are not cached.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -331,6 +335,8 @@ class FiniteQuadraticForm(_Record, frozen=True):
         )
 
     def to_json(self) -> str:
+        import json  # only a process that serializes pays for the import
+
         return json.dumps(
             {"d": self.d, "qvals": list(self.qvals), "bvals": [list(r) for r in self.bvals]},
             separators=(",", ":"),
@@ -379,6 +385,12 @@ def _discriminant_quadratic(gram: Gram, wc: Optional[Tuple[int, ...]]) -> Finite
         if wc is None:
             raise FormError("odd lattice needs a characteristic vector")
         _check_characteristic(gram, wc)
+    elif wc is None and len(blocks := _split(gram)) > 1:
+        # the form of an orthogonal sum is the sum of its blocks' forms
+        forms = [_discriminant_quadratic(block, None) for block in blocks]
+        qvals = tuple([k for f in forms for k in f.qvals])
+        bvals = _diagonal([f.bvals for f in forms], [f.d for f in forms])
+        return FiniteQuadraticForm(disc.rank, qvals, bvals)
     # with every divisor 2, 2q(g) = 2(g^2 + <w,g>) = n·(G g) + 2 w·(G g)
     # for g = n/2: integral by construction, so no value can be malformed
     qvals = tuple(

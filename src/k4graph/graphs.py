@@ -31,9 +31,9 @@ from .lattice import (
     twist,
 )
 from .finite_forms import (
+    _smith,
     _two_elementary,
     lattices_equivalent,
-    smith_normal_form,
 )
 from .catalog import Catalog, CatalogError, K3Vertex, VertexKey
 from .elements import (
@@ -519,14 +519,10 @@ def basic_cycles_regular(k3: DeformationGraph, catalog: Catalog) -> BasicCycleRe
 
 
 def _snf_divisors(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """The nonzero Smith invariant factors, read from the divisors alone."""
     if not rows:
         return ()
-    _, d, _ = smith_normal_form(rows)
-    out = []
-    for i in range(min(len(d), len(d[0]))):
-        if d[i][i] != 0:
-            out.append(d[i][i])
-    return tuple(out)
+    return tuple([d for d in _smith(rows, False)[0] if d])
 
 
 # ---------------------------------------------------------------------------

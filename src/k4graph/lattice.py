@@ -26,7 +26,6 @@ neither the key nor the shared result can be mutated; errors are not cached.
 
 from __future__ import annotations
 
-import json
 import re
 from functools import lru_cache
 from math import prod
@@ -107,7 +106,7 @@ class GramLattice(_Record, frozen=True):
     ) -> None:
         if rank < 0:
             raise LatticeError("rank must be non-negative")
-        if len(gram) != rank or any(len(r) != rank for r in gram):
+        if len(gram) != rank or set(map(len, gram)) - {rank}:
             raise LatticeError("gram matrix shape does not match rank")
         if tuple(zip(*gram)) != gram:  # the transpose is built in C; walk only on a miss
             for i in range(rank):
@@ -134,7 +133,7 @@ class GramLattice(_Record, frozen=True):
         return cls(len(gram), gram, label, summands)
 
     def vector(self, coords: Iterable[int]) -> "LatticeVector":
-        return LatticeVector(tuple(int(c) for c in coords), self)
+        return LatticeVector(tuple(map(int, coords)), self)
 
     def basis_vector(self, i: int) -> "LatticeVector":
         coords = [0] * self.rank
@@ -142,6 +141,8 @@ class GramLattice(_Record, frozen=True):
         return self.vector(coords)
 
     def to_json(self) -> str:
+        import json  # only a process that serializes pays for the import
+
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     def to_json_dict(self) -> dict:
@@ -173,6 +174,8 @@ def _json_int(x: int):
 
 
 def _json_object(text: str, error: type) -> dict:
+    import json
+
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError):
@@ -314,7 +317,7 @@ def rescale(l: GramLattice, k: int) -> GramLattice:
     """Multiply the form by a nonzero integer k; rescale(l, -1) is -L."""
     if k == 0:
         raise LatticeError("rescaling factor must be nonzero")
-    gram = tuple(tuple(k * x for x in row) for row in l.gram)
+    gram = tuple([tuple([k * x for x in row]) for row in l.gram])
     label = f"{l.label}({k})" if l.label else ""
     return GramLattice(l.rank, gram, label, None)
 
@@ -324,8 +327,10 @@ def rescale(l: GramLattice, k: int) -> GramLattice:
 # ---------------------------------------------------------------------------
 
 def gram_apply(l: GramLattice, coords: Sequence[int]) -> Tuple[int, ...]:
-    """The dual coordinates G·x of a vector."""
-    return tuple([sum(map(mul, row, coords)) for row in l.gram])
+    """The dual coordinates G·x of a vector, summed over the support of x: G is
+    symmetric, so G·x is the sum of x_i times row i over the nonzero x_i."""
+    rows = [[c * g for g in row] for c, row in zip(coords, l.gram) if c]
+    return tuple(map(sum, zip(*rows))) if rows else (0,) * l.rank
 
 
 def inner(x: LatticeVector, y: LatticeVector) -> int:

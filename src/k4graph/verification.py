@@ -2,8 +2,8 @@
 
 Each suite returns a SuiteResult with human-readable failure strings; the
 CLI exit status is the conjunction.  The suites are deterministic (seeded
-randomness only); a `k4graph verify` process takes about 0.36 s of CPU time,
-about 0.2 s of it in the suites, with Python 3.11 on one core of a small
+randomness only); a `k4graph verify` process takes about 0.35 s of CPU time,
+about 0.18 s of it in the suites, with Python 3.11 on one core of a small
 x86-64 cloud VM.  Only the graphs suite searches (for flip pairs); the
 predicates suite proves its negatives for all three classes from the one
 block table ``elements.SQUARES`` and confirms its positives with witnesses.

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from k4graph import build_catalog
 from k4graph.cli import main
 
 
@@ -88,6 +89,22 @@ def test_output_bytes_are_pinned(argv, capsys):
     code, out, _ = run_cli(argv.split(), capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _STDOUT_SHA256[argv]
+
+
+# sha256 of the concatenated stdout of constructive `classify` on every vertex,
+# squares -2 then 6, pinned at commit 880c876; it reads the residue-mask fold,
+# the block-route tables and G·x over the support
+_CLASSIFY_SHA256 = "438733b476055c66063aa3af1b8b06e76391808cf7c252485c1954493b5cd18c"
+
+
+def test_classify_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for v in build_catalog():
+        for square in ("-2", "6"):
+            code, out, _ = run_cli(["classify", "--vertex", v.vid, "--square", square], capsys)
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == _CLASSIFY_SHA256
 
 
 def test_export_writes_file(tmp_path, capsys):
@@ -190,16 +207,16 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 
     src = str(Path(k4graph.__file__).resolve().parent.parent)
     code = (
-        "import json, sys; sys.path.insert(0, sys.argv[1]); import k4graph.cli; "
-        "print(json.dumps(sorted(m for m in sys.modules if m in sys.argv[2:])))"
+        "import sys; sys.path.insert(0, sys.argv[1]); import k4graph.cli; "
+        "print(*sorted(m for m in sys.modules if m in sys.argv[2:]))"
     )
     modules = ["lattice", "finite_forms", "catalog", "elements", "graphs", "verification"]
-    wanted = ["dataclasses", "inspect"] + [f"k4graph.{m}" for m in modules]
+    wanted = ["dataclasses", "inspect", "json"] + [f"k4graph.{m}" for m in modules]
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code, src, *wanted], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == sorted(wanted[2:])
+    assert proc.stdout.split() == sorted(wanted[3:])
 
 
 @pytest.mark.parametrize("bound", ["0", "-1", "x"])

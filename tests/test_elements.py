@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k4graph import (
     ElementClass,
@@ -188,6 +190,56 @@ def test_exists_class_matches_diagonal_rule(catalog):
                 assert got == _diagonal_rule(v, n, cls), (v.vid, n, cls)
                 answers.append(got)
     assert (answers.count(True), answers.count(False)) == (252, 198)
+
+
+def _frozenset_reach(names):
+    """The fold the residue masks replaced: sets of (x^2 mod 16, class) pairs."""
+    from k4graph.elements import SQUARES, _join
+
+    out = frozenset({(0, ElementClass.WU)})
+    for name in reversed(names):
+        out = frozenset(
+            ((a + b) % 16, _join(c, d)) for a, c in SQUARES[name] for b, d in out
+        )
+    return out
+
+
+def _frozenset_fits(names, cls):
+    from k4graph.elements import _join
+
+    return frozenset(
+        (r, kind)
+        for r, c in _frozenset_reach(names)
+        for kind in ElementClass
+        if cls is None or _join(kind, c) is cls
+    )
+
+
+def _pairs(masks):
+    """The (residue, class) pairs a tuple of per-class masks holds."""
+    return {(r, cls) for cls, m in zip(ElementClass, masks) for r in range(16) if m >> r & 1}
+
+
+def _check_mask_fold(names):
+    from k4graph.elements import _fits, _reach
+
+    for i in range(len(names) + 1):  # every suffix, the empty one included
+        tail = tuple(names[i:])
+        assert _pairs(_reach.__wrapped__(tail)) == _frozenset_reach(tail), tail
+        for cls in (None, *ElementClass):
+            assert _pairs(_fits.__wrapped__(tail, cls)) == _frozenset_fits(tail, cls), (tail, cls)
+
+
+def test_mask_fold_matches_frozenset_fold_on_catalog(catalog):
+    for v in catalog:
+        _check_mask_fold(v.lminus_summands)
+        _check_mask_fold(v.lplus_summands)
+
+
+@given(st.lists(st.sampled_from(sorted(STANDARD_GRAMS)), max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_mask_fold_matches_frozenset_fold_on_random_sums(names):
+    _check_mask_fold(names)
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,24 @@ def test_basic_cycles(k3_graph, catalog):
     assert set(rep.incidence_divisors) == {1}
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[2, 4], [1, 2]],  # rank 1: one zero invariant factor
+        [[0, 0, 0]],
+        [[1, -1, 0, 0], [0, 1, -1, 0], [-1, 0, 1, 0]],  # a closed cycle: rank 2
+        [[2, 0], [0, 6], [4, 0]],
+    ],
+)
+def test_snf_divisors_read_the_smith_diagonal(rows):
+    from k4graph.finite_forms import smith_normal_form
+    from k4graph.graphs import _snf_divisors
+
+    _, d, _ = smith_normal_form(rows)
+    diagonal = [d[i][i] for i in range(min(len(d), len(d[0])))]
+    assert _snf_divisors(rows) == tuple(x for x in diagonal if x)
+
+
 def test_basic_cycle_membership(k3_graph, catalog):
     rep = basic_cycles_regular(k3_graph, catalog)
     origins = {c.origin for c in rep.cycles}

@@ -11,9 +11,10 @@ compared with that Smith route on every Gram matrix the group tests meet.
 the Gauss sum over the whole group that it replaced, and
 ``lattices_equivalent`` (signature, a and δ) with the full comparison of
 signature, rank, parity and Brown invariant.  The block route of
-``_elimination`` and ``_two_elementary`` is compared with the whole-Gram
-elimination, and the one-pass block-diagonal assembly with the pairwise fold
-it replaced.
+``_elimination``, ``_two_elementary``, ``_discriminant_quadratic`` and
+``elements._disc_data`` is compared with the whole-Gram route, errors and
+their messages included, and the one-pass block-diagonal assembly with the
+pairwise fold it replaced.
 """
 
 import itertools
@@ -37,9 +38,11 @@ from k4graph import (
     parity,
     signature,
 )
+from k4graph.elements import _disc_data
 from k4graph.finite_forms import (
     DiscriminantGroup,
     _discriminant_group,
+    _discriminant_quadratic,
     _two_elementary,
     bilinear_table,
 )
@@ -518,17 +521,59 @@ def _whole_two_elementary(gram):
     return DiscriminantGroup((2,) * len(kernel), _freeze(kernel), duals)
 
 
-def _check_block_route(gram):
-    """Both block-route kernels equal the whole-Gram references, or both
-    sides raise LatticeError."""
-    assert _elimination.__wrapped__(gram) == (*_reference_inertia(gram), _det(gram))
+def _whole_form(gram, wc):
+    """The single-block route of ``_discriminant_quadratic``: every value from
+    the whole-Gram group's lifts and duals."""
+    disc = _whole_two_elementary(gram)
+    if disc is None:
+        raise FormError("form out of scope: discriminant is not 2-periodic")
+    if any(row[i] % 2 for i, row in enumerate(gram)):
+        if wc is None:
+            raise FormError("odd lattice needs a characteristic vector")
+        if any((_dot(row, wc) - row[i]) % 2 for i, row in enumerate(gram)):
+            raise FormError("supplied vector is not characteristic")
+    twice = [0 if wc is None else 2 * _dot(wc, dual) for dual in disc.duals]
+    qvals = tuple((_dot(n, dual) + t) % 4 for n, dual, t in zip(disc.lifts, disc.duals, twice))
+    return FiniteQuadraticForm(disc.rank, qvals, _whole_table(disc))
+
+
+def _whole_table(disc):
+    return tuple(tuple(_dot(n, dual) % 2 for dual in disc.duals) for n in disc.lifts)
+
+
+def _whole_disc_data(gram):
+    disc = _whole_two_elementary(gram)
+    if disc is None:
+        raise LatticeError("classification needs a 2-periodic discriminant")
+    return disc, _whole_table(disc)
+
+
+def _outcome(f, *args):
+    """The result, or the type and message of the error raised."""
     try:
-        expected = _whole_two_elementary(gram)
-    except LatticeError:
-        with pytest.raises(LatticeError):
-            _two_elementary.__wrapped__(gram)
-    else:
-        assert _two_elementary.__wrapped__(gram) == expected
+        return f(*args)
+    except (LatticeError, FormError) as exc:
+        return type(exc), str(exc)
+
+
+def _check_block_route(gram):
+    """The block-route kernels equal the whole-Gram references, or both sides
+    raise the same error with the same message."""
+    assert _elimination.__wrapped__(gram) == (*_reference_inertia(gram), _det(gram))
+    for kernel, reference in (
+        (_two_elementary, _whole_two_elementary),
+        (_disc_data, _whole_disc_data),
+    ):
+        assert _outcome(kernel.__wrapped__, gram) == _outcome(reference, gram)
+    lat, chars = GramLattice.from_rows(gram), [None]
+    if not is_even(lat):
+        try:
+            chars.append(find_characteristic(lat).coords)
+        except LatticeError:  # G·w = diag G has no solution mod 2
+            pass
+    for wc in chars:
+        got = _outcome(_discriminant_quadratic.__wrapped__, gram, wc)
+        assert got == _outcome(_whole_form, gram, wc)
 
 
 def _pairwise_sum(parts):

@@ -595,6 +595,11 @@ def _dense_complement(l, v):
     return tuple(tuple(sum(map(mul, ra, gbb)) for gbb in gb) for ra in basis), vinv
 
 
+def _dense_apply(l, x):
+    """The G·x that ``gram_apply`` replaced: one dot product per Gram row."""
+    return tuple([sum(map(mul, row, x)) for row in l.gram])
+
+
 def _dense_inner(l, x, y):
     return sum(x[i] * l.gram[i][j] * y[j] for i in range(l.rank) for j in range(l.rank))
 
@@ -685,6 +690,8 @@ def test_complement_errors():
 )
 @settings(max_examples=100, deadline=None)
 def test_inner_matches_dense_product(names, seed, kind, data):
+    """``inner``, ``norm`` and ``gram_apply`` against the dense products, on
+    zero, one-hot, dense and sparse x."""
     lat = _lattice(names, seed)
     n = lat.rank
     if kind == "zero":
@@ -701,6 +708,7 @@ def test_inner_matches_dense_product(names, seed, kind, data):
     assert inner(xv, yv) == _dense_inner(lat, x, y)
     assert inner(yv, xv) == _dense_inner(lat, y, x)
     assert norm(xv) == _dense_inner(lat, x, x)
+    assert gram_apply(lat, x) == _dense_apply(lat, x)
 
 
 def test_twist_matches_entrywise_formula(catalog):
