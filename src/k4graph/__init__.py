@@ -60,6 +60,7 @@ from .graphs import (
     basic_cycles_regular,
     build_k3_graph,
     build_k4_graph,
+    construct_flip_triple,
     find_flip_triple,
     flip,
     graph_dot,

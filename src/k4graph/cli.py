@@ -136,7 +136,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     names = [args.suite] if args.suite else None
     try:
         results = run_suites(names)
-    except (CatalogError, StructuralError, SearchBudgetError) as exc:
+    except (CatalogError, StructuralError) as exc:
         print(f"verification aborted: {exc}", file=sys.stderr)
         return VERIFY_ERROR
     exit_code = 0

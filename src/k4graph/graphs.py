@@ -16,6 +16,7 @@ from .lattice import (
     GramLattice,
     LatticeError,
     LatticeVector,
+    STANDARD_GRAMS,
     _Record,
     _complement,
     _set,
@@ -334,6 +335,7 @@ def find_flip_triple(v: K3Vertex, bound: int = 3, limit: int = 40) -> Optional[F
     """Bounded search for an orthogonal (h, v) pair in L-(c), or None.
 
     h and v are drawn lazily: a new v only when none drawn so far pairs with h.
+    This is the search reference; ``verify`` uses ``construct_flip_triple``.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
@@ -348,6 +350,49 @@ def find_flip_triple(v: K3Vertex, bound: int = 3, limit: int = 40) -> Optional[F
         for w, gw in chain(drawn, fresh):
             if sum(map(mul, h.coords, gw)) == 0:
                 return FlipTriple(h, w)
+    return None
+
+
+# Per standard block, small witnesses as (square, coords): v is the root of
+# one block, and h takes at most one part per block, from _FLIP_PERP (the
+# parts orthogonal to the root) in v's block and from _FLIP_PARTS elsewhere.
+_FLIP_ROOT: Dict[str, Tuple[int, ...]] = {"<-2>": (1,), "U": (1, -1)}
+_FLIP_PARTS = {
+    "<2>": ((2, (1,)), (8, (2,))), "<-2>": ((-2, (1,)),), "E8(2)": (),
+    "U": ((2, (1, 1)), (4, (1, 2)), (6, (1, 3))), "U(2)": ((4, (1, 1)), (8, (1, 2))),
+}
+_FLIP_PERP = {"<-2>": (), "U": ((2, (1, 1)),)}
+for _name in ("D4", "E7", "E8"):  # nodes 1 and 2 are two leaves at the branch node
+    _pad = (0,) * (len(STANDARD_GRAMS[_name]) - 3)
+    _FLIP_ROOT[_name] = (0, 1, 0) + _pad
+    _FLIP_PARTS[_name] = ((-2, (0, 1, 0) + _pad),)
+    _FLIP_PERP[_name] = ((-2, (0, 0, 1) + _pad),)
+
+
+def construct_flip_triple(v: K3Vertex) -> Optional[FlipTriple]:
+    """The flip pair of L-(c) built from per-block witnesses, with no search.
+
+    v is the root of the first block that has one and from which h, one part
+    per block, reaches a square of 6.  None when no root block does;
+    ``verification.suite_graphs`` proves that no pair exists there.
+    """
+    names, l, v_off = v.lminus_summands, v.lminus, 0
+    for at, name in enumerate(names):
+        if name in _FLIP_ROOT:
+            reach, off = {0: ()}, 0  # square of h so far -> its (offset, coords) parts
+            for i, other in enumerate(names):
+                for s, parts in list(reach.items()):
+                    for sq, x in (_FLIP_PERP if i == at else _FLIP_PARTS)[other]:
+                        if s + sq not in reach:
+                            reach[s + sq] = parts + ((off, x),)
+                off += len(STANDARD_GRAMS[other])
+                if 6 in reach:
+                    h, root = [0] * l.rank, _FLIP_ROOT[name]
+                    for o, x in reach[6]:
+                        h[o:o + len(x)] = x
+                    w = (0,) * v_off + root + (0,) * (l.rank - v_off - len(root))
+                    return FlipTriple(LatticeVector(tuple(h), l), LatticeVector(w, l))
+        v_off += len(STANDARD_GRAMS[name])
     return None
 
 

@@ -10,6 +10,7 @@ from k4graph import (
     basic_cycles_regular,
     brown_invariant,
     classify_element,
+    construct_flip_triple,
     construct_witness,
     discriminant_quadratic,
     enumerate_vectors,
@@ -324,6 +325,65 @@ def test_flipped_triple_verifies_same_cycle(catalog, k4_graph):
         assert t is not None
         assert verify_flip_cycle(v, t, g4, catalog).ok
         assert verify_flip_cycle(v, flip(t), g4, catalog).ok
+
+
+_NO_FLIP_PAIR = {"[10S]", "[9S]", "[S1+9S]", "[8S]_I"}
+
+
+def test_constructed_flip_pairs_match_search_and_census(catalog, k3_graph):
+    # a pair exists at c iff some K3 edge c -> t has a square 6 element in L-(t)
+    built = {v.vid for v in catalog if construct_flip_triple(v) is not None}
+    searched = {v.vid for v in catalog if find_flip_triple(v, bound=3, limit=40) is not None}
+    census = {
+        e.src for e in k3_graph.edges
+        if any(exists_class(catalog.by_id(e.dst), 1, cls) for cls in ElementClass)
+    }
+    assert built == searched == census == set(catalog.ids()) - _NO_FLIP_PAIR
+    assert len(built) == 71
+
+
+def test_constructed_flip_pairs_verify(catalog, k4_graph):
+    g4, _ = k4_graph
+    for v in catalog:
+        t = construct_flip_triple(v)
+        if t is None:
+            continue
+        f = flip(t)
+        assert verify_flip_cycle(v, t, g4, catalog).ok, v.vid
+        assert verify_flip_cycle(v, f, g4, catalog).ok, v.vid
+        f2 = flip(f)
+        assert (f2.h.coords, f2.v.coords) == (t.h.coords, t.v.coords), v.vid
+    # U + U(2): v = (1, -1) in U, and h takes (1, 1) from both blocks
+    t = construct_flip_triple(catalog.by_id("[S1+8S]_I"))
+    assert (t.h.coords, t.v.coords) == ((1, 1, 1, 1), (1, -1, 0, 0))
+
+
+def test_suite_graphs_names_a_vertex_the_construction_misses(catalog, monkeypatch):
+    from k4graph import graphs
+    from k4graph.verification import suite_graphs
+
+    # without U's part orthogonal to its root, U + U(2) (+ E8(2)) reach no 6
+    monkeypatch.setitem(graphs._FLIP_PERP, "U", ())
+    res = suite_graphs(catalog)
+    assert [f for f in res.failures if "flip pair" in f] == [
+        f"{vid}: flip pair not constructed, but the K3-edge census has one"
+        for vid in ("[S1+8S]_I", "[empty]")
+    ]
+
+
+def test_suite_graphs_names_a_pair_the_census_rules_out(catalog, monkeypatch):
+    from k4graph import verification
+
+    # the K3 edges of [7S] end at [8S] and at [8S]_I, whose U(2) + U(2) has no
+    # square 6 element; hiding those of [8S] leaves the census no pair at [7S]
+    real = verification.exists_class
+    monkeypatch.setattr(
+        verification, "exists_class", lambda t, n, cls: t.vid != "[8S]" and real(t, n, cls)
+    )
+    res = verification.suite_graphs(catalog)
+    assert [f for f in res.failures if "flip pair" in f] == [
+        "[7S]: flip pair constructed, but the K3-edge census proves none"
+    ]
 
 
 # ---------------------------------------------------------------------------
