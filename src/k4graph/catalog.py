@@ -1,10 +1,11 @@
 """The 75-entry catalog of real K3-involution classes.
 
-The two principal-series tables and the exceptional table are transcribed
-below as structured constants, one line per source row, so the data can be
-audited against the lattice listing directly.  ``build_catalog`` instantiates
-them, pairs eigenlattices by topological type, and validates every entry
-invariant before returning.
+A class is fixed by its key (r, d, type).  ``K3_KEYS`` is the key set that
+Nikulin's existence theorem allows, and ``_place`` reads each key's id and
+topological type off the key.  Only the eigenlattices are transcribed, in two
+principal-series tables and the exceptional table, one line per source row.
+``build_catalog`` instantiates the rows and checks that their lattices give
+each key of ``K3_KEYS`` once, at its placed id, among every entry invariant.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ class CatalogError(ValueError):
 
 # Principal series, positive eigenlattice; one row per sphere count q.
 # Row format: q -> (number of <2> summands, non-diagonal blocks); the
-# <-2> multiplicity t runs over every value keeping p = pmax - t >= 0.
+# <-2> multiplicity is pmax - p, where pmax is the largest p placed with q.
 PRINCIPAL_LPLUS: Dict[int, Tuple[int, Tuple[str, ...]]] = {
     0: (1, ()),
     1: (0, ("U",)),
@@ -34,12 +35,9 @@ PRINCIPAL_LPLUS: Dict[int, Tuple[int, Tuple[str, ...]]] = {
     8: (1, ("E8", "E8")),
     9: (0, ("U", "E8", "E8")),
 }
-# largest p occurring in the row keyed by q
-PRINCIPAL_LPLUS_PMAX: Dict[int, int] = {
-    0: 10, 1: 10, 2: 7, 3: 6, 4: 6, 5: 6, 6: 3, 7: 2, 8: 2, 9: 2,
-}
 
-# Principal series, negative eigenlattice; one row per genus p.
+# Principal series, negative eigenlattice; one row per genus p; the <-2>
+# multiplicity is qmax - q, where qmax is the largest q placed with p.
 PRINCIPAL_LMINUS: Dict[int, Tuple[int, Tuple[str, ...]]] = {
     0: (2, ()),
     1: (1, ("U",)),
@@ -53,26 +51,21 @@ PRINCIPAL_LMINUS: Dict[int, Tuple[int, Tuple[str, ...]]] = {
     9: (1, ("U", "E8", "E8")),
     10: (0, ("U", "U", "E8", "E8")),
 }
-# largest q occurring in the row keyed by p
-PRINCIPAL_LMINUS_QMAX: Dict[int, int] = {
-    0: 9, 1: 9, 2: 9, 3: 6, 4: 5, 5: 5, 6: 5, 7: 2, 8: 1, 9: 1, 10: 1,
-}
-
-# Exceptional entries: (p, q, with _I subscript) or a named topological type.
+# Exceptional entries: the _I entries and the two named topological types.
 # The [S9]_I positive eigenlattice is U(2): the source listing shows "2U",
 # which breaks rank(L+)+rank(L-)=22 and sigma_+(L+)=1, so it is corrected.
-EXCEPTIONAL: Tuple[Tuple[str, Optional[Tuple[int, int]], Tuple[str, ...], Tuple[str, ...]], ...] = (
-    ("[8S]_I", (0, 7), ("U", "D4", "D4", "E8"), ("U(2)", "U(2)")),
-    ("[S1+8S]_I", (1, 8), ("U(2)", "E8", "E8"), ("U", "U(2)")),
-    ("[S1+4S]_I", (1, 4), ("U", "D4", "D4", "D4"), ("U(2)", "U(2)", "D4")),
-    ("[S2+5S]_I", (2, 5), ("U(2)", "D4", "E8"), ("U", "U(2)", "D4")),
-    ("[S3+2S]_I", (3, 2), ("U(2)", "D4", "D4"), ("U", "U(2)", "D4", "D4")),
-    ("[S4+3S]_I", (4, 3), ("U", "D4", "D4"), ("U", "U", "D4", "D4")),
-    ("[S5+4S]_I", (5, 4), ("U(2)", "E8"), ("U", "U(2)", "E8")),
-    ("[S6+S]_I", (6, 1), ("U(2)", "D4"), ("U", "U(2)", "D4", "E8")),
-    ("[S9]_I", (9, 0), ("U(2)",), ("U", "U(2)", "E8", "E8")),
-    ("[2S1]", None, ("U", "E8(2)"), ("U", "U", "E8(2)")),
-    ("[empty]", None, ("U(2)", "E8(2)"), ("U", "U(2)", "E8(2)")),
+EXCEPTIONAL: Tuple[Tuple[str, Tuple[str, ...], Tuple[str, ...]], ...] = (
+    ("[8S]_I", ("U", "D4", "D4", "E8"), ("U(2)", "U(2)")),
+    ("[S1+8S]_I", ("U(2)", "E8", "E8"), ("U", "U(2)")),
+    ("[S1+4S]_I", ("U", "D4", "D4", "D4"), ("U(2)", "U(2)", "D4")),
+    ("[S2+5S]_I", ("U(2)", "D4", "E8"), ("U", "U(2)", "D4")),
+    ("[S3+2S]_I", ("U(2)", "D4", "D4"), ("U", "U(2)", "D4", "D4")),
+    ("[S4+3S]_I", ("U", "D4", "D4"), ("U", "U", "D4", "D4")),
+    ("[S5+4S]_I", ("U(2)", "E8"), ("U", "U(2)", "E8")),
+    ("[S6+S]_I", ("U(2)", "D4"), ("U", "U(2)", "D4", "E8")),
+    ("[S9]_I", ("U(2)",), ("U", "U(2)", "E8", "E8")),
+    ("[2S1]", ("U", "E8(2)"), ("U", "U", "E8(2)")),
+    ("[empty]", ("U(2)", "E8(2)"), ("U", "U(2)", "E8(2)")),
 )
 
 
@@ -82,8 +75,7 @@ class TopType(_Record, frozen=True):
     __slots__ = ("kind", "p", "q", "subscript_I")
 
     def __init__(
-        self, kind: str, p: Optional[int] = None, q: Optional[int] = None,
-        subscript_I: bool = False,
+        self, kind: str, p: Optional[int] = None, q: Optional[int] = None, subscript_I: bool = False
     ) -> None:
         if kind == "spheres":
             if p is None or q is None or p < 0 or q < 0:
@@ -149,31 +141,53 @@ class K3Vertex(_Record, frozen=True):
         return self.diag_s + self.diag_t == len(self.lminus_summands)
 
 
-def _vertex_id(p: int, q: int, subscript_i: bool) -> str:
-    if p == 0:
-        base = f"[{q + 1}S]"
-    elif q == 0:
-        base = f"[S{p}]"
-    elif q == 1:
-        base = f"[S{p}+S]"
+def _exists(t_plus: int, t_minus: int, a: int, delta: int) -> bool:
+    """An even 2-elementary lattice of signature (t_plus, t_minus), discriminant
+    (Z/2)^a and parity delta exists (Nikulin 1979, Thm 3.6.2)."""
+    r, sigma = t_plus + t_minus, (t_plus - t_minus) % 8
+    return (
+        a <= r and (r - a) % 2 == 0
+        and (delta or sigma % 4 == 0)
+        and (a != 0 or (delta == 0 and sigma == 0))
+        and (a != 1 or sigma in (1, 7))
+        and (a != 2 or sigma != 4 or delta == 0)
+        and (delta or a != r or sigma == 0)
+    )
+
+
+# Every key: L+ of signature (1, r - 1) and L- of signature (2, 20 - r) with
+# the same discriminant rank d and parity delta; type I is delta = 0.
+K3_KEYS = frozenset(
+    VertexKey(r, d, vtype)
+    for r in range(1, 21)
+    for d in range(r + 1)
+    for vtype, delta in (("I", 0), ("II", 1))
+    if _exists(1, r - 1, d, delta) and _exists(2, 20 - r, d, delta)
+)
+
+
+def _place(key: VertexKey) -> Tuple[str, TopType]:
+    """The id and topological type of the class with this key.
+
+    X_R = S_p + qS has Euler characteristic 2r - 20 (Lefschetz) and F2-Betti
+    sum 24 - 2d (Smith), so p = (22 - r - d)/2 and q = (r - d)/2.  The _I
+    subscript marks a type I key whose type II twin is also a key.  Two type I
+    keys are other real loci: (10, 8) is a pair of tori, (10, 10) is empty.
+    """
+    r, d, vtype = key
+    if vtype == "I" and r == 10 and d in (8, 10):
+        return ("[2S1]", TopType("two_tori")) if d == 8 else ("[empty]", TopType("empty"))
+    p, q = (22 - r - d) // 2, (r - d) // 2
+    sub = vtype == "I" and (r, d, "II") in K3_KEYS
+    if p == 0:  # S_0 + qS is (q + 1)S
+        vid = f"[{q + 1}S]"
     else:
-        base = f"[S{p}+{q}S]"
-    return base + ("_I" if subscript_i else "")
+        vid = f"[S{p}]" if q == 0 else f"[S{p}+{q if q > 1 else ''}S]"
+    return vid + ("_I" if sub else ""), TopType("spheres", p, q, sub)
 
 
-def _diag_names(s: int, t: int) -> Tuple[str, ...]:
-    return ("<2>",) * s + ("<-2>",) * t
-
-
-def _principal_summands(p: int, q: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """(L+ blocks, L- blocks) for the principal vertex S_p + qS."""
-    s_plus, nondiag_plus = PRINCIPAL_LPLUS[q]
-    t_plus = PRINCIPAL_LPLUS_PMAX[q] - p
-    s_minus, nondiag_minus = PRINCIPAL_LMINUS[p]
-    t_minus = PRINCIPAL_LMINUS_QMAX[p] - q
-    if t_plus < 0 or t_minus < 0:
-        raise CatalogError(f"(p, q) = ({p}, {q}) is outside the principal series")
-    return _diag_names(s_plus, t_plus) + nondiag_plus, _diag_names(s_minus, t_minus) + nondiag_minus
+# The id and topological type of every key, placed once per process.
+PLACEMENT: Dict[VertexKey, Tuple[str, TopType]] = {key: _place(key) for key in sorted(K3_KEYS)}
 
 
 class Catalog(Sequence[K3Vertex]):
@@ -183,8 +197,6 @@ class Catalog(Sequence[K3Vertex]):
         self._vertices = tuple(vertices)
         self._by_key = {v.key: v for v in self._vertices}
         self._by_id = {v.vid: v for v in self._vertices}
-        if len(self._by_key) != len(self._vertices):
-            raise CatalogError("vertex keys are not unique")
 
     def __len__(self) -> int:
         return len(self._vertices)
@@ -212,15 +224,11 @@ class Catalog(Sequence[K3Vertex]):
 
 
 def _make_vertex(
-    vid: str,
-    top: TopType,
-    plus_names: Tuple[str, ...],
-    minus_names: Tuple[str, ...],
+    vid: str, top: Optional[TopType], plus_names: Tuple[str, ...], minus_names: Tuple[str, ...]
 ) -> K3Vertex:
     lplus = from_summands(plus_names, label=f"L+{vid}")
     lminus = from_summands(minus_names, label=f"L-{vid}")
-    disc_plus = _two_elementary(lplus.gram)
-    disc_minus = _two_elementary(lminus.gram)
+    disc_plus, disc_minus = _two_elementary(lplus.gram), _two_elementary(lminus.gram)
     if disc_plus is None or disc_minus is None:
         raise CatalogError(f"catalog entry {vid}: discriminant groups must be 2-periodic")
     vt = "I" if disc_minus._delta == 0 else "II"
@@ -239,16 +247,14 @@ def _validate_vertex(v: K3Vertex) -> List[str]:
         out.append(f"rank(L+) + rank(L-) = {v.lplus.rank + v.lminus.rank} != 22")
     if not is_even(v.lplus) or not is_even(v.lminus):
         out.append("eigenlattices must be even")
-    sp = signature(v.lplus)
-    sm = signature(v.lminus)
+    sp, sm = signature(v.lplus), signature(v.lminus)
     if sp[0] != 1:
         out.append(f"sigma_+(L+) = {sp[0]} != 1")
     if sm[0] != 2:
         out.append(f"sigma_+(L-) = {sm[0]} != 2")
     if v.r != v.lplus.rank:
         out.append("r does not equal rank(L+)")
-    dg_plus = _two_elementary(v.lplus.gram)
-    dg_minus = _two_elementary(v.lminus.gram)
+    dg_plus, dg_minus = _two_elementary(v.lplus.gram), _two_elementary(v.lminus.gram)
     if v.d != dg_plus.rank or v.d != dg_minus.rank:
         out.append(
             f"discriminant ranks disagree: d={v.d}, L+ gives {dg_plus.rank}, L- gives {dg_minus.rank}"
@@ -256,57 +262,47 @@ def _validate_vertex(v: K3Vertex) -> List[str]:
     vt = "I" if dg_minus._delta == 0 else "II"
     if v.vtype != vt:
         out.append("parity of discr(L-) disagrees with vertex type")
-    if v.top.kind == "spheres" and not v.top.subscript_I:
-        # principal series: type I exactly when the diagonal component vanishes,
-        # and the (r, d) coordinate formulas hold
-        if (v.vtype == "I") != (v.diag_s == 0 and v.diag_t == 0):
-            out.append("type I must coincide with s = t = 0 on the principal series")
-        p, q = v.top.p, v.top.q
-        if v.r != 11 - p + q:
-            out.append(f"r = {v.r} != 11 - p + q = {11 - p + q}")
-        if v.d != 11 - p - q:
-            out.append(f"d = {v.d} != 11 - p - q = {11 - p - q}")
+    placed = PLACEMENT.get(v.key)
+    if placed is None:
+        out.append(f"key {tuple(v.key)} is not a K3 key by Nikulin's existence theorem")
+    elif placed != (v.vid, v.top):
+        out.append(f"key {tuple(v.key)} places {placed[0]} {placed[1]!r}")
     return out
 
 
 def build_catalog() -> Catalog:
-    """Instantiate and validate all 75 vertices from the three tables."""
-    vertices: list[K3Vertex] = []
-    seen_pq = set()
-    # principal series, enumerated by the negative-eigenlattice table rows
-    for p in sorted(PRINCIPAL_LMINUS):
-        for q in range(PRINCIPAL_LMINUS_QMAX[p], -1, -1):
-            top = TopType("spheres", p, q, False)
-            vid = _vertex_id(p, q, False)
-            vertices.append(_make_vertex(vid, top, *_principal_summands(p, q)))
-            seen_pq.add((p, q))
-    principal_count = len(vertices)
-    if principal_count != 64:
-        raise CatalogError(f"principal series has {principal_count} entries, expected 64")
-    # cross-check: the positive-eigenlattice table instantiates the same (p, q) set
-    from_plus = {
-        (p, q)
-        for q in PRINCIPAL_LPLUS
-        for p in range(PRINCIPAL_LPLUS_PMAX[q], -1, -1)
+    """Instantiate and validate the entries of the three tables.
+
+    The principal series is the placed keys that are neither _I nor a named
+    type, and each table row's <-2> multiplicity is read off that set.  Every
+    entry takes the topological type placed at its id and must have the key
+    placed there; the entries' keys must be ``K3_KEYS``, each once."""
+    tops = dict(PLACEMENT.values())
+    cells = {
+        (top.p, top.q): vid for vid, top in tops.items()
+        if top.kind == "spheres" and not top.subscript_I
     }
-    if from_plus != seen_pq:
-        raise CatalogError("table rows for L+ and L- instantiate different vertex sets")
-    for vid, pq, plus_names, minus_names in EXCEPTIONAL:
-        if pq is not None:
-            top = TopType("spheres", pq[0], pq[1], True)
-        elif vid == "[2S1]":
-            top = TopType("two_tori")
-        else:
-            top = TopType("empty")
-        vertices.append(_make_vertex(vid, top, plus_names, minus_names))
-    if len(vertices) != 75:
-        raise CatalogError(f"catalog has {len(vertices)} entries, expected 75")
-    for v in vertices:
-        problems = _validate_vertex(v)
+    ordered = sorted(cells)  # by p, then q: the last value kept per key is the largest
+    pmax = {q: p for p, q in ordered}
+    qmax = {p: q for p, q in ordered}
+    rows: List[Tuple[str, Tuple[str, ...], Tuple[str, ...]]] = []
+    # principal series in the order of the negative-eigenlattice table rows
+    for p, q in sorted(cells, key=lambda pq: (pq[0], -pq[1])):
+        s_plus, plus = PRINCIPAL_LPLUS[q]
+        s_minus, minus = PRINCIPAL_LMINUS[p]
+        rows.append((cells[p, q], ("<2>",) * s_plus + ("<-2>",) * (pmax[q] - p) + plus,
+                     ("<2>",) * s_minus + ("<-2>",) * (qmax[p] - q) + minus))
+    vertices: List[K3Vertex] = []
+    for vid, plus_names, minus_names in rows + list(EXCEPTIONAL):
+        # an id that no key is placed at gets no type, and fails validation
+        vertices.append(_make_vertex(vid, tops.get(vid), plus_names, minus_names))
+        problems = _validate_vertex(vertices[-1])
         if problems:
-            raise CatalogError(f"catalog entry {v.vid}: {problems[0]}")
+            raise CatalogError(f"catalog entry {vid}: {problems[0]}")
+    missing = K3_KEYS.difference(v.key for v in vertices)
+    if missing or len(vertices) != len(K3_KEYS):
+        raise CatalogError(f"entries do not cover the K3 keys once each; missing {sorted(missing)}")
     kS_ids = {v.vid for v in vertices if v.kS_flag}
-    expected_kS = {f"[{k}S]" for k in range(1, 11)}
-    if kS_ids != expected_kS:
+    if kS_ids != {f"[{k}S]" for k in range(1, 11)}:
         raise CatalogError(f"kS family mismatch: {sorted(kS_ids)}")
     return Catalog(vertices)

@@ -36,7 +36,7 @@ from .finite_forms import (
     _two_elementary,
     lattices_equivalent,
 )
-from .catalog import Catalog, CatalogError, K3Vertex, VertexKey
+from .catalog import K3_KEYS, Catalog, CatalogError, K3Vertex, VertexKey
 from .elements import (
     ElementClass,
     _search,
@@ -45,6 +45,8 @@ from .elements import (
 )
 
 IRR_ID = "irr"
+# The key of the irregular K4 vertex, which Nikulin's theorem leaves out of K3_KEYS
+IRR_KEY = VertexKey(14, 8, "I")
 
 # Per graph, the (origin, class, terminal) of the one edge swapped between K3 and K4.
 IRREGULAR: Dict[str, Tuple[str, ElementClass, str]] = {
@@ -222,13 +224,15 @@ def build_k4_graph(catalog: Catalog) -> Tuple[DeformationGraph, Dict[str, K4Vert
 
 def _validate_irr(neg: GramLattice, catalog: Catalog) -> None:
     """The lattice facts that identify -M_- of the irregular K4 vertex."""
-    if signature(neg) != (1, 13):
-        raise StructuralError("irr: -M_- must have signature (1, 13)")
+    if IRR_KEY in K3_KEYS:
+        raise StructuralError(f"irr: {tuple(IRR_KEY)} must not be a K3 key")
+    if signature(neg) != (1, IRR_KEY.r - 1):
+        raise StructuralError(f"irr: -M_- must have signature (1, {IRR_KEY.r - 1})")
     dg = _two_elementary(neg.gram)
-    if dg is None or dg.rank != 8:
-        raise StructuralError("irr: -M_- must have 2-periodic discriminant of rank 8")
-    if dg._delta:
-        raise StructuralError("irr: -M_- must carry an even discriminant form")
+    if dg is None or dg.rank != IRR_KEY.d:
+        raise StructuralError(f"irr: -M_- must have 2-periodic discriminant of rank {IRR_KEY.d}")
+    if ("II" if dg._delta else "I") != IRR_KEY.vtype:
+        raise StructuralError(f"irr: -M_- must carry a discriminant form of type {IRR_KEY.vtype}")
     for v in catalog:
         verdict = lattices_equivalent(neg, v.lplus)
         if verdict != "no":
@@ -664,8 +668,7 @@ def graph_json_dict(g: DeformationGraph, catalog: Catalog) -> dict:
     vertices = []
     for vid in g.vertex_ids:
         if vid == IRR_ID:
-            # the synthesized lattice -M_- has signature (1,13), d = 8, even form
-            vertices.append({"id": IRR_ID, "r": 14, "d": 8, "type": "I"})
+            vertices.append({"id": IRR_ID, "r": IRR_KEY.r, "d": IRR_KEY.d, "type": IRR_KEY.vtype})
         else:
             v = catalog.by_id(vid)
             vertices.append({"id": vid, "r": v.r, "d": v.d, "type": v.vtype})
@@ -686,7 +689,7 @@ def graph_dot(g: DeformationGraph, catalog: Catalog) -> str:
     lines = [f"digraph {g.kind} {{"]
     for vid in g.vertex_ids:
         if vid == IRR_ID:
-            label, vtype = "K4-irr", "I"
+            label, vtype = "K4-irr", IRR_KEY.vtype
         else:
             label, vtype = vid.replace("[", "").replace("]", ""), catalog.by_id(vid).vtype
         shape = "shape=box, style=filled" if vtype == "I" else "shape=circle"

@@ -225,7 +225,7 @@ def suite_catalog(catalog: Catalog) -> SuiteResult:
     res = SuiteResult("catalog")
     seen_plus = set()
     for v in catalog:
-        # rank sum, signatures, discriminant ranks, type and coordinates
+        # rank sum, signatures, discriminant ranks, type, and the id and topology placed at the key
         res.failures.extend(f"{v.vid}: {msg}" for msg in _validate_vertex(v))
         fp = discriminant_quadratic(v.lplus)
         fm = discriminant_quadratic(v.lminus)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from k4graph import (
@@ -153,24 +155,35 @@ def test_type_one_census(catalog):
 
 
 def test_principal_pairing_consistency(catalog):
-    # the L+ table instantiates the same (p, q) set as the L- table
+    # the L+ rows (one per q) and the L- rows (one per p) are keyed by exactly
+    # the q and p values of the placed principal keys, each row a full range
+    # 0..max, and the catalog instantiates that (p, q) set
+    placed = {
+        (top.p, top.q)
+        for _, top in catalog_mod.PLACEMENT.values()
+        if top.kind == "spheres" and not top.subscript_I
+    }
     seen = {
         (v.top.p, v.top.q)
         for v in catalog
         if v.top.kind == "spheres" and not v.top.subscript_I
     }
-    from_plus = {
-        (p, q)
-        for q in catalog_mod.PRINCIPAL_LPLUS
-        for p in range(catalog_mod.PRINCIPAL_LPLUS_PMAX[q] + 1)
-    }
-    assert seen == from_plus
+    assert seen == placed
+    assert set(catalog_mod.PRINCIPAL_LPLUS) == {q for _, q in placed}
+    assert set(catalog_mod.PRINCIPAL_LMINUS) == {p for p, _ in placed}
+    pmax = {q: max(p for p, q2 in placed if q2 == q) for q in catalog_mod.PRINCIPAL_LPLUS}
+    qmax = {p: max(q for p2, q in placed if p2 == p) for p in catalog_mod.PRINCIPAL_LMINUS}
+    assert placed == {(p, q) for q in pmax for p in range(pmax[q] + 1)}
+    assert placed == {(p, q) for p in qmax for q in range(qmax[p] + 1)}
 
 
 def test_coords_rejects_inconsistent_entry(catalog):
     v = catalog.by_id("[S4+2S]")
     broken = K3Vertex(v.vid, v.top, v.lplus, v.lminus, v.r + 1, v.d, v.vtype)
-    assert f"r = {v.r + 1} != 11 - p + q = {v.r}" in catalog_mod._validate_vertex(broken)
+    key = (v.r + 1, v.d, v.vtype)
+    assert f"key {key} is not a K3 key by Nikulin's existence theorem" in (
+        catalog_mod._validate_vertex(broken)
+    )
 
 
 def test_mutation_is_detected(monkeypatch):
@@ -184,8 +197,36 @@ def test_mutation_is_detected(monkeypatch):
 
 def test_mutation_in_table3_is_detected(monkeypatch):
     rows = list(catalog_mod.EXCEPTIONAL)
-    vid, pq, plus, minus = rows[0]
-    rows[0] = (vid, pq, plus, ("U(2)", "U"))  # wrong L- for [8S]_I
+    vid, plus, minus = rows[0]
+    rows[0] = (vid, plus, ("U(2)", "U"))  # wrong L- for [8S]_I
     monkeypatch.setattr(catalog_mod, "EXCEPTIONAL", tuple(rows))
     with pytest.raises(CatalogError, match=r"\[8S\]_I"):
         build_catalog()
+
+
+@pytest.mark.parametrize(
+    "renames, named",
+    [
+        ({"[S3+2S]_I": "[S2+3S]_I"}, "[S2+3S]_I"),
+        ({"[8S]_I": "[8S]"}, "[8S]"),
+        ({"[2S1]": "[empty]", "[empty]": "[2S1]"}, "[empty]"),
+    ],
+)
+def test_mislabelled_exceptional_id_is_detected(renames, named, monkeypatch):
+    # an id must be the one placed at the entry's key, on the exceptional rows too
+    rows = tuple((renames.get(vid, vid), *lattices) for vid, *lattices in catalog_mod.EXCEPTIONAL)
+    monkeypatch.setattr(catalog_mod, "EXCEPTIONAL", rows)
+    with pytest.raises(CatalogError, match=re.escape(f"catalog entry {named}: ")):
+        build_catalog()
+
+
+def test_existence_theorem_gives_the_catalog_keys(catalog):
+    assert catalog_mod.K3_KEYS == {v.key for v in catalog}
+    assert {vid for vid, _ in catalog_mod.PLACEMENT.values()} == set(catalog.ids())
+    # the theorem admits every catalog eigenlattice with its own invariants
+    for v in catalog:
+        for lat in (v.lplus, v.lminus):
+            f = discriminant_quadratic(lat)
+            assert catalog_mod._exists(*signature(lat), f.d, parity(f) == "odd")
+    # and rules out an even unimodular lattice of signature (2, 0)
+    assert not catalog_mod._exists(2, 0, 0, 0)

@@ -1,13 +1,20 @@
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from k4graph import build_catalog
 from k4graph.cli import main
+from k4graph.verification import SUITES
 
 
 def run_cli(args, capsys):
@@ -278,3 +285,54 @@ def test_failed_witness_construction_exits_1(argv, monkeypatch, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert err == "verification failed: witness construction failed for [9S], n=0, even-non-wu\n"
+
+
+_JUNK = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=4)
+
+
+@st.composite
+def _cheap_argv(draw, out_dir):
+    """A command line from the real subcommands and flags with junk values mixed
+    in.  Junk never names a suite, so verify runs one cheap suite at most, and
+    every --out is under out_dir."""
+    def value(*real):
+        return st.one_of(st.sampled_from(real), _JUNK.filter(lambda s: s not in SUITES))
+
+    out = st.sampled_from([str(out_dir / "out.txt"), str(out_dir), str(out_dir / "no" / "out.txt")])
+    graph = {"--graph": value("k3", "k4"), "--format": value("json", "dot"), "--out": out}
+    flags = {
+        "catalog": {"--format": value("json", "table"), "--out": out},
+        "build": graph,
+        "export": graph,
+        "classify": {
+            "--vertex": value("[7S]", "[3S]", "[S1]", "[empty]", "[8S]_I"),
+            "--square": value("-2", "6"),
+            "--bound": st.sampled_from(["1", "2", "3", "0", "-1", "x", ""]),
+        },
+        "verify": {"--suite": value("lattice", "forms")},
+    }
+    command = draw(st.one_of(st.sampled_from(sorted(flags)), _JUNK))
+    argv = [command]
+    if command in flags:
+        for flag in draw(st.lists(st.sampled_from(sorted(flags[command])), max_size=4)):
+            argv += [flag, draw(flags[command][flag])]
+    if command == "verify":
+        argv += ["--suite", draw(flags["verify"]["--suite"])]
+    return argv
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data(), budget=_JUNK)
+def test_cli_exits_with_a_documented_code_on_any_input(data, budget, tmp_path):
+    argv = data.draw(_cheap_argv(tmp_path))
+    err = io.StringIO()
+    with patch.dict(os.environ, {"K4GRAPH_SEARCH_BUDGET": budget}):
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -33,6 +34,8 @@ from k4graph import (
     synthesize_k4_plus,
     verify_flip_cycle,
 )
+from k4graph.catalog import K3_KEYS, _exists
+from k4graph.graphs import IRR_KEY, IRREGULAR, terminal_key
 from k4graph.lattice import GramLattice, direct_sum, from_summands
 
 
@@ -187,6 +190,14 @@ def test_k4_irregular_lattice(k4_graph, catalog):
         assert lattices_equivalent(neg, v.lplus) == "no"
 
 
+def test_irregular_key_must_not_be_a_k3_key(catalog, monkeypatch):
+    from k4graph import StructuralError, build_k4_graph, graphs
+
+    monkeypatch.setattr(graphs, "K3_KEYS", graphs.K3_KEYS | {IRR_KEY})
+    with pytest.raises(StructuralError, match=re.escape("irr: (14, 8, 'I') must not be a K3 key")):
+        build_k4_graph(catalog)
+
+
 def test_k4_regular_vertex_lattices(k4_graph, catalog):
     _, data = k4_graph
     for vid, entry in data.items():
@@ -219,6 +230,31 @@ def test_f_is_a_bijection(k3_graph, k4_graph):
 def test_k4_is_k3_after_swap(k3_graph, k4_graph):
     g4, _ = k4_graph
     assert k4_equals_k3_after_swap(k3_graph, g4)
+
+
+def test_existence_theorem_derives_both_edge_sets(catalog, k3_graph, k4_graph):
+    # an edge (c, cls) exists iff its terminal key is a K3 key and c is type II
+    # or cls is odd: exactly the K3 edges, and the K4 edges but for the swap
+    rule = {
+        (c.vid, cls, catalog.lookup(terminal_key(c.key, cls)).vid)
+        for c in catalog
+        for cls in ElementClass
+        if terminal_key(c.key, cls) in K3_KEYS and (c.vtype == "II" or cls is ElementClass.ODD)
+    }
+    k3 = {(e.src, e.label.cls, e.dst) for e in k3_graph.edges}
+    k4 = {(e.src, e.label.cls, e.dst) for e in k4_graph[0].edges}
+    assert len(k3) == 126 and rule == k3
+    assert rule ^ k4 == {IRREGULAR["k3"], IRREGULAR["k4"]}
+    # [3S] Wu ends at the irregular key; its L+ exists, and its L- of signature
+    # (2, 6) fails only "delta = 0 and a = r imply sigma = 0 mod 8"
+    assert terminal_key(catalog.by_id("[3S]").key, ElementClass.WU) == IRR_KEY
+    r, a, _ = IRR_KEY
+    assert _exists(1, r - 1, a, 0) and not _exists(2, 20 - r, a, 0)
+    t_plus, t_minus = 2, 20 - r
+    sigma = (t_plus - t_minus) % 8
+    assert a == t_plus + t_minus and sigma == 4
+    # the other five hold: a <= rank, a = rank mod 2, sigma = 0 mod 4, and a > 2
+    assert sigma % 4 == 0 and a > 2
 
 
 # ---------------------------------------------------------------------------
