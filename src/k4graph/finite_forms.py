@@ -3,7 +3,8 @@
 All arithmetic is in integers.  A discriminant group keeps each generator
 lift as an integer numerator vector over its elementary divisor, together
 with the integral dual vector G·g, so every pairing with a lift is an
-integer dot product (for 2-periodic groups, Nikulin 1979, §1.3).
+integer dot product (for 2-periodic groups, Nikulin 1979, §1.3), taken by
+selection on a 2-elementary group's 0/1 lifts, and mod 2 on odd entries.
 Finite-form values are stored integrally in half-units: a quadratic value
 ``k`` means q = k/2 in Q/2Z (so k lives mod 4), a bilinear value ``m`` means
 b = m/2 in Q/Z (m lives mod 2).  The Brown invariant comes from the GF(2)
@@ -39,7 +40,8 @@ caller may share one; errors are not cached.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
+from itertools import compress
+from operator import and_, mul, rshift
 from typing import List, Optional, Sequence, Tuple
 
 from .lattice import (
@@ -53,6 +55,8 @@ from .lattice import (
     _freeze,
     _json_ints,
     _json_object,
+    _ONES,
+    _parities,
     _Record,
     _set,
     _split,
@@ -196,17 +200,12 @@ class DiscriminantGroup(_Record, frozen=True):
 
     @property
     def _delta(self) -> int:
-        """Nikulin's δ of a 2-periodic group: 0 iff b(x, x) = 0 for every x.
-
-        b(x, x) mod Z is additive, so the generators decide it; 2·b(g_i, g_i)
-        is lifts[i]·duals[i].  This is the parity of the discriminant form,
-        whatever characteristic vector an odd lattice's form is built with.
-        """
-        return int(any(_dot(n, dual) % 2 for n, dual in zip(self.lifts, self.duals)))
-
-
-def _dot(x: Sequence[int], y: Sequence[int]) -> int:
-    return sum(map(mul, x, y))
+        """Nikulin's δ of a 2-periodic group: 0 iff b(x, x) = 0 for every x; the
+        parity of the discriminant form, whatever w an odd one is built with.
+        b(x, x) mod Z is additive, so the generators decide it: 2·b(g_i, g_i) is
+        lifts[i]·duals[i] mod 2, which a lift's odd entries alone decide; one
+        C-level product per generator is cheaper than selecting them."""
+        return int(any(sum(map(mul, n, dual)) & 1 for n, dual in zip(self.lifts, self.duals)))
 
 
 def discriminant_group(l: GramLattice) -> DiscriminantGroup:
@@ -244,7 +243,8 @@ def _two_elementary(gram: Gram) -> Optional[DiscriminantGroup]:
     The x/2 for x in a kernel basis of G mod 2 lie in L*, and they present
     the 2-torsion of L*/L, of order 2^dim ker.  That is all of L*/L exactly
     when |det G| = 2^dim ker (Nikulin 1979, §1.3).  The lifts are the
-    ``gf2_solve`` kernel basis; the duals are G·x/2.
+    ``gf2_solve`` kernel basis, 0/1 vectors, so the duals G·x/2 are sums of
+    the Gram rows the lifts select (G is symmetric).
     """
     det = _elimination(gram)[3]
     if det == 0:  # decided over all blocks before any block may return None
@@ -261,17 +261,17 @@ def _two_elementary(gram: Gram) -> Optional[DiscriminantGroup]:
     _, kernel = gf2_solve(gram, [0] * len(gram))
     if abs(det) != 1 << len(kernel):
         return None
-    # G·x is the sum of the Gram rows on the support of x (G is symmetric)
-    duals = tuple(
-        tuple(y // 2 for y in map(sum, zip(*(gram[r] for r, c in enumerate(x) if c))))
-        for x in kernel
-    )
-    return DiscriminantGroup((2,) * len(kernel), _freeze(kernel), duals)
+    duals = tuple([tuple(map(rshift, map(sum, zip(*compress(gram, x))), _ONES)) for x in kernel])
+    return DiscriminantGroup((2,) * len(kernel), tuple(map(tuple, kernel)), duals)
 
 
 def bilinear_table(disc: DiscriminantGroup) -> IntMatrix:
-    """2·b(g_i, g_j) mod 2 on a 2-periodic group: lifts[i]·duals[j] mod 2."""
-    return tuple(tuple(_dot(n, dual) % 2 for dual in disc.duals) for n in disc.lifts)
+    """2·b(g_i, g_j) mod 2 on a 2-periodic group: lifts[i]·duals[j] mod 2, the
+    popcount parity of the two rows' odd entries packed by ``_parities``.  An
+    even entry adds an even product, so this holds for any integer lifts, the
+    Smith route's included, not only the 0/1 ones of ``_two_elementary``."""
+    duals = _parities(disc.duals)
+    return tuple(tuple([(x & y).bit_count() & 1 for y in duals]) for x in _parities(disc.lifts))
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +380,14 @@ def _discriminant_quadratic(gram: Gram, wc: Optional[Tuple[int, ...]]) -> Finite
     disc = _two_elementary(gram)
     if disc is None:
         raise FormError("form out of scope: discriminant is not 2-periodic")
+    # mod 2, a product with w is the sum at w's odd entries
+    wodd = tuple(map(and_, wc or (), _ONES))
     # even: canonical q(x+L) = x^2 mod 2Z, and a supplied w is not used
     if any(row[i] % 2 for i, row in enumerate(gram)):
         if wc is None:
             raise FormError("odd lattice needs a characteristic vector")
-        _check_characteristic(gram, wc)
+        if any((sum(compress(row, wodd)) - row[i]) & 1 for i, row in enumerate(gram)):
+            raise FormError("supplied vector is not characteristic")
     elif wc is None and len(blocks := _split(gram)) > 1:
         # the form of an orthogonal sum is the sum of its blocks' forms
         forms = [_discriminant_quadratic(block, None) for block in blocks]
@@ -392,18 +395,13 @@ def _discriminant_quadratic(gram: Gram, wc: Optional[Tuple[int, ...]]) -> Finite
         bvals = _diagonal([f.bvals for f in forms], [f.d for f in forms])
         return FiniteQuadraticForm(disc.rank, qvals, bvals)
     # with every divisor 2, 2q(g) = 2(g^2 + <w,g>) = n·(G g) + 2 w·(G g)
-    # for g = n/2: integral by construction, so no value can be malformed
+    # for g = n/2: integral by construction, so no value can be malformed;
+    # the lift n is 0/1, so n·(G g) sums the entries it selects
     qvals = tuple(
-        (_dot(n, dual) + (2 * _dot(wc, dual) if wc is not None else 0)) % 4
+        (sum(compress(dual, n)) + 2 * sum(compress(dual, wodd))) % 4
         for n, dual in zip(disc.lifts, disc.duals)
     )
     return FiniteQuadraticForm(disc.rank, qvals, bilinear_table(disc))
-
-
-def _check_characteristic(gram: Gram, wc: Sequence[int]) -> None:
-    for i, row in enumerate(gram):
-        if (sum(gij * c for gij, c in zip(row, wc)) - row[i]) % 2 != 0:
-            raise FormError("supplied vector is not characteristic")
 
 
 def parity(f: FiniteQuadraticForm) -> str:

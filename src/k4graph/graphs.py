@@ -314,11 +314,12 @@ class FlipTriple(_Record, frozen=True):
     def __init__(self, h: LatticeVector, v: LatticeVector) -> None:
         if h.ambient.gram != v.ambient.gram:
             raise LatticeError("flip pair must share one ambient lattice")
-        if norm(h) != 6:
-            raise LatticeError(f"h^2 = {norm(h)} != 6")
-        if norm(v) != -2:
-            raise LatticeError(f"v^2 = {norm(v)} != -2")
-        if inner(h, v) != 0:
+        rows = [(c, row) for c, row in zip(h.coords, h.ambient.gram) if c]  # h's support, once
+        if (hh := sum([c * sum(map(mul, row, h.coords)) for c, row in rows])) != 6:
+            raise LatticeError(f"h^2 = {hh} != 6")
+        if (vv := norm(v)) != -2:
+            raise LatticeError(f"v^2 = {vv} != -2")
+        if sum([c * sum(map(mul, row, v.coords)) for c, row in rows]):
             raise LatticeError("h and v are not orthogonal")
         _set(self, "h", h)
         _set(self, "v", v)

@@ -11,11 +11,12 @@ operations, each applied to the Gram as a congruence, so its Gram is read off
 the swept Gram with no matrix product, and the inverse of the sweep gives
 coordinates in it.  Characteristic vectors and the GF(2) kernels of
 discriminant groups come from ``gf2_solve``, the one GF(2) solver of the
-package.  ``_diagonal`` assembles every direct sum in one pass, and
-``_elimination`` and ``finite_forms._two_elementary`` read a Gram's diagonal
-blocks, split once by the ``_split`` memo, one at a time through their memos,
-so the catalog's sums of standard blocks are answered, exactly as whole
-Grams, from the nine blocks' memo entries.
+package, which XORs in place rows packed mod 2 by ``_parities``.
+``_diagonal`` assembles every direct sum in one pass, and ``_elimination`` and
+``finite_forms._two_elementary`` read a Gram's diagonal blocks, split once by
+the ``_split`` memo, one at a time through their memos, so the catalog's sums
+of standard blocks are answered, exactly as whole Grams, from the nine blocks'
+memo entries.
 
 ``inertia`` (and so ``signature``) is memoized: it reads ``_elimination``, a
 ``functools.lru_cache`` keyed by the Gram tuple alone (labels and summands do
@@ -28,11 +29,13 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import compress, repeat
 from math import prod
-from operator import mul
+from operator import and_, mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 Gram = Tuple[Tuple[int, ...], ...]
+_ONES = repeat(1)  # map(and_, row, _ONES) reads a row mod 2; endless, so safe to share
 
 # Entries per memo (the Gram-keyed ones, the per-form Brown invariant and
 # the block tables): one verify run eliminates 466 distinct Grams, diagonal
@@ -485,6 +488,13 @@ def twist(l: GramLattice, v: LatticeVector) -> GramLattice:
 # characteristic vectors and orthogonal complements
 # ---------------------------------------------------------------------------
 
+def _parities(rows: Sequence[Sequence[int]]) -> List[int]:
+    """Integer rows packed into ints, bit c set iff entry c is odd: powers of
+    two selected by the entries' parities, with no Python loop over entries."""
+    bits = [1 << c for c in range(len(rows[0]))] if rows else []
+    return [sum(compress(bits, map(and_, row, _ONES))) for row in rows]
+
+
 def gf2_solve(
     a: Sequence[Sequence[int]], b: Sequence[int]
 ) -> Tuple[Optional[List[int]], List[List[int]]]:
@@ -493,24 +503,24 @@ def gf2_solve(
     Returns a particular solution with every free variable 0, or None when the
     system is inconsistent, and a kernel basis of a: one vector per free
     column, in increasing column order, with its 1 at that free column and 0
-    at every other.  Each row is packed into an int, bit c for column c and
-    bit n for the right-hand side, so a row operation is one XOR.
+    at every other.  Rows are packed by ``_parities``, bit n for the right-hand
+    side, and each pivot XORs, in place, only the rows that carry its bit.
     """
     n = len(a[0]) if a else 0
-    rows = [
-        sum(1 << c for c, x in enumerate(row) if x & 1) | (y & 1) << n
-        for row, y in zip(a, b)
-    ]
+    rows = [x | (y & 1) << n for x, y in zip(_parities(a), b)]
     pivots: List[int] = []
     for c in range(n):
-        bit = 1 << c
-        r = len(pivots)
-        sel = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
-        if sel is None:
+        bit, r = 1 << c, len(pivots)
+        for s in range(r, len(rows)):
+            if rows[s] & bit:
+                break
+        else:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        p = rows[r]
-        rows = [x ^ p if x & bit and i != r else x for i, x in enumerate(rows)]
+        p = rows[s]
+        rows[s], rows[r] = rows[r], p
+        for i, x in enumerate(rows):
+            if x & bit and i != r:
+                rows[i] = x ^ p
         pivots.append(c)
     solution: Optional[List[int]] = None
     if not any(x >> n for x in rows[len(pivots):]):

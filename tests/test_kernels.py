@@ -14,7 +14,8 @@ signature, rank, parity and Brown invariant.  The block route of
 ``_elimination``, ``_two_elementary``, ``_discriminant_quadratic`` and
 ``elements._disc_data`` is compared with the whole-Gram route, errors and
 their messages included, and the one-pass block-diagonal assembly with the
-pairwise fold it replaced.
+pairwise fold it replaced.  ``bilinear_table`` and ``DiscriminantGroup._delta``
+are compared with their dot-product definitions on the groups of both routes.
 """
 
 import itertools
@@ -284,8 +285,19 @@ def _check_discriminant_group(lat):
     for n, dual, d in zip(disc.lifts, disc.duals, disc.divisors):
         assert [_dot(row, n) for row in gram] == [d * y for y in dual]
     assert disc.order == abs(_det(gram))
+    _check_pairings(disc)
     _check_two_elementary(lat, disc)
     return disc
+
+
+def _check_pairings(disc):
+    """``bilinear_table`` and ``_delta`` of a 2-periodic group, from either
+    route, against their definitions by integer dot products."""
+    if not disc.is_two_periodic:
+        return
+    table = tuple(tuple(_dot(n, dual) % 2 for dual in disc.duals) for n in disc.lifts)
+    assert bilinear_table(disc) == table
+    assert disc._delta == int(any(table[i][i] for i in range(disc.rank)))
 
 
 def _check_two_elementary(lat, ref):
@@ -299,6 +311,7 @@ def _check_two_elementary(lat, ref):
         return
     assert two is not None and two.is_two_periodic
     assert two.order == abs(_det(gram))
+    _check_pairings(two)
     for n, dual in zip(two.lifts, two.duals):
         assert [_dot(row, n) for row in gram] == [2 * y for y in dual]
     if is_even(lat):
@@ -313,13 +326,18 @@ def _check_congruent(lat, rng):
     assert moved_disc.divisors == disc.divisors
     if disc.is_two_periodic and is_even(lat):  # odd forms depend on the chosen w
         assert _parity_and_brown(moved_disc) == _parity_and_brown(disc)
+    return disc, moved_disc
 
 
 def test_discriminant_group_on_catalog_and_congruences(catalog):
     rng = random.Random(1979)
+    lifts = []
     for v in catalog:
         for lat in (v.lplus, v.lminus):
-            _check_congruent(lat, rng)
+            lifts += [n for d in _check_congruent(lat, rng) if d.is_two_periodic for n in d.lifts]
+    # _check_pairings met Smith lifts with an even nonzero or a negative entry,
+    # where a parity read off the nonzero entries, not the odd ones, is wrong
+    assert any(x < 0 or (x and x % 2 == 0) for n in lifts for x in n)
 
 
 # 2-elementary blocks, plus <6> and A2 for divisors other than 2
@@ -340,6 +358,27 @@ def _block(name):
 @settings(max_examples=60, deadline=None)
 def test_discriminant_group_on_random_block_sums(names, seed):
     _check_congruent(direct_sum_all([_block(n) for n in names]), random.Random(seed))
+
+
+@given(
+    st.lists(st.sampled_from(_BLOCKS[:9]), max_size=3),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_odd_form_reads_w_mod_two(names, seed):
+    """An odd form's 2·w·dual term against its dot-product definition, with w
+    moved by 2y so that it has even nonzero and negative entries; w and w + 2y
+    give the same form."""
+    rng = random.Random(seed)
+    lat = direct_sum_all([_block(n) for n in ("<1>", *names)])
+    lat = _congruent(lat.gram, _random_unimodular(rng, lat.rank))
+    w = find_characteristic(lat).coords
+    moved = tuple(c + 2 * rng.choice((-2, -1, 1, 2)) for c in w)
+    two = _two_elementary.__wrapped__(lat.gram)
+    qvals = tuple((_dot(n, d) + 2 * _dot(moved, d)) % 4 for n, d in zip(two.lifts, two.duals))
+    form = _discriminant_quadratic.__wrapped__(lat.gram, moved)
+    assert form == _discriminant_quadratic.__wrapped__(lat.gram, w)
+    assert form.qvals == qvals
 
 
 @given(_symmetric())

@@ -379,6 +379,65 @@ def test_gf2_solve_matches_brute_force(system):
     assert 2 ** len(basis) == len(kernel)  # the basis is independent
 
 
+def _xor_new(vectors) -> List[bool]:
+    """For each integer vector, whether it is independent over GF(2) of the
+    ones before it, by an XOR basis keyed by the leading bit: an elimination
+    independent of ``gf2_solve``'s column pivots."""
+    basis, out = {}, []
+    for v in vectors:
+        x = int("".join(str(e % 2) for e in v) or "0", 2)
+        while x and x.bit_length() in basis:
+            x ^= basis[x.bit_length()]
+        if x:
+            basis[x.bit_length()] = x
+        out.append(bool(x))
+    return out
+
+
+@st.composite
+def _library_size_gf2_systems(draw):
+    """Up to 24 rows and 24 columns, wide or tall, fresh rows with entries
+    -9..9.  Other rows are sums of earlier rows plus an even vector, so the
+    rank drops without the entries shrinking to ±1, and a right-hand side
+    drawn at random is then often inconsistent."""
+    m, n = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    p = draw(st.sampled_from((0.0, 0.5, 0.9)))  # the share of dependent rows
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    a = []
+    for i in range(m):
+        if i and rng.random() < p:
+            base = rng.sample(a, rng.randint(1, len(a)))
+            a.append([sum(col) + 2 * rng.randint(-4, 4) for col in zip(*base)])
+        else:
+            a.append([rng.randint(-9, 9) for _ in range(n)])
+    b = [rng.randint(-9, 9) for _ in range(m)]
+    return a, b
+
+
+@settings(max_examples=120, deadline=None)
+@given(_library_size_gf2_systems())
+def test_gf2_solve_at_library_sizes(system):
+    a, b = system
+    n = len(a[0])
+    rank = sum(_xor_new(a))
+    # column c is free iff it lies in the span of the columns before it
+    free = [c for c, new in enumerate(_xor_new(zip(*a))) if not new]
+    x, kernel = gf2_solve(a, b)
+
+    def image(v):
+        return [sum(map(mul, row, v)) % 2 for row in a]
+
+    if sum(_xor_new([row + [y] for row, y in zip(a, b)])) == rank:
+        assert x is not None and image(x) == [y % 2 for y in b]
+        assert [x[f] for f in free] == [0] * len(free)
+    else:
+        assert x is None
+    for k, v in enumerate(kernel):
+        assert image(v) == [0] * len(a)
+        assert [v[f] for f in free] == [int(j == k) for j in range(len(free))]
+    assert len(kernel) == n - rank
+
+
 # ---------------------------------------------------------------------------
 # orthogonal complements
 # ---------------------------------------------------------------------------
