@@ -9,12 +9,15 @@ adds to a whole mask as a rotation by a.  ``exists_class`` is a bit test of
 the fold, which decides the edge sets of both graphs from the lattice alone:
 a negative answer is a proof; a positive one is backed by the explicit
 witness of ``construct_witness``, re-checked with ``classify_element``.
-Classification is integer arithmetic on the discriminant group's lifts, with
-the bilinear table of a block-diagonal Gram read off its blocks' tables.  The
-bounded search walks the standard-block decomposition of a catalog
-eigenlattice and prunes on achievable norm intervals and on the residues mod
-16 that ``SQUARES`` lets the remaining blocks add, so a "none" answer on the
-catalog lattices is cheap even at rank 12.
+Classification is one rule, ``_class_of``, read by ``classify_element`` and by
+the search's block tables alike: x is odd iff G·x is odd somewhere, and an
+even x is Wu iff x/2 is the characteristic element of the discriminant
+bilinear form, which holds iff x matches one parity pattern per Gram
+(``_wu_parities``, memoized).  The bounded search walks the standard-block
+decomposition of a catalog eigenlattice and prunes on achievable norm
+intervals and on the residues mod 16 that ``SQUARES`` lets the remaining
+blocks add, so a "none" answer on the catalog lattices is cheap even at rank
+12.
 
 Searches share their per-block work: ``_block_table`` keeps up to ``MEMO_SIZE``
 tables keyed by (block name, bound, lo, hi, parities).  A table extends its
@@ -29,8 +32,8 @@ import enum
 import math
 import os
 from functools import lru_cache
-from itertools import chain, islice, product
-from operator import mul
+from itertools import chain, compress, islice, product
+from operator import and_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .lattice import (
@@ -40,11 +43,9 @@ from .lattice import (
     LatticeError,
     LatticeVector,
     STANDARD_GRAMS,
-    _diagonal,
+    _ONES,
     _Record,
-    _split,
     gf2_solve,
-    gram_apply,
     make_standard,
     norm,
     signature,
@@ -91,17 +92,30 @@ def search_budget() -> int:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _disc_data(gram: Gram):
-    """The 2-elementary group and its bilinear table; a block-diagonal Gram's
-    table is its blocks' tables, from this memo, placed side by side."""
+def _wu_parities(gram: Gram) -> Tuple[int, ...]:
+    """The pattern p such that an x with G·x even is Wu iff x = p mod 2.
+
+    Such an x has x/2 in L*, and x is Wu iff x/2 is the characteristic element
+    c of the discriminant bilinear form b: b(c, g) = b(g, g) for every g.  b is
+    non-degenerate, so c is unique mod L; with c = sum c_i g_i and g_i =
+    lifts[i]/2, x/2 = c mod L iff x = sum c_i lifts[i] mod 2.
+    """
     disc = _two_elementary(gram)
     if disc is None:
         raise LatticeError("classification needs a 2-periodic discriminant")
-    blocks = _split(gram)
-    if len(blocks) > 1:
-        tables = [_disc_data(block)[1] for block in blocks]
-        return disc, _diagonal(tables, list(map(len, tables)))
-    return disc, bilinear_table(disc)
+    pair = bilinear_table(disc)
+    coeffs, _ = gf2_solve(pair, [row[j] for j, row in enumerate(pair)])
+    # sum c_i lifts[i] mod 2; the zero row gives every coordinate a column
+    return tuple([sum(col) & 1 for col in zip((0,) * len(gram), *compress(disc.lifts, coeffs))])
+
+
+def _class_of(gram: Gram, coords: Tuple[int, ...]) -> ElementClass:
+    """The class of a nonzero x: odd iff G·x is odd somewhere, which the Gram
+    rows at x's odd entries decide; else Wu iff x = ``_wu_parities`` mod 2."""
+    odd = tuple(map(and_, coords, _ONES))
+    if any(map(and_, map(sum, zip(*compress(gram, odd))), _ONES)):
+        return ElementClass.ODD
+    return ElementClass.WU if odd == _wu_parities(gram) else ElementClass.EVEN_NON_WU
 
 
 def classify_element(lminus: GramLattice, x: LatticeVector) -> ElementClass:
@@ -110,16 +124,7 @@ def classify_element(lminus: GramLattice, x: LatticeVector) -> ElementClass:
         raise LatticeError("element does not live in the given lattice")
     if x.is_zero():
         raise LatticeError("cannot classify the zero vector")
-    gx = gram_apply(lminus, x.coords)
-    if any(v % 2 for v in gx):
-        return ElementClass.ODD
-    disc, pair = _disc_data(lminus.gram)
-    # x/2 is in the dual; Wu iff b(x/2, g) = b(g, g) for every generator g,
-    # where 2·b(x/2, g) = <x, g> = x·(G g)
-    for j, dual in enumerate(disc.duals):
-        if sum(map(mul, x.coords, dual)) % 2 != pair[j][j]:
-            return ElementClass.EVEN_NON_WU
-    return ElementClass.WU
+    return _class_of(lminus.gram, x.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +204,7 @@ class _BlockData:
         lat = make_standard(name)
         self.rank = lat.rank
         self.gram = lat.gram
-        disc, pair = _disc_data(lat.gram)
-        # characteristic class of the block's discriminant bilinear form,
-        # solved over GF(2): sum_i c_i b(g_i, g_j) = b(g_j, g_j) (pair is symmetric)
-        coeffs, _ = gf2_solve(pair, [row[j] for j, row in enumerate(pair)])
-        if coeffs is None:
-            raise LatticeError(f"no characteristic class for block {name}")
-        # w = num/2 with num = sum c_i lifts[i]; the Wu vectors are exactly
-        # 2*w + 2Z^r: a parity pattern
-        num = [sum(c * g[a] for c, g in zip(coeffs, disc.lifts)) for a in range(self.rank)]
-        self.wu_parities = tuple(x % 2 for x in num)
+        self.wu_parities = _wu_parities(lat.gram)
         # crude achievable-norm interval scale: |x^2| <= bound^2 * sum |g_ij|
         self.abs_scale = sum(abs(x) for row in self.gram for x in row)
         sig = signature(lat)
@@ -218,9 +214,7 @@ class _BlockData:
 
     def kind(self, coords: Tuple[int, ...]) -> ElementClass:
         """The block-local class of a block vector, as ``SQUARES`` reads it."""
-        if any(sum(map(mul, row, coords)) % 2 for row in self.gram):
-            return _O
-        return _W if all((c - p) % 2 == 0 for c, p in zip(coords, self.wu_parities)) else _N
+        return _class_of(self.gram, coords)
 
     def norm_bounds(self, bound: int) -> Tuple[int, int]:
         m = bound * bound * self.abs_scale

@@ -21,20 +21,16 @@ elimination that also gives the inertia, so each Gram is eliminated once.
 A block-diagonal Gram embeds its blocks' groups, from the same memo, at their
 offsets, which gives the whole Gram's group on either route: the GF(2) reduced
 row echelon form is unique, and a block-diagonal matrix's is its blocks'.
-The form of an orthogonal sum is the sum of its blocks' forms (Nikulin 1979,
-§1), so the route goes on to the forms: after the whole-Gram checks, an even
-block-diagonal Gram's quadratic values are its blocks' values in order, and
-its bilinear table (here and in ``elements._disc_data``) is its blocks'
-tables placed side by side, each from its own memo.
 
-``_discriminant_group`` (behind ``discriminant_group``), ``_two_elementary``,
-``_discriminant_quadratic`` (behind ``discriminant_quadratic``) and
-``brown_invariant`` are each a ``functools.lru_cache`` of
-``lattice.MEMO_SIZE`` entries.  The key is the Gram tuple, or the form and
-the limit for Brown; for ``discriminant_quadratic`` it also holds the
-coordinates of the characteristic vector, on odd lattices only (even lattices
-ignore it).  The results are frozen records of tuples, or ints, so every
-caller may share one; errors are not cached.
+``_two_elementary``, ``_discriminant_quadratic`` (behind
+``discriminant_quadratic``) and ``brown_invariant`` are each a
+``functools.lru_cache`` of ``lattice.MEMO_SIZE`` entries.  The key is the
+Gram tuple, or the form for Brown; for ``discriminant_quadratic`` it also
+holds the coordinates of the characteristic vector, on odd lattices only
+(even lattices ignore it).  The results are frozen records of tuples, or
+ints, so every caller may share one; errors are not cached.  The Smith
+route behind ``discriminant_group`` is not memoized: nothing in the package
+calls it, and the ``library`` benchmark never asks it twice for one Gram.
 """
 
 from __future__ import annotations
@@ -213,7 +209,6 @@ def discriminant_group(l: GramLattice) -> DiscriminantGroup:
     return _discriminant_group(l.gram)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def _discriminant_group(gram: Gram) -> DiscriminantGroup:
     divisors = []
     lifts = []
@@ -380,20 +375,15 @@ def _discriminant_quadratic(gram: Gram, wc: Optional[Tuple[int, ...]]) -> Finite
     disc = _two_elementary(gram)
     if disc is None:
         raise FormError("form out of scope: discriminant is not 2-periodic")
-    # mod 2, a product with w is the sum at w's odd entries
-    wodd = tuple(map(and_, wc or (), _ONES))
     # even: canonical q(x+L) = x^2 mod 2Z, and a supplied w is not used
+    wodd: Tuple[int, ...] = ()
     if any(row[i] % 2 for i, row in enumerate(gram)):
         if wc is None:
             raise FormError("odd lattice needs a characteristic vector")
+        # mod 2, a product with w is the sum at w's odd entries
+        wodd = tuple(map(and_, wc, _ONES))
         if any((sum(compress(row, wodd)) - row[i]) & 1 for i, row in enumerate(gram)):
             raise FormError("supplied vector is not characteristic")
-    elif wc is None and len(blocks := _split(gram)) > 1:
-        # the form of an orthogonal sum is the sum of its blocks' forms
-        forms = [_discriminant_quadratic(block, None) for block in blocks]
-        qvals = tuple([k for f in forms for k in f.qvals])
-        bvals = _diagonal([f.bvals for f in forms], [f.d for f in forms])
-        return FiniteQuadraticForm(disc.rank, qvals, bvals)
     # with every divisor 2, 2q(g) = 2(g^2 + <w,g>) = n·(G g) + 2 w·(G g)
     # for g = n/2: integral by construction, so no value can be malformed;
     # the lift n is 0/1, so n·(G g) sums the entries it selects
@@ -410,14 +400,7 @@ def parity(f: FiniteQuadraticForm) -> str:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def brown_invariant(f: FiniteQuadraticForm, limit: int = 12) -> int:
-    """Brown invariant mod 8 of a non-degenerate form of rank d <= limit."""
-    if f.d > limit:
-        raise FormError(f"group of rank {f.d} exceeds the limit {limit}")
-    return _brown(f)
-
-
-def _brown(f: FiniteQuadraticForm) -> int:
+def brown_invariant(f: FiniteQuadraticForm) -> int:
     """Brown invariant mod 8 by the GF(2) normal form, in O(d²) int operations.
 
     A 2-elementary form is an orthogonal sum of <±1/2>, u(2) and v(2), whose
@@ -469,7 +452,7 @@ def forms_isomorphic(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> bool:
     """2-elementary finite quadratic forms are classified by (rank, parity, Brown)."""
     if a.d != b.d or parity(a) != parity(b):
         return False
-    return _brown(a) == _brown(b)
+    return brown_invariant(a) == brown_invariant(b)
 
 
 def lattices_equivalent(a: GramLattice, b: GramLattice) -> str:

@@ -38,9 +38,9 @@ Gram = Tuple[Tuple[int, ...], ...]
 _ONES = repeat(1)  # map(and_, row, _ONES) reads a row mod 2; endless, so safe to share
 
 # Entries per memo (the Gram-keyed ones, the per-form Brown invariant and
-# the block tables): one verify run eliminates 466 distinct Grams, diagonal
-# blocks included, one entry each for the inertia and the det, and reads 452
-# discriminant groups, so 1024 holds them all; they add 0.2 MB to its peak RSS.
+# the block tables): one verify run eliminates 480 distinct Grams, diagonal
+# blocks included, one entry each for the inertia and the det, and reads 466
+# discriminant groups, so 1024 holds them all; they add 0.6 MB to its peak RSS.
 MEMO_SIZE = 1024
 
 

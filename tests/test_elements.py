@@ -1,3 +1,7 @@
+import contextlib
+import random
+from operator import mul
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +16,13 @@ from k4graph import (
     enumerate_vectors,
     make_standard,
     norm,
+    orthogonal_sublattice,
     search_witness,
 )
+from k4graph.elements import _wu_parities
+from k4graph.finite_forms import _discriminant_group
 from k4graph.lattice import STANDARD_GRAMS, from_summands
+from k4graph.verification import _congruent, _random_unimodular
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +66,53 @@ def test_wu_implies_even_pairings(catalog):
     v = catalog.by_id("[7S]")
     x = v.lminus.vector([1, 1, 1, 1, 1])
     assert all(p % 2 == 0 for p in gram_apply(v.lminus, x.coords))
+
+
+def _reference_classes(gram, xs):
+    """The class of each x, or the error message, by the definition on the
+    Smith route's group: x is odd iff G·x is odd somewhere; else x/2 is in L*,
+    and x is Wu iff b(x/2, g) = b(g, g) for every generator g = lift/2, that
+    is iff x·G·lift = lift·G·lift = 2 lift·dual mod 4."""
+    try:
+        disc = _discriminant_group(gram)
+        error = None if disc.is_two_periodic else "classification needs a 2-periodic discriminant"
+    except LatticeError as exc:
+        error = str(exc)
+    for x in xs:
+        gx = [sum(map(mul, row, x)) for row in gram]
+        if any(v % 2 for v in gx):
+            yield ElementClass.ODD
+        elif error:
+            yield error
+        else:
+            pairs = zip(disc.lifts, disc.duals)
+            wu = all(sum(map(mul, gx, n)) % 4 == 2 * sum(map(mul, n, d)) % 4 for n, d in pairs)
+            yield ElementClass.WU if wu else ElementClass.EVEN_NON_WU
+
+
+def test_classify_matches_definition_on_whole_grams(catalog):
+    """The catalog L-, a congruent of each and a complement in each (the fresh
+    Grams ``verify_flip_cycle`` classifies); the Wu candidates are the parity
+    pattern plus twice a vector."""
+    rng, seen = random.Random(2006), set()
+    for v in catalog:
+        lat = v.lminus
+        y = lat.vector([rng.randint(3, 7)] + [rng.randint(-2, 2) for _ in range(lat.rank - 1)])
+        moved = _congruent(lat.gram, _random_unimodular(rng, lat.rank))
+        for l in (lat, moved, orthogonal_sublattice(lat, y)):
+            xs = [[rng.randint(-2, 2) for _ in range(l.rank)] for _ in range(6)]
+            with contextlib.suppress(LatticeError):
+                xs.append(tuple(p + 2 * c for p, c in zip(_wu_parities(l.gram), xs[0])))
+            xs = [x for x in xs if any(x)]
+            for x, want in zip(xs, _reference_classes(l.gram, xs)):
+                try:
+                    got = classify_element(l, l.vector(x))
+                except LatticeError as exc:
+                    got = str(exc)
+                assert got == want, (v.vid, l.gram, x)
+                seen.add(got)
+    errors = {"gram matrix is degenerate", "classification needs a 2-periodic discriminant"}
+    assert seen == {*ElementClass} | errors
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +165,6 @@ def _even_squares_walk(name):
     the block-local test the search reads.
     """
     from k4graph.elements import _block_data
-    from k4graph.finite_forms import _discriminant_group
 
     gram = make_standard(name).gram
     r = len(gram)

@@ -19,7 +19,7 @@ from k4graph import (
     smith_normal_form,
 )
 from k4graph.lattice import GramLattice, direct_sum, from_summands
-from k4graph.finite_forms import TRIVIAL_FORM
+from k4graph.finite_forms import TRIVIAL_FORM, _discriminant_quadratic
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +148,8 @@ def test_form_of_u2():
     assert f.qvals == (0, 0)
     assert f.bvals[0][1] == 1  # b = 1/2
     assert parity(f) == "even"
+    # (1, 0) is characteristic, but an even lattice's form ignores a supplied w
+    assert _discriminant_quadratic(((0, 2), (2, 0)), (1, 0)) == f
 
 
 def test_form_of_e8_2():
@@ -237,12 +239,11 @@ def test_brown_milgram_congruence():
 
 
 def test_brown_size_limit():
+    # no rank limit: the normal form is O(d²), and forms_isomorphic agrees
     f = discriminant_quadratic(from_summands(("<2>",) * 13))
-    with pytest.raises(FormError):
-        brown_invariant(f)
-    assert brown_invariant(f, limit=13) == 13 % 8
-    with pytest.raises(FormError):  # the limit is part of the memo key
-        brown_invariant(f)
+    assert brown_invariant(f) == 13 % 8
+    g = discriminant_quadratic(from_summands(("<2>",) * 12 + ("<-2>",)))
+    assert (brown_invariant(g), forms_isomorphic(f, f), forms_isomorphic(f, g)) == (3, True, False)
 
 
 def test_brown_rejects_degenerate_gauss_sum():
@@ -337,8 +338,7 @@ def test_memo_matches_uncached_helpers(names, seed, degenerate):
     pos, neg, _ = _elimination.__wrapped__(gram)[:3]
     for _ in range(2):
         assert signature(lat) == (pos, neg)
-        assert discriminant_group(lat) == _discriminant_group.__wrapped__(gram)
+        assert discriminant_group(lat) == _discriminant_group(gram)
         assert discriminant_quadratic(lat, w) == _discriminant_quadratic.__wrapped__(gram, wc)
         f = discriminant_quadratic(lat, w)
-        if f.d <= 12:
-            assert brown_invariant(f) == brown_invariant.__wrapped__(f)
+        assert brown_invariant(f) == brown_invariant.__wrapped__(f)

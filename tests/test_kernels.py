@@ -11,11 +11,12 @@ compared with that Smith route on every Gram matrix the group tests meet.
 the Gauss sum over the whole group that it replaced, and
 ``lattices_equivalent`` (signature, a and δ) with the full comparison of
 signature, rank, parity and Brown invariant.  The block route of
-``_elimination``, ``_two_elementary``, ``_discriminant_quadratic`` and
-``elements._disc_data`` is compared with the whole-Gram route, errors and
-their messages included, and the one-pass block-diagonal assembly with the
-pairwise fold it replaced.  ``bilinear_table`` and ``DiscriminantGroup._delta``
-are compared with their dot-product definitions on the groups of both routes.
+``_elimination`` and ``_two_elementary``, and the forms
+``_discriminant_quadratic`` builds on it, are compared with the whole-Gram
+route, errors and their messages included, and the one-pass block-diagonal
+assembly with the pairwise fold it replaced.  ``bilinear_table`` and
+``DiscriminantGroup._delta`` are compared with their dot-product definitions
+on the groups of both routes.
 """
 
 import itertools
@@ -39,7 +40,6 @@ from k4graph import (
     parity,
     signature,
 )
-from k4graph.elements import _disc_data
 from k4graph.finite_forms import (
     DiscriminantGroup,
     _discriminant_group,
@@ -208,7 +208,7 @@ def _parity_and_brown(disc):
     group's lifts and duals."""
     qvals = tuple(_dot(n, dual) % 4 for n, dual in zip(disc.lifts, disc.duals))
     f = FiniteQuadraticForm(disc.rank, qvals, bilinear_table(disc))
-    return parity(f), brown_invariant(f, limit=f.d)
+    return parity(f), brown_invariant(f)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +278,7 @@ def test_inertia_matches_reference_on_catalog_and_congruences(catalog):
 def _check_discriminant_group(lat):
     """The kernel against the reference SNF route and the defining identities."""
     gram = lat.gram
-    disc = _discriminant_group.__wrapped__(gram)
+    disc = _discriminant_group(gram)
     ref = _reference_disc(gram)
     assert disc.divisors == ref.divisors
     assert disc == ref  # the same lifts, so the same classify witnesses
@@ -386,7 +386,7 @@ def test_odd_form_reads_w_mod_two(names, seed):
 def test_discriminant_group_degenerate_raises(gram):
     if _det(gram) == 0:
         with pytest.raises(LatticeError):
-            _discriminant_group.__wrapped__(gram)
+            _discriminant_group(gram)
         with pytest.raises(LatticeError):
             _reference_disc(gram)
         with pytest.raises(LatticeError):
@@ -483,7 +483,7 @@ def test_normal_form_brown_matches_gauss_sum(names, seed, negate):
     f = discriminant_quadratic(lat, None if is_even(lat) else find_characteristic(lat))
     if negate:
         f = f.negate()
-    assert brown_invariant(f, limit=14) == _gauss_brown(f)
+    assert brown_invariant(f) == _gauss_brown(f)
 
 
 @st.composite
@@ -540,7 +540,7 @@ def test_lattices_equivalent_at_discriminant_rank_16():
     moved = _congruent(lat.gram, _random_unimodular(random.Random(16), lat.rank))
     assert lattices_equivalent(lat, moved) == "yes"
     assert lattices_equivalent(lat, from_summands(("U", "E8(2)", "E8"))) == "no"
-    assert brown_invariant(discriminant_quadratic(moved), limit=16) == 0
+    assert brown_invariant(discriminant_quadratic(moved)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +561,7 @@ def _whole_two_elementary(gram):
 
 
 def _whole_form(gram, wc):
-    """The single-block route of ``_discriminant_quadratic``: every value from
-    the whole-Gram group's lifts and duals."""
+    """``_discriminant_quadratic`` by dot products on the whole-Gram group."""
     disc = _whole_two_elementary(gram)
     if disc is None:
         raise FormError("form out of scope: discriminant is not 2-periodic")
@@ -573,18 +572,8 @@ def _whole_form(gram, wc):
             raise FormError("supplied vector is not characteristic")
     twice = [0 if wc is None else 2 * _dot(wc, dual) for dual in disc.duals]
     qvals = tuple((_dot(n, dual) + t) % 4 for n, dual, t in zip(disc.lifts, disc.duals, twice))
-    return FiniteQuadraticForm(disc.rank, qvals, _whole_table(disc))
-
-
-def _whole_table(disc):
-    return tuple(tuple(_dot(n, dual) % 2 for dual in disc.duals) for n in disc.lifts)
-
-
-def _whole_disc_data(gram):
-    disc = _whole_two_elementary(gram)
-    if disc is None:
-        raise LatticeError("classification needs a 2-periodic discriminant")
-    return disc, _whole_table(disc)
+    table = tuple(tuple(_dot(n, dual) % 2 for dual in disc.duals) for n in disc.lifts)
+    return FiniteQuadraticForm(disc.rank, qvals, table)
 
 
 def _outcome(f, *args):
@@ -599,11 +588,7 @@ def _check_block_route(gram):
     """The block-route kernels equal the whole-Gram references, or both sides
     raise the same error with the same message."""
     assert _elimination.__wrapped__(gram) == (*_reference_inertia(gram), _det(gram))
-    for kernel, reference in (
-        (_two_elementary, _whole_two_elementary),
-        (_disc_data, _whole_disc_data),
-    ):
-        assert _outcome(kernel.__wrapped__, gram) == _outcome(reference, gram)
+    assert _outcome(_two_elementary.__wrapped__, gram) == _outcome(_whole_two_elementary, gram)
     lat, chars = GramLattice.from_rows(gram), [None]
     if not is_even(lat):
         try:
