@@ -99,18 +99,6 @@ class K3Vertex(_Record, frozen=True):
 
     __slots__ = ("vid", "top", "lplus", "lminus", "r", "d", "vtype")
 
-    def __init__(
-        self, vid: str, top: TopType, lplus: GramLattice, lminus: GramLattice,
-        r: int, d: int, vtype: str,
-    ) -> None:
-        _set(self, "vid", vid)
-        _set(self, "top", top)
-        _set(self, "lplus", lplus)
-        _set(self, "lminus", lminus)
-        _set(self, "r", r)
-        _set(self, "d", d)
-        _set(self, "vtype", vtype)
-
     @property
     def key(self) -> VertexKey:
         return VertexKey(self.r, self.d, self.vtype)

@@ -275,10 +275,7 @@ def _value_order(bound: int) -> List[int]:
 
 class _SearchState(_Record):
     __slots__ = ("visited", "budget")
-
-    def __init__(self, visited: int = 0, budget: int = DEFAULT_BUDGET) -> None:
-        self.visited = visited
-        self.budget = budget
+    _defaults = {"visited": 0, "budget": DEFAULT_BUDGET}
 
     def tick(self, n: int = 1) -> None:
         self.visited += n

@@ -22,15 +22,14 @@ A block-diagonal Gram embeds its blocks' groups, from the same memo, at their
 offsets, which gives the whole Gram's group on either route: the GF(2) reduced
 row echelon form is unique, and a block-diagonal matrix's is its blocks'.
 
-``_two_elementary``, ``_discriminant_quadratic`` (behind
-``discriminant_quadratic``) and ``brown_invariant`` are each a
-``functools.lru_cache`` of ``lattice.MEMO_SIZE`` entries.  The key is the
-Gram tuple, or the form for Brown; for ``discriminant_quadratic`` it also
-holds the coordinates of the characteristic vector, on odd lattices only
-(even lattices ignore it).  The results are frozen records of tuples, or
-ints, so every caller may share one; errors are not cached.  The Smith
-route behind ``discriminant_group`` is not memoized: nothing in the package
-calls it, and the ``library`` benchmark never asks it twice for one Gram.
+``_two_elementary`` and ``brown_invariant`` are each a ``functools.lru_cache``
+of ``lattice.MEMO_SIZE`` entries, keyed by the Gram tuple and by the form.
+The results are a frozen record of tuples and an int, so every caller may
+share one; errors are not cached.  The Smith route behind
+``discriminant_group`` and the forms of ``discriminant_quadratic`` are not
+memoized: nothing in the package calls the first, the second is built from
+the memoized group in a few selections, and the benchmarks seldom ask either
+twice for one Gram.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ def _smith(
     operation then touches only the rows still nonzero in the pivot column
     (just the pivot row once it is clear) and one row of Vᵀ.
     """
-    a = [list(map(int, row)) for row in m]
+    a = list(map(list, _freeze(m)))
     rows = len(a)
     cols = len(a[0]) if rows else 0
     u = [[int(i == j) for j in range(rows)] for i in range(rows)] if keep_u else None
@@ -173,11 +172,6 @@ class DiscriminantGroup(_Record, frozen=True):
     """
 
     __slots__ = ("divisors", "lifts", "duals")
-
-    def __init__(self, divisors: Tuple[int, ...], lifts: IntMatrix, duals: IntMatrix) -> None:
-        _set(self, "divisors", divisors)
-        _set(self, "lifts", lifts)
-        _set(self, "duals", duals)
 
     @property
     def order(self) -> int:
@@ -370,7 +364,6 @@ def discriminant_quadratic(
     return _discriminant_quadratic(l.gram, wc)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def _discriminant_quadratic(gram: Gram, wc: Optional[Tuple[int, ...]]) -> FiniteQuadraticForm:
     disc = _two_elementary(gram)
     if disc is None:
@@ -411,8 +404,7 @@ def brown_invariant(f: FiniteQuadraticForm) -> int:
     projected onto the orthogonal complement.  A live x with no partner lies
     in the radical, so the form is degenerate.
     """
-    rows = [sum(bit << j for j, bit in enumerate(row)) for row in f.bvals]
-    live = [[1 << i, row, k] for i, (row, k) in enumerate(zip(rows, f.qvals))]
+    live = [[1 << i, row, k] for i, (row, k) in enumerate(zip(_parities(f.bvals), f.qvals))]
     brown = 0
 
     def pairs(u, v) -> int:  # 2·b(u, v) mod 2

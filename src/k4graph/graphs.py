@@ -60,32 +60,15 @@ class StructuralError(RuntimeError):
 
 
 class EdgeLabel(_Record, frozen=True):
-    __slots__ = ("origin", "cls", "square")
-
-    def __init__(self, origin: VertexKey, cls: ElementClass, square: int) -> None:
-        _set(self, "origin", origin)
-        _set(self, "cls", cls)
-        _set(self, "square", square)  # -2 for K3 edges, 6 for K4 edges
+    __slots__ = ("origin", "cls", "square")  # square: -2 for K3 edges, 6 for K4 edges
 
 
 class GraphEdge(_Record, frozen=True):
     __slots__ = ("src", "dst", "label")
 
-    def __init__(self, src: str, dst: str, label: EdgeLabel) -> None:
-        _set(self, "src", src)
-        _set(self, "dst", dst)
-        _set(self, "label", label)
-
 
 class DeformationGraph(_Record, frozen=True):
-    __slots__ = ("kind", "vertex_ids", "edges")
-
-    def __init__(
-        self, kind: str, vertex_ids: Tuple[str, ...], edges: Tuple[GraphEdge, ...]
-    ) -> None:
-        _set(self, "kind", kind)  # "k3" | "k4"
-        _set(self, "vertex_ids", vertex_ids)
-        _set(self, "edges", edges)
+    __slots__ = ("kind", "vertex_ids", "edges")  # kind: "k3" | "k4"
 
     def out_edges(self, vid: str) -> Tuple[GraphEdge, ...]:
         return tuple(e for e in self.edges if e.src == vid)
@@ -117,12 +100,7 @@ class DeformationGraph(_Record, frozen=True):
 
 
 class K4VertexData(_Record, frozen=True):
-    __slots__ = ("key", "mminus", "source")
-
-    def __init__(self, key: str, mminus: GramLattice, source: str) -> None:
-        _set(self, "key", key)
-        _set(self, "mminus", mminus)
-        _set(self, "source", source)  # the corresponding K3 vertex id, or "irr"
+    __slots__ = ("key", "mminus", "source")  # source: the corresponding K3 vertex id, or "irr"
 
 
 # The lattice identification of the irregular K4 vertex: -M_- = U(2) + 3D4.
@@ -245,14 +223,7 @@ def _validate_irr(neg: GramLattice, catalog: Catalog) -> None:
 
 class FReport(_Record):
     __slots__ = ("vertices", "edges", "bijective", "mismatches")
-
-    def __init__(
-        self, vertices: int, edges: int, bijective: bool, mismatches: Optional[List[str]] = None
-    ) -> None:
-        self.vertices = vertices
-        self.edges = edges
-        self.bijective = bijective
-        self.mismatches = [] if mismatches is None else mismatches
+    _defaults = {"mismatches": []}
 
     @property
     def ok(self) -> bool:
@@ -404,11 +375,6 @@ def construct_flip_triple(v: K3Vertex) -> Optional[FlipTriple]:
 class FlipCycleReport(_Record):
     __slots__ = ("origin", "identities", "detail")
 
-    def __init__(self, origin: str, identities: List[bool], detail: List[str]) -> None:
-        self.origin = origin
-        self.identities = identities
-        self.detail = detail
-
     @property
     def ok(self) -> bool:
         return all(self.identities) and len(self.identities) == 4
@@ -479,31 +445,13 @@ def verify_flip_cycle(
 # ---------------------------------------------------------------------------
 
 class BasicCycle(_Record):
+    # edges_pos are traversed forwards, edges_neg backwards
     __slots__ = ("origin", "even_cls", "edges_pos", "edges_neg", "regular")
-
-    def __init__(
-        self, origin: str, even_cls: ElementClass, edges_pos: Tuple[Tuple[str, ElementClass], ...],
-        edges_neg: Tuple[Tuple[str, ElementClass], ...], regular: bool,
-    ) -> None:
-        self.origin = origin
-        self.even_cls = even_cls
-        self.edges_pos = edges_pos  # traversed forwards
-        self.edges_neg = edges_neg  # traversed backwards
-        self.regular = regular
 
 
 class BasicCycleReport(_Record):
+    # cycle_rank is |E| - |V| + 1 of the K3 graph
     __slots__ = ("cycles", "all_regular", "cycle_rank", "incidence_rank", "incidence_divisors")
-
-    def __init__(
-        self, cycles: List[BasicCycle], all_regular: bool, cycle_rank: int, incidence_rank: int,
-        incidence_divisors: Tuple[int, ...],
-    ) -> None:
-        self.cycles = cycles
-        self.all_regular = all_regular
-        self.cycle_rank = cycle_rank  # |E| - |V| + 1 of the K3 graph
-        self.incidence_rank = incidence_rank
-        self.incidence_divisors = incidence_divisors
 
     @property
     def count_matches_rank(self) -> bool:
@@ -621,14 +569,7 @@ def synthesize_k4_plus(c: K3Vertex, h: LatticeVector) -> GramLattice:
 
 class StructuralReport(_Record):
     __slots__ = ("verified", "undecidable", "failures")
-
-    def __init__(
-        self, verified: int, undecidable: Optional[List[str]] = None,
-        failures: Optional[List[str]] = None,
-    ) -> None:
-        self.verified = verified
-        self.undecidable = [] if undecidable is None else undecidable
-        self.failures = [] if failures is None else failures
+    _defaults = {"undecidable": [], "failures": []}
 
     @property
     def ok(self) -> bool:

@@ -31,7 +31,7 @@ import re
 from functools import lru_cache
 from itertools import compress, repeat
 from math import prod
-from operator import and_, mul
+from operator import and_, index, mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 Gram = Tuple[Tuple[int, ...], ...]
@@ -48,21 +48,60 @@ class LatticeError(ValueError):
     """Raised for ill-formed lattices, vectors, or unsatisfiable preconditions."""
 
 
+def _ints(values: Iterable[int]) -> Tuple[int, ...]:
+    """Exact integers by ``operator.index``: any integer type passes, and a
+    float, a rational or a string raises rather than being rounded or parsed."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        for x in values:
+            if not hasattr(x, "__index__"):
+                raise LatticeError(f"expected an exact integer, got {type(x).__name__}") from None
+        raise
+
+
 def _freeze(rows: Iterable[Iterable[int]]) -> Gram:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple([_ints(row) for row in rows])
 
 
 class _Record:
-    """Field equality and a dataclass-style repr over a subclass's ``__slots__``.
+    """A dataclass-style record over a subclass's ``__slots__``, its fields.
 
+    ``__init__`` binds them by position, then by keyword, then from the class's
+    ``_defaults`` (a list default is copied per instance); a missing, unexpected
+    or repeated field, or too many positional arguments, raises ``TypeError``.
+    A record that validates its arguments, or is built thousands of times per
+    process, has its own ``__init__``.  Equality and the repr read the fields.
     A record is unhashable, like a dataclass with ``eq``, unless its class is
     declared with ``frozen=True``: then it hashes the tuple of its fields and
-    refuses assignment, so ``__init__`` sets the fields through ``_set``.
-    Copies and pickles are rebuilt through ``__init__``.
+    refuses assignment, so fields are set through ``_set``.  Copies and pickles
+    are rebuilt through ``__init__``.
     """
 
     __slots__ = ()
     __hash__ = None
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{self.__class__.__name__} takes {len(names)} fields, got {len(args)}")
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+                if value.__class__ is list:
+                    value = value.copy()
+            else:
+                raise TypeError(f"{self.__class__.__name__} is missing field {name!r}")
+            _set(self, name, value)
+        for name in kwargs:
+            what = "repeated" if name in names else "unexpected"
+            raise TypeError(f"{self.__class__.__name__} got {what} field {name!r}")
 
     def __init_subclass__(cls, frozen: bool = False) -> None:
         if frozen:
@@ -136,7 +175,7 @@ class GramLattice(_Record, frozen=True):
         return cls(len(gram), gram, label, summands)
 
     def vector(self, coords: Iterable[int]) -> "LatticeVector":
-        return LatticeVector(tuple(map(int, coords)), self)
+        return LatticeVector(_ints(coords), self)
 
     def basis_vector(self, i: int) -> "LatticeVector":
         coords = [0] * self.rank

@@ -52,13 +52,7 @@ from . import graphs as G
 
 class SuiteResult(_Record):
     __slots__ = ("name", "failures", "notes")
-
-    def __init__(
-        self, name: str, failures: Optional[List[str]] = None, notes: Optional[List[str]] = None
-    ) -> None:
-        self.name = name
-        self.failures = [] if failures is None else failures
-        self.notes = [] if notes is None else notes
+    _defaults = {"failures": [], "notes": []}
 
     @property
     def ok(self) -> bool:

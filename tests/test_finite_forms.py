@@ -339,6 +339,6 @@ def test_memo_matches_uncached_helpers(names, seed, degenerate):
     for _ in range(2):
         assert signature(lat) == (pos, neg)
         assert discriminant_group(lat) == _discriminant_group(gram)
-        assert discriminant_quadratic(lat, w) == _discriminant_quadratic.__wrapped__(gram, wc)
+        assert discriminant_quadratic(lat, w) == _discriminant_quadratic(gram, wc)
         f = discriminant_quadratic(lat, w)
         assert brown_invariant(f) == brown_invariant.__wrapped__(f)

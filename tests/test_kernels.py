@@ -376,8 +376,8 @@ def test_odd_form_reads_w_mod_two(names, seed):
     moved = tuple(c + 2 * rng.choice((-2, -1, 1, 2)) for c in w)
     two = _two_elementary.__wrapped__(lat.gram)
     qvals = tuple((_dot(n, d) + 2 * _dot(moved, d)) % 4 for n, d in zip(two.lifts, two.duals))
-    form = _discriminant_quadratic.__wrapped__(lat.gram, moved)
-    assert form == _discriminant_quadratic.__wrapped__(lat.gram, w)
+    form = _discriminant_quadratic(lat.gram, moved)
+    assert form == _discriminant_quadratic(lat.gram, w)
     assert form.qvals == qvals
 
 
@@ -596,7 +596,7 @@ def _check_block_route(gram):
         except LatticeError:  # G·w = diag G has no solution mod 2
             pass
     for wc in chars:
-        got = _outcome(_discriminant_quadratic.__wrapped__, gram, wc)
+        got = _outcome(_discriminant_quadratic, gram, wc)
         assert got == _outcome(_whole_form, gram, wc)
 
 

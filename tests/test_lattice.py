@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 from operator import mul
 from pathlib import Path
 from typing import List, Sequence, Tuple
@@ -522,6 +523,39 @@ def test_json_big_integers_as_strings():
 def test_json_rejects_malformed_lattice(text):
     with pytest.raises(LatticeError):
         GramLattice.from_json(text)
+
+
+class _Index:
+    """An integer type that is not int: ``operator.index`` takes it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+_NOT_INTEGERS = [(1.5, "float"), (Fraction(5, 2), "Fraction"), ("1", "str")]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: GramLattice.from_rows([[x, 0], [0, 2]]).gram,
+        lambda x: (make_standard("U").vector((x, 2)).coords,),
+        lambda x: smith_normal_form([[x, 0], [0, 2]])[1],
+    ],
+    ids=["from_rows", "vector", "smith_normal_form"],
+)
+def test_entries_are_exact_integers(build):
+    # int() would round 1.5 and 5/2 down and parse "1"; nothing is rounded or parsed
+    for x, name in _NOT_INTEGERS:
+        with pytest.raises(LatticeError, match=f"expected an exact integer, got {name}$"):
+            build(x)
+    for x in (True, _Index(1)):  # every integer type is still taken, as an int
+        got = build(x)
+        assert got == build(1)
+        assert type(got[0][0]) is int
 
 
 @pytest.mark.parametrize(

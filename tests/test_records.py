@@ -1,10 +1,12 @@
 """The record classes keep the semantics of the dataclasses they replace.
 
-Every result and value class of the package is a slotted ``lattice._Record``
-with its own ``__init__``.  Each one is checked against a dataclass with the
-same name and fields: positional and keyword construction, the defaults,
-copies, equality, the hash of the frozen ones, the repr and the refusal to
-assign.
+Every result and value class of the package is a slotted ``lattice._Record``.
+The five that validate their arguments have their own ``__init__``; the rest
+are bound by ``_Record.__init__`` from their ``__slots__`` and ``_defaults``.
+Each one is checked against a dataclass with the same name and fields:
+positional and keyword construction, the defaults, copies, equality, the hash
+of the frozen ones, the repr and the refusal to assign.  The binder raises
+``TypeError`` where a dataclass's ``__init__`` would.
 """
 
 import copy
@@ -223,3 +225,31 @@ def test_init_checks_raise(make, error, message):
 def test_symmetric_gram_given_as_lists_is_accepted():
     # the transpose test fails on lists, so the pairwise walk decides
     assert L.GramLattice(2, [[0, 1], [1, 0]]).rank == 2
+
+
+# EdgeLabel has no defaults and SuiteResult has two: each meets every kind of bad binding
+_KEY_ARGS = (KEY, E.ElementClass.ODD, -2)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: G.EdgeLabel(KEY, E.ElementClass.ODD), "missing field 'square'"),
+        (lambda: G.EdgeLabel(*_KEY_ARGS, colour="red"), "unexpected field 'colour'"),
+        (lambda: G.EdgeLabel(*_KEY_ARGS, origin=KEY), "repeated field 'origin'"),
+        (lambda: G.EdgeLabel(*_KEY_ARGS, 0), "takes 3 fields, got 4"),
+        (lambda: V.SuiteResult(failures=[]), "missing field 'name'"),
+        (lambda: V.SuiteResult("lattice", extra=[]), "unexpected field 'extra'"),
+        (lambda: V.SuiteResult("lattice", [], name="graphs"), "repeated field 'name'"),
+        (lambda: V.SuiteResult("lattice", [], [], []), "takes 3 fields, got 4"),
+    ],
+)
+def test_binder_refuses_bad_fields(make, message):
+    with pytest.raises(TypeError, match=message):
+        make()
+
+
+def test_binder_takes_keywords_in_any_order():
+    assert G.EdgeLabel(square=-2, origin=KEY, cls=E.ElementClass.ODD) == LABEL
+    res = V.SuiteResult(notes=["n"], name="lattice")
+    assert (res.name, res.failures, res.notes) == ("lattice", [], ["n"])
