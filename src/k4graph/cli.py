@@ -10,24 +10,8 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from . import SUITE_NAMES, elements, graphs, verification
 from .catalog import Catalog, CatalogError, build_catalog
-from .elements import (
-    ElementClass,
-    SearchBudgetError,
-    WitnessError,
-    construct_witness,
-    exists_class,
-    search_witness,
-)
-from .graphs import (
-    IRREGULAR,
-    StructuralError,
-    build_k3_graph,
-    build_k4_graph,
-    graph_dot,
-    graph_json_dict,
-)
-from .verification import SUITES, run_suites
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -41,9 +25,44 @@ def _write_out(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _catalog_json(cat: Catalog) -> str:
-    import json  # only the commands that print JSON pay for the import
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=1) + "\\n"`` for str, int, bool and None
+    leaves in lists and in dicts with str keys.
 
+    The standard encoder drops to its pure-Python path whenever an indent is
+    set; this writer joins each list or dict in one ``str.join``.
+    """
+    # only the commands that print JSON pay for the import
+    from json.encoder import encode_basestring_ascii as quote
+
+    def encode(o, pad: str) -> str:
+        cls = o.__class__
+        if cls is str:
+            return quote(o)
+        if cls is int:
+            return int.__repr__(o)
+        inner = pad + " "
+        if cls is list:
+            if not o:
+                return "[]"
+            return "[" + inner + ("," + inner).join([encode(x, inner) for x in o]) + pad + "]"
+        if cls is dict:
+            if not o:
+                return "{}"
+            items = [quote(k) + ": " + encode(v, inner) for k, v in o.items()]
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+
+    return encode(value, "\n") + "\n"
+
+
+def _catalog_json(cat: Catalog) -> str:
     entries = []
     for v in cat:
         entries.append(
@@ -58,7 +77,7 @@ def _catalog_json(cat: Catalog) -> str:
                 "lminus": v.lminus.to_json_dict(),
             }
         )
-    return json.dumps({"schema": "k4graph/1", "catalog": entries}, indent=1) + "\n"
+    return _json_text({"schema": "k4graph/1", "catalog": entries})
 
 
 def _catalog_table(cat: Catalog) -> str:
@@ -87,20 +106,18 @@ def cmd_build(args: argparse.Namespace) -> int:
     cat = build_catalog()
     try:
         if args.graph == "k3":
-            g = build_k3_graph(cat)
+            g = graphs.build_k3_graph(cat)
         else:
-            g, _ = build_k4_graph(cat)
-    except StructuralError as exc:
+            g, _ = graphs.build_k4_graph(cat)
+    except graphs.StructuralError as exc:
         print(f"structural verification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR
     if args.format == "json":
-        import json
-
-        text = json.dumps(graph_json_dict(g, cat), indent=1) + "\n"
+        text = _json_text(graphs.graph_json_dict(g, cat))
     else:
-        text = graph_dot(g, cat)
+        text = graphs.graph_dot(g, cat)
     _write_out(text, args.out)
-    irregular = IRREGULAR[args.graph][2]
+    irregular = graphs.IRREGULAR[args.graph][2]
     summary = f"vertices={len(g.vertex_ids)} edges={len(g.edges)} irregular={irregular}"
     print(summary, file=sys.stderr if not args.out else sys.stdout)
     return 0
@@ -114,18 +131,20 @@ def cmd_classify(args: argparse.Namespace) -> int:
         print(f"unknown vertex id {args.vertex!r}", file=sys.stderr)
         return USAGE_ERROR
     n = 0 if args.square == -2 else 1
-    for cls in ElementClass:
-        exists = exists_class(v, n, cls)
+    for cls in elements.ElementClass:
+        exists = elements.exists_class(v, n, cls)
         line = f"{v.vid} square={args.square} {cls.value}: {'yes' if exists else 'no'}"
         if exists:
             if args.bound is not None:
                 try:
-                    witness = search_witness(v.lminus, args.square, cls, bound=args.bound)
-                except SearchBudgetError as exc:
+                    witness = elements.search_witness(
+                        v.lminus, args.square, cls, bound=args.bound
+                    )
+                except elements.SearchBudgetError as exc:
                     print(f"{line}  (search aborted: {exc})")
                     continue
             else:
-                witness = construct_witness(v, n, cls)
+                witness = elements.construct_witness(v, n, cls)
             coords = list(witness.coords) if witness is not None else None
             line += f"  witness={coords}"
         print(line)
@@ -135,8 +154,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     names = [args.suite] if args.suite else None
     try:
-        results = run_suites(names)
-    except (CatalogError, StructuralError) as exc:
+        results = verification.run_suites(names)
+    except (CatalogError, graphs.StructuralError) as exc:
         print(f"verification aborted: {exc}", file=sys.stderr)
         return VERIFY_ERROR
     exit_code = 0
@@ -199,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.set_defaults(func=cmd_classify)
 
     p_ver = sub.add_parser("verify", help="run the invariant suites")
-    p_ver.add_argument("--suite", choices=sorted(SUITES), help="run a single suite")
+    p_ver.add_argument("--suite", choices=sorted(SUITE_NAMES), help="run a single suite")
     p_ver.set_defaults(func=cmd_verify)
 
     return parser
@@ -213,7 +232,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 1
-    except WitnessError as exc:  # a predicate promised a witness: verify or classify
+    # a predicate promised a witness (verify or classify); the class is read
+    # only when an exception gets here, so no other command loads elements
+    except elements.WitnessError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR
 

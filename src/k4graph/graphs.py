@@ -67,20 +67,38 @@ class GraphEdge(_Record, frozen=True):
     __slots__ = ("src", "dst", "label")
 
 
-class DeformationGraph(_Record, frozen=True):
+class _EdgeIndex:
+    # A base class's slots are not record fields, so a graph's equality, hash
+    # and repr still read only its three fields.
+    __slots__ = ("_out", "_in", "_first")
+
+
+class DeformationGraph(_Record, _EdgeIndex, frozen=True):
     __slots__ = ("kind", "vertex_ids", "edges")  # kind: "k3" | "k4"
 
+    def __init__(self, *args, **kwargs) -> None:
+        _Record.__init__(self, *args, **kwargs)
+        # each vertex's out- and in-edges, and the first edge of each (source,
+        # class), in edge order, so a lookup scans no edges
+        out: Dict[str, List[GraphEdge]] = {}
+        into: Dict[str, List[GraphEdge]] = {}
+        first: Dict[Tuple[str, ElementClass], GraphEdge] = {}
+        for e in self.edges:
+            out.setdefault(e.src, []).append(e)
+            into.setdefault(e.dst, []).append(e)
+            first.setdefault((e.src, e.label.cls), e)
+        _set(self, "_out", {vid: tuple(es) for vid, es in out.items()})
+        _set(self, "_in", {vid: tuple(es) for vid, es in into.items()})
+        _set(self, "_first", first)
+
     def out_edges(self, vid: str) -> Tuple[GraphEdge, ...]:
-        return tuple(e for e in self.edges if e.src == vid)
+        return self._out.get(vid, ())
 
     def in_edges(self, vid: str) -> Tuple[GraphEdge, ...]:
-        return tuple(e for e in self.edges if e.dst == vid)
+        return self._in.get(vid, ())
 
     def edge(self, src: str, cls: ElementClass) -> Optional[GraphEdge]:
-        for e in self.edges:
-            if e.src == src and e.label.cls is cls:
-                return e
-        return None
+        return self._first.get((src, cls))
 
     def is_connected(self) -> bool:
         if not self.vertex_ids:

@@ -47,7 +47,7 @@ from .elements import (
     construct_witness,
     exists_class,
 )
-from . import graphs as G
+from . import SUITE_NAMES, graphs as G
 
 
 class SuiteResult(_Record):
@@ -331,13 +331,9 @@ def suite_synthesis(catalog: Catalog) -> SuiteResult:
     return res
 
 
+# the package states the names, so ``verify --suite`` offers them unloaded
 SUITES: Dict[str, Callable[..., SuiteResult]] = {
-    "lattice": suite_lattice,
-    "forms": suite_forms,
-    "catalog": suite_catalog,
-    "predicates": suite_predicates,
-    "graphs": suite_graphs,
-    "synthesis": suite_synthesis,
+    name: globals()[f"suite_{name}"] for name in SUITE_NAMES
 }
 
 # the suites that take the catalog, by name, so a wrapped suite is read the same

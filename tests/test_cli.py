@@ -207,23 +207,162 @@ def test_cli_entry_point_runs():
     assert proc.stdout.count("\n") >= 75
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # every short CLI process pays for what `import k4graph.cli` loads, and a
-    # benchmark tracer rebinds names in these six modules right after it
+def _fresh_process(code, *args):
+    """Run code in a fresh interpreter with this checkout's src first on sys.path."""
     import k4graph
 
     src = str(Path(k4graph.__file__).resolve().parent.parent)
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import k4graph.cli; "
-        "print(*sorted(m for m in sys.modules if m in sys.argv[2:]))"
-    )
-    modules = ["lattice", "finite_forms", "catalog", "elements", "graphs", "verification"]
-    wanted = ["dataclasses", "inspect", "json"] + [f"k4graph.{m}" for m in modules]
+    code = "import sys; sys.path.insert(0, sys.argv[1])\n" + code
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code, src, *wanted], capture_output=True, text=True
+        [sys.executable, "-S", "-c", code, src, *args], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == sorted(wanted[3:])
+    return proc.stdout
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every short CLI process pays for what `import k4graph.cli` loads; the six
+    # submodules are registered (loaded lazily), because a benchmark tracer
+    # looks them up in sys.modules right after this import
+    code = "import k4graph.cli; print(*sorted(m for m in sys.modules if m in sys.argv[2:]))"
+    modules = ["lattice", "finite_forms", "catalog", "elements", "graphs", "verification"]
+    wanted = ["dataclasses", "inspect", "json"] + [f"k4graph.{m}" for m in modules]
+    assert _fresh_process(code, *wanted).split() == sorted(wanted[3:])
+
+
+@pytest.mark.parametrize(
+    "argv, executed",
+    [
+        ("catalog --format json", ""),
+        ("classify --vertex [3S] --square 6", "elements"),
+        ("classify --vertex [7S] --square -2 --bound 2", "elements"),
+        ("build --graph k3 --format dot", "elements graphs"),
+        ("verify --suite lattice", "elements verification"),
+    ],
+)
+def test_a_command_executes_only_the_modules_it_calls(argv, executed):
+    # type() reads a registered module's class without loading it: it stays a
+    # lazy module until the first access to one of its attributes
+    code = (
+        "import io, types\n"
+        "from contextlib import redirect_stdout\n"
+        "import k4graph.cli\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    assert k4graph.cli.main(sys.argv[2:]) == 0\n"
+        "names = ('lattice', 'finite_forms', 'catalog', 'elements', 'graphs', 'verification')\n"
+        "print(*(n for n in names if type(sys.modules['k4graph.' + n]) is types.ModuleType))\n"
+    )
+    out = _fresh_process(code, *argv.split())
+    assert out.split() == ["lattice", "finite_forms", "catalog", *executed.split()]
+
+
+def test_benchmark_tracer_installs_after_the_cli_import():
+    # perfbench/tracer.py rebinds the traced functions in all six submodules
+    # and in verification.SUITES right after `import k4graph.cli`
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    code = (
+        "import io\n"
+        "from contextlib import redirect_stdout\n"
+        "import k4graph.cli\n"
+        "sys.path.insert(0, sys.argv[2])\n"
+        "from tracer import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "from k4graph import verification\n"
+        "assert verification.SUITES['graphs'].__wrapped__.__name__ == 'suite_graphs'\n"
+        "with tracer, redirect_stdout(io.StringIO()):\n"
+        "    k4graph.cli.main(['verify', '--suite', 'lattice'])\n"
+        "print(tracer.summary()['functions']['verification.suite_lattice']['calls'])\n"
+    )
+    assert _fresh_process(code, perfbench) == "1\n"
+
+
+# the names the package exported when it imported its submodules eagerly
+_EXPORTED = """
+    GramLattice LatticeError LatticeVector direct_sum direct_sum_all find_characteristic
+    from_summands inner is_even make_standard norm orthogonal_sublattice reflect rescale
+    signature twist DiscriminantGroup FiniteQuadraticForm FormError brown_invariant
+    discriminant_group discriminant_quadratic forms_isomorphic lattices_equivalent parity
+    smith_normal_form Catalog CatalogError K3Vertex TopType VertexKey build_catalog
+    ElementClass SearchBudgetError WitnessError classify_element construct_witness
+    enumerate_vectors exists_class search_witness DeformationGraph EdgeLabel FlipTriple
+    GraphEdge IRR_ID K4VertexData StructuralError basic_cycles_regular build_k3_graph
+    build_k4_graph construct_flip_triple find_flip_triple flip graph_dot graph_json_dict
+    k4_equals_k3_after_swap regular_subgraphs_and_F structural_checks synthesize_k4_plus
+    verify_flip_cycle
+""".split()
+
+
+def test_package_reexports_every_public_name():
+    import k4graph
+
+    assert sorted(k4graph.__all__) == sorted(_EXPORTED)
+    namespace = {}
+    exec(f"from k4graph import {', '.join(_EXPORTED)}", namespace)
+    for name in _EXPORTED:
+        module = sys.modules[f"k4graph.{k4graph._ORIGIN[name]}"]
+        assert namespace[name] is getattr(k4graph, name) is getattr(module, name)
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        k4graph.nope
+    with pytest.raises(ImportError):
+        exec("from k4graph import nope", {})
+
+
+# `verify -h` and the error on an unknown suite, as the parent commit printed
+# them (80 columns); the suite names reach argparse without loading verification
+_VERIFY_USAGE = """\
+usage: k4graph verify [-h]
+                      [--suite {catalog,forms,graphs,lattice,predicates,synthesis}]
+"""
+_VERIFY_HELP = _VERIFY_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --suite {catalog,forms,graphs,lattice,predicates,synthesis}
+                        run a single suite
+"""
+
+
+def test_verify_help_and_unknown_suite_bytes(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (_VERIFY_HELP, "")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "bogus"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    # argparse releases differ in whether they quote the offered choices
+    names = ("catalog", "forms", "graphs", "lattice", "predicates", "synthesis")
+    error = "k4graph verify: error: argument --suite: invalid choice: 'bogus' (choose from {})\n"
+    assert out == ""
+    assert err in [
+        _VERIFY_USAGE + error.format(", ".join(map(quote, names)))
+        for quote in (repr, str)
+    ]
+
+
+def test_json_writer_matches_json_dumps_on_every_payload(capsys):
+    # the three JSON payloads of the CLI, read back and written by json.dumps
+    for argv in ("catalog --format json", "build --graph k3", "build --graph k4"):
+        code, out, _ = run_cli(argv.split(), capsys)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=1) + "\n"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    from k4graph.cli import _json_text
+
+    assert _json_text(value) == json.dumps(value, indent=1) + "\n"
 
 
 @pytest.mark.parametrize("bound", ["0", "-1", "x"])

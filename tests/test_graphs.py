@@ -77,6 +77,30 @@ def test_k3_out_degree_bound(k3_graph):
         assert len(k3_graph.out_edges(v)) <= 3
 
 
+def test_edge_lookups_match_a_scan_of_the_edges(k3_graph, k4_graph):
+    # the lookups answer from an index built with the graph; a scan of the edge
+    # tuple is the reference, also for a second edge of one (source, class),
+    # reversed edge order and a graph rebuilt by pickle
+    import pickle
+
+    from k4graph import DeformationGraph, GraphEdge
+
+    first = k3_graph.edges[0]
+    doubled = DeformationGraph(
+        "k3", k3_graph.vertex_ids, k3_graph.edges + (GraphEdge(first.src, "[x]", first.label),)
+    )
+    reversed_ = DeformationGraph("k4", k4_graph[0].vertex_ids, k4_graph[0].edges[::-1])
+    graphs = [k3_graph, k4_graph[0], doubled, reversed_, pickle.loads(pickle.dumps(doubled))]
+    for g in graphs:
+        for vid in set(g.vertex_ids) | {"[x]", "nowhere"}:
+            assert g.out_edges(vid) == tuple(e for e in g.edges if e.src == vid)
+            assert g.in_edges(vid) == tuple(e for e in g.edges if e.dst == vid)
+            for cls in ElementClass:
+                scan = [e for e in g.edges if e.src == vid and e.label.cls is cls]
+                assert g.edge(vid, cls) is (scan[0] if scan else None)
+    assert doubled.edge(first.src, first.label.cls) is first
+
+
 def test_k3_edge_class_census(k3_graph):
     by_cls = {}
     for e in k3_graph.edges:
