@@ -137,16 +137,16 @@ def cmd_classify(args: argparse.Namespace) -> int:
         if exists:
             if args.bound is not None:
                 try:
-                    witness = elements.search_witness(
-                        v.lminus, args.square, cls, bound=args.bound
-                    )
+                    witness = elements.search_witness(v.lminus, args.square, cls, bound=args.bound)
                 except elements.SearchBudgetError as exc:
                     print(f"{line}  (search aborted: {exc})")
                     continue
+                if witness is None:
+                    print(f"{line}  (no witness within --bound {args.bound})")
+                    continue
             else:
                 witness = elements.construct_witness(v, n, cls)
-            coords = list(witness.coords) if witness is not None else None
-            line += f"  witness={coords}"
+            line += f"  witness={list(witness.coords)}"
         print(line)
     return 0
 

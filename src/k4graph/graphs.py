@@ -2,8 +2,11 @@
 
 Edges are identified with (origin, element-class) pairs; endpoints are
 resolved by the (r, d, type) key arithmetic, never by manipulating rank-22
-involution matrices.  The K4 graph is the K3 graph with the one edge swap
-stated in ``IRREGULAR``, which replaces [8S]_I by the sentinel vertex ``irr``.
+involution matrices.  Both graphs come from one rule, an edge per catalog
+vertex and class with an element of square -2 (K3) or 6 (K4), so the one edge
+swap between them is derived: in K4, [3S] reaches the key ``IRR_KEY`` that no
+catalog vertex has (the sentinel vertex ``irr``) and nothing reaches [8S]_I.
+The builder checks the derived swap against the paper's statement ``IRREGULAR``.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ IRR_ID = "irr"
 # The key of the irregular K4 vertex, which Nikulin's theorem leaves out of K3_KEYS
 IRR_KEY = VertexKey(14, 8, "I")
 
-# Per graph, the (origin, class, terminal) of the one edge swapped between K3 and K4.
+# Per graph, the (origin, class, terminal) of the one edge swapped between K3
+# and K4, as the paper states it; the builders derive it and check it here.
 IRREGULAR: Dict[str, Tuple[str, ElementClass, str]] = {
     "k3": ("[7S]", ElementClass.WU, "[8S]_I"),
     "k4": ("[3S]", ElementClass.WU, IRR_ID),
@@ -134,11 +138,16 @@ def terminal_key(origin: VertexKey, cls: ElementClass) -> VertexKey:
     return VertexKey(r + 1, d - 1, "II")
 
 
+def _vertex_key(vid: str, catalog: Catalog) -> VertexKey:
+    """The key of a graph vertex: ``IRR_KEY`` for ``irr``, else its catalog key."""
+    return IRR_KEY if vid == IRR_ID else catalog.by_id(vid).key
+
+
 def _graph_violations(g: DeformationGraph, catalog: Catalog) -> List[str]:
     """Every structural guarantee the graph breaks: per edge in edge order, then
     the irregular vertex, then connectivity."""
     ids = set(g.vertex_ids)
-    cat_ids = set(catalog.ids())
+    keyed = set(catalog.ids()) | {IRR_ID}
     out: List[str] = []
     pairs = set()
     origins = set()
@@ -153,9 +162,9 @@ def _graph_violations(g: DeformationGraph, catalog: Catalog) -> List[str]:
         if (e.src, e.label.cls) in origins:
             out.append(f"second {e.label.cls.value} edge from {e.src}")
         origins.add((e.src, e.label.cls))
-        if e.src in cat_ids and e.dst in cat_ids:
-            key = terminal_key(catalog.by_id(e.src).key, e.label.cls)
-            if catalog.by_id(e.dst).key != key:
+        if e.src in keyed and e.dst in keyed:
+            key = terminal_key(_vertex_key(e.src, catalog), e.label.cls)
+            if _vertex_key(e.dst, catalog) != key:
                 out.append(f"edge {e.src}->{e.dst} does not end at key {tuple(key)}")
     origin, cls, irr = IRREGULAR[g.kind]
     irr_in = [(e.src, e.label.cls, e.dst) for e in g.in_edges(irr)]
@@ -169,29 +178,32 @@ def _graph_violations(g: DeformationGraph, catalog: Catalog) -> List[str]:
 
 
 def _build_graph(catalog: Catalog, kind: str) -> DeformationGraph:
-    """One edge per (vertex, class) with an element of square 8n - 2, n = 0 for
-    k3 and 1 for k4, ending at ``terminal_key`` except the irregular edge."""
+    """One edge per catalog vertex and class with an element of square 8n - 2,
+    n = 0 for k3 and 1 for k4, ending at ``terminal_key``.  The vertices are the
+    catalog ids some edge touches, in catalog order, then ``irr`` if reached;
+    they must be the catalog ids with this graph's irregular terminal in
+    ``IRREGULAR`` and without the other graph's."""
     n = 0 if kind == "k3" else 1
-    vertex_ids = catalog.ids()
-    if kind == "k4":
-        vertex_ids = tuple(v for v in vertex_ids if v != IRREGULAR["k3"][2]) + (IRR_ID,)
-    ids = set(vertex_ids)
     edges: List[GraphEdge] = []
     for v in catalog:
-        if v.vid not in ids:
-            continue
         for cls in ElementClass:
             if not exists_class(v, n, cls):
                 continue
-            if (v.vid, cls) == IRREGULAR[kind][:2]:
-                dst = IRREGULAR[kind][2]
-            else:
-                key = terminal_key(v.key, cls)
-                try:
-                    dst = catalog.lookup(key).vid
-                except CatalogError:  # reported as leaving the vertex set
-                    dst = f"missing key {tuple(key)}"
+            key = terminal_key(v.key, cls)
+            try:
+                dst = catalog.lookup(key).vid
+            except CatalogError:  # any key but IRR_KEY is reported as leaving the vertex set
+                dst = IRR_ID if key == IRR_KEY else f"missing key {tuple(key)}"
             edges.append(GraphEdge(v.vid, dst, EdgeLabel(v.key, cls, 8 * n - 2)))
+    touched = {vid for e in edges for vid in (e.src, e.dst)}
+    vertex_ids = tuple(vid for vid in catalog.ids() + (IRR_ID,) if vid in touched)
+    stated = set(catalog.ids()) - {t for _, _, t in IRREGULAR.values()} | {IRREGULAR[kind][2]}
+    derived = set(vertex_ids)
+    if derived != stated:
+        raise StructuralError(
+            f"{kind}: the derived vertices differ from the swap in IRREGULAR: "
+            f"extra {sorted(derived - stated)}, missing {sorted(stated - derived)}"
+        )
     g = DeformationGraph(kind, vertex_ids, tuple(edges))
     problems = _graph_violations(g, catalog)
     if problems:
@@ -205,17 +217,12 @@ def build_k3_graph(catalog: Catalog) -> DeformationGraph:
 
 
 def build_k4_graph(catalog: Catalog) -> Tuple[DeformationGraph, Dict[str, K4VertexData]]:
-    """K3 keys minus [8S]_I plus the sentinel irregular vertex, square-6 edges."""
+    """Square-6 edges; the vertices come out as the K3 ids but [8S]_I, then ``irr``."""
     g = _build_graph(catalog, "k4")
     neg = from_summands(IRR_MINUS_SUMMANDS, "U(2)+3D4")
     _validate_irr(neg, catalog)
-    data: Dict[str, K4VertexData] = {}
-    for vid in g.vertex_ids:
-        if vid == IRR_ID:
-            data[vid] = K4VertexData(vid, rescale(neg, -1), IRR_ID)
-        else:
-            data[vid] = K4VertexData(vid, rescale(catalog.by_id(vid).lplus, -1), vid)
-    return g, data
+    plus = {vid: neg if vid == IRR_ID else catalog.by_id(vid).lplus for vid in g.vertex_ids}
+    return g, {vid: K4VertexData(vid, rescale(l, -1), vid) for vid, l in plus.items()}
 
 
 def _validate_irr(neg: GramLattice, catalog: Catalog) -> None:
@@ -627,11 +634,8 @@ def structural_checks(k3: DeformationGraph, catalog: Catalog) -> StructuralRepor
 def graph_json_dict(g: DeformationGraph, catalog: Catalog) -> dict:
     vertices = []
     for vid in g.vertex_ids:
-        if vid == IRR_ID:
-            vertices.append({"id": IRR_ID, "r": IRR_KEY.r, "d": IRR_KEY.d, "type": IRR_KEY.vtype})
-        else:
-            v = catalog.by_id(vid)
-            vertices.append({"id": vid, "r": v.r, "d": v.d, "type": v.vtype})
+        r, d, vtype = _vertex_key(vid, catalog)
+        vertices.append({"id": vid, "r": r, "d": d, "type": vtype})
     edges = [
         {"from": e.src, "to": e.dst, "class": e.label.cls.value} for e in g.edges
     ]
@@ -648,11 +652,9 @@ _EDGE_STYLE = {
 def graph_dot(g: DeformationGraph, catalog: Catalog) -> str:
     lines = [f"digraph {g.kind} {{"]
     for vid in g.vertex_ids:
-        if vid == IRR_ID:
-            label, vtype = "K4-irr", IRR_KEY.vtype
-        else:
-            label, vtype = vid.replace("[", "").replace("]", ""), catalog.by_id(vid).vtype
-        shape = "shape=box, style=filled" if vtype == "I" else "shape=circle"
+        label = "K4-irr" if vid == IRR_ID else vid.replace("[", "").replace("]", "")
+        boxed = _vertex_key(vid, catalog).vtype == "I"
+        shape = "shape=box, style=filled" if boxed else "shape=circle"
         lines.append(f'  "{vid}" [label="{label}", {shape}];')
     for e in g.edges:
         lines.append(f'  "{e.src}" -> "{e.dst}" [style={_EDGE_STYLE[e.label.cls]}];')

@@ -139,6 +139,8 @@ class GramLattice(_Record, frozen=True):
     ``summands`` optionally records the ordered standard-block decomposition
     ("<2>", "U", "E8", ...) when the lattice was assembled from named pieces;
     bounded vector searches exploit it, everything else ignores it.
+    Tuple rows must already hold exact ints; other rows (lists, say) are frozen
+    to tuples of exact ints as by ``from_rows``, the checked path.
     """
 
     __slots__ = ("rank", "gram", "label", "summands")
@@ -151,6 +153,7 @@ class GramLattice(_Record, frozen=True):
         if len(gram) != rank or set(map(len, gram)) - {rank}:
             raise LatticeError("gram matrix shape does not match rank")
         if tuple(zip(*gram)) != gram:  # the transpose is built in C; walk only on a miss
+            gram = _freeze(gram)  # every non-tuple row misses
             for i in range(rank):
                 for j in range(i + 1, rank):
                     if gram[i][j] != gram[j][i]:

@@ -41,13 +41,7 @@ from .finite_forms import (
     smith_normal_form,
 )
 from .catalog import Catalog, _validate_vertex, build_catalog
-from .elements import (
-    ElementClass,
-    classify_element,
-    construct_witness,
-    exists_class,
-)
-from . import SUITE_NAMES, graphs as G
+from . import SUITE_NAMES, elements as E, graphs as G
 
 
 class SuiteResult(_Record):
@@ -239,16 +233,16 @@ def suite_predicates(catalog: Catalog) -> SuiteResult:
     res = SuiteResult("predicates")
     for v in catalog:
         for n in (0, 1):
-            for cls in ElementClass:
-                if exists_class(v, n, cls):
-                    x = construct_witness(v, n, cls)
+            for cls in E.ElementClass:
+                if E.exists_class(v, n, cls):
+                    x = E.construct_witness(v, n, cls)
                     res.check(norm(x) == 8 * n - 2, f"{v.vid} n={n} {cls.value}: witness norm")
                     res.check(
-                        classify_element(v.lminus, x) is cls,
+                        E.classify_element(v.lminus, x) is cls,
                         f"{v.vid} n={n} {cls.value}: witness class",
                     )
                     res.check(
-                        classify_element(v.lminus, -x) is cls,
+                        E.classify_element(v.lminus, -x) is cls,
                         f"{v.vid} n={n} {cls.value}: class is sign-invariant",
                     )
     return res
@@ -275,7 +269,7 @@ def suite_graphs(catalog: Catalog) -> SuiteResult:
     # as v^⊥ ≅ L-(t) (Nikulin's uniqueness, applied by the structural checks)
     census = {
         e.src for e in k3.edges
-        if any(exists_class(catalog.by_id(e.dst), 1, cls) for cls in ElementClass)
+        if any(E.exists_class(catalog.by_id(e.dst), 1, cls) for cls in E.ElementClass)
     }
     found = 0
     for v in catalog:
@@ -316,10 +310,10 @@ def suite_synthesis(catalog: Catalog) -> SuiteResult:
     res = SuiteResult("synthesis")
     count = 0
     for v in catalog:
-        for cls in ElementClass:
-            if not exists_class(v, 1, cls):
+        for cls in E.ElementClass:
+            if not E.exists_class(v, 1, cls):
                 continue
-            h = construct_witness(v, 1, cls)
+            h = E.construct_witness(v, 1, cls)
             try:
                 G.synthesize_k4_plus(v, h)
             except G.StructuralError as exc:

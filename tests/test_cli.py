@@ -152,6 +152,26 @@ def test_classify_with_search_bound(capsys):
     assert "witness=[1, 1, 1, 1, 1]" in out
 
 
+def test_classify_bound_says_when_it_found_no_witness(capsys):
+    # L- of rank 13 to 15 is searched on its leading blocks only, so the
+    # bounded search can miss an element that exists: the line says so
+    lines = []
+    for vid in ("[S2]", "[S4+2S]", "[S4+S]", "[S4]"):
+        for square in ("-2", "6"):
+            argv = ["classify", "--vertex", vid, "--square", square, "--bound", "3"]
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0 and "witness=None" not in out
+            lines += [l for l in out.splitlines() if "yes" in l and "witness=" not in l]
+    assert lines == [
+        f"{vid} square={square} {cls}: yes  (no witness within --bound 3)"
+        for vid, square, cls in [
+            ("[S2]", -2, "wu"), ("[S2]", 6, "wu"), ("[S4+2S]", -2, "odd"), ("[S4+2S]", 6, "odd"),
+            ("[S4+2S]", 6, "wu"), ("[S4+S]", -2, "odd"), ("[S4+S]", 6, "odd"), ("[S4]", -2, "odd"),
+            ("[S4]", 6, "odd"),
+        ]
+    ]
+
+
 def test_classify_unknown_vertex(capsys):
     code, _, err = run_cli(["classify", "--vertex", "[99S]", "--square", "-2"], capsys)
     assert code == 2
@@ -237,7 +257,9 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         ("classify --vertex [3S] --square 6", "elements"),
         ("classify --vertex [7S] --square -2 --bound 2", "elements"),
         ("build --graph k3 --format dot", "elements graphs"),
-        ("verify --suite lattice", "elements verification"),
+        ("verify --suite lattice", "verification"),
+        ("verify --suite forms", "verification"),
+        ("verify --suite catalog", "verification"),
     ],
 )
 def test_a_command_executes_only_the_modules_it_calls(argv, executed):

@@ -189,11 +189,14 @@ def test_graph_violations_detect_mutations(catalog, k3_graph, k4_graph):
 # K4 graph
 # ---------------------------------------------------------------------------
 
-def test_k4_vertex_count(k4_graph):
+def test_k4_vertex_count(k3_graph, k4_graph):
     g, _ = k4_graph
     assert len(g.vertex_ids) == 75
     assert IRR_ID in g.vertex_ids
     assert "[8S]_I" not in g.vertex_ids
+    # the builder derives the order: no square-6 edge touches [8S]_I, and irr,
+    # the terminal of [3S]'s Wu edge, comes after the catalog ids
+    assert g.vertex_ids == tuple(v for v in k3_graph.vertex_ids if v != "[8S]_I") + (IRR_ID,)
 
 
 def test_k4_unique_irregular_edge(k4_graph):
@@ -219,6 +222,29 @@ def test_irregular_key_must_not_be_a_k3_key(catalog, monkeypatch):
 
     monkeypatch.setattr(graphs, "K3_KEYS", graphs.K3_KEYS | {IRR_KEY})
     with pytest.raises(StructuralError, match=re.escape("irr: (14, 8, 'I') must not be a K3 key")):
+        build_k4_graph(catalog)
+
+
+@pytest.mark.parametrize(
+    "vid, cls, exists, message",
+    [
+        ("[8S]_I", ElementClass.EVEN_NON_WU, True, "extra ['[8S]_I'], missing []"),
+        ("[7S]", ElementClass.WU, True, "extra ['[8S]_I'], missing []"),
+        ("[3S]", ElementClass.WU, False, "extra [], missing ['irr']"),
+    ],
+    ids=["8S_I-gains-a-class", "7S-gains-wu", "3S-loses-wu"],
+)
+def test_k4_swap_is_checked_against_its_statement(catalog, monkeypatch, vid, cls, exists, message):
+    from k4graph import StructuralError, build_k4_graph, graphs
+
+    real = graphs.exists_class
+    monkeypatch.setattr(
+        graphs,
+        "exists_class",
+        lambda v, n, c: exists if (v.vid, n, c) == (vid, 1, cls) else real(v, n, c),
+    )
+    swap = "k4: the derived vertices differ from the swap in IRREGULAR: "
+    with pytest.raises(StructuralError, match=re.escape(swap + message)):
         build_k4_graph(catalog)
 
 
@@ -432,13 +458,14 @@ def test_suite_graphs_names_a_vertex_the_construction_misses(catalog, monkeypatc
 
 
 def test_suite_graphs_names_a_pair_the_census_rules_out(catalog, monkeypatch):
-    from k4graph import verification
+    from k4graph import elements, verification
 
     # the K3 edges of [7S] end at [8S] and at [8S]_I, whose U(2) + U(2) has no
     # square 6 element; hiding those of [8S] leaves the census no pair at [7S]
-    real = verification.exists_class
+    # (verification reads exists_class from the elements module at each call)
+    real = elements.exists_class
     monkeypatch.setattr(
-        verification, "exists_class", lambda t, n, cls: t.vid != "[8S]" and real(t, n, cls)
+        elements, "exists_class", lambda t, n, cls: t.vid != "[8S]" and real(t, n, cls)
     )
     res = verification.suite_graphs(catalog)
     assert [f for f in res.failures if "flip pair" in f] == [

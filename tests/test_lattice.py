@@ -558,6 +558,18 @@ def test_entries_are_exact_integers(build):
         assert type(got[0][0]) is int
 
 
+def test_gram_given_as_lists_is_frozen():
+    # list rows miss the transpose test, so the constructor freezes them as
+    # from_rows does: the lattice hashes, and an inexact entry is refused
+    lat = GramLattice(2, [[0, 1], [1, 0]])
+    frozen = GramLattice.from_rows(((0, 1), (1, 0)))
+    assert lat == frozen and hash(lat) == hash(frozen)
+    assert signature(lat) == (1, 1)
+    for x, name in _NOT_INTEGERS:
+        with pytest.raises(LatticeError, match=f"expected an exact integer, got {name}$"):
+            GramLattice(2, [[x, 0], [0, 2]])
+
+
 @pytest.mark.parametrize(
     "text",
     ['{"d":1,"qvals":5,"bvals":[[1]]}', '{"d":1,"qvals":[1],"bvals":"x"}', "[]", "null",
