@@ -6,14 +6,27 @@ topological type off the key.  Only the eigenlattices are transcribed, in two
 principal-series tables and the exceptional table, one line per source row.
 ``build_catalog`` instantiates the rows and checks that their lattices give
 each key of ``K3_KEYS`` once, at its placed id, among every entry invariant.
+
+The class-existence rule sits next to the key theorem ``_exists``, because
+the graph builders read it and nothing else of ``elements``.  x^2 mod 16 and
+the class of x add up block by block over an orthogonal sum (Nikulin's
+discriminant-form calculus): x is odd if a block part is odd, Wu if every
+block part is Wu, and even-non-Wu otherwise.  So the (square, class) pairs a
+catalog eigenlattice reaches are folded from the one per-block table
+``SQUARES``, held as one 16-bit mask of residues per class: a block residue a
+adds to a whole mask as a rotation by a.  ``exists_class`` is a bit test of
+the fold, which decides the edge sets of both graphs from the lattice alone:
+a negative answer is a proof; a positive one is backed by the explicit
+witness of ``elements.construct_witness``.
 """
 
 from __future__ import annotations
 
+import enum
+from functools import lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .lattice import GramLattice, _Record, _set, from_summands, is_even, signature
-from .finite_forms import _two_elementary
+from .lattice import MEMO_SIZE, _Record, _set, _two_elementary, from_summands, is_even, signature
 
 
 class CatalogError(ValueError):
@@ -176,6 +189,79 @@ def _place(key: VertexKey) -> Tuple[str, TopType]:
 
 # The id and topological type of every key, placed once per process.
 PLACEMENT: Dict[VertexKey, Tuple[str, TopType]] = {key: _place(key) for key in sorted(K3_KEYS)}
+
+
+# ---------------------------------------------------------------------------
+# element classes and the class-existence rule
+# ---------------------------------------------------------------------------
+
+class ElementClass(enum.Enum):
+    ODD = "odd"
+    WU = "wu"
+    EVEN_NON_WU = "even-non-wu"
+
+
+_O, _W, _N = ElementClass.ODD, ElementClass.WU, ElementClass.EVEN_NON_WU
+_ODD_EVERYWHERE = frozenset((r, _O) for r in range(0, 16, 2))
+
+# (x^2 mod 16, class of x) over all x of each standard block, with the class
+# read in the block: odd iff G·x is not 0 mod 2, Wu iff x = wu_parities mod 2
+# (``elements._wu_parities``).  An even x is 2y with y in L*, so its pair
+# depends only on x mod 4L; in an even block an odd x reaches its whole class
+# mod 4 (x + 2ku with x·u odd adds 0, 4, 8, 12).  tests/test_elements.py
+# recomputes every entry
+SQUARES = {
+    "<1>": frozenset({(0, _W), (4, _W), (1, _O), (9, _O)}),
+    "<2>": frozenset({(0, _N), (2, _W), (8, _N)}),
+    "<-2>": frozenset({(0, _N), (8, _N), (14, _W)}),
+    "U": frozenset({(0, _W), (8, _W)}) | _ODD_EVERYWHERE,
+    "U(2)": frozenset({(0, _N), (0, _W), (4, _N), (8, _N), (12, _N)}),
+    "D4": frozenset({(0, _W), (4, _N), (8, _W), (12, _N), (2, _O), (6, _O), (10, _O), (14, _O)}),
+    "E7": frozenset({(0, _N), (2, _W), (8, _N), (10, _W)}) | _ODD_EVERYWHERE,
+    "E8": frozenset({(0, _W), (8, _W)}) | _ODD_EVERYWHERE,
+    "E8(2)": frozenset({(0, _N), (0, _W), (4, _N), (8, _N), (12, _N)}),
+}
+
+
+def _join(a: ElementClass, b: ElementClass) -> ElementClass:
+    """The class of x + y for x and y in orthogonal summands."""
+    if a is _O or b is _O:
+        return _O
+    return _W if a is _W and b is _W else _N
+
+
+# a class's position in the residue-mask tuples of ``_reach`` and of
+# ``elements._fits``, and for each class c the positions of _join(c, d) for d
+# in that order
+_INDEX = {cls: i for i, cls in enumerate(ElementClass)}
+_JOINS = {c: tuple([_INDEX[_join(c, d)] for d in ElementClass]) for c in ElementClass}
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _reach(names: Tuple[str, ...]) -> Tuple[int, ...]:
+    """Per class, in ``ElementClass`` order, the 16-bit mask with bit r set iff
+    some x of that class in a sum of standard blocks has x^2 = r mod 16."""
+    if not names:
+        return tuple([int(cls is _W) for cls in ElementClass])  # x = 0 only
+    rest = _reach(names[1:])
+    out = [0, 0, 0]
+    for a, c in SQUARES[names[0]]:
+        for k, mask in zip(_JOINS[c], rest):  # every residue of rest, plus a
+            out[k] |= (mask << a | mask >> (16 - a)) & 0xFFFF
+    return tuple(out)
+
+
+def exists_class(v: K3Vertex, n: int, cls: ElementClass) -> bool:
+    """Does L-(c) contain an element of square 8n-2 in the given class?
+
+    Yes iff the blocks of L-(c) reach (8n-2 mod 16, cls) in ``SQUARES``.
+    "No" is a proof; "yes" is confirmed by ``elements.construct_witness``.
+    """
+    if n not in (0, 1):
+        raise ValueError("n must be 0 or 1")
+    if not isinstance(cls, ElementClass):
+        raise ValueError(f"unknown class {cls!r}")
+    return bool(_reach(v.lminus_summands)[_INDEX[cls]] >> (8 * n - 2) % 16 & 1)
 
 
 class Catalog(Sequence[K3Vertex]):

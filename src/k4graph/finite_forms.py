@@ -1,4 +1,5 @@
-"""Discriminant groups and finite quadratic forms on 2-elementary groups.
+"""Finite quadratic forms on 2-elementary groups, the Smith normal form, and
+the Brown invariant.
 
 All arithmetic is in integers.  A discriminant group keeps each generator
 lift as an integer numerator vector over its elementary divisor, together
@@ -9,55 +10,38 @@ Finite-form values are stored integrally in half-units: a quadratic value
 ``k`` means q = k/2 in Q/2Z (so k lives mod 4), a bilinear value ``m`` means
 b = m/2 in Q/Z (m lives mod 2).  The Brown invariant comes from the GF(2)
 normal form of the form, a sum of <±1/2>, u(2) and v(2) (Nikulin 1979, §1.8),
-in O(d²) operations on bilinear rows packed into ints.  ``lattices_equivalent``
-builds no form at all: it compares the signature, a = rank of L*/L and δ.
+in O(d²) operations on bilinear rows packed into ints.
 
-``_smith`` is the one Smith kernel.  ``smith_normal_form`` and the public
-``discriminant_group``, which serves any divisors, run it; the group keeps
-only the divisors and the columns of V (as the rows of Vᵀ) and skips U.
-Every internal caller asks only 2-elementary questions and reads
-``_two_elementary``: the GF(2) kernel of the Gram matrix, and det G from the
-elimination that also gives the inertia, so each Gram is eliminated once.
-A block-diagonal Gram embeds its blocks' groups, from the same memo, at their
-offsets, which gives the whole Gram's group on either route: the GF(2) reduced
-row echelon form is unique, and a block-diagonal matrix's is its blocks'.
+The 2-elementary kernel lives in ``lattice`` and is re-exported here:
+``DiscriminantGroup``, ``_two_elementary`` (one GF(2) elimination per Gram),
+``bilinear_table``, and ``lattices_equivalent``, which builds no form at all:
+it compares the signature, a = rank of L*/L and δ.  The catalog and the graph
+builders read only that kernel, so of the commands only ``verify`` executes
+this module.  ``_smith`` is the one Smith kernel.  ``smith_normal_form`` and
+the public ``discriminant_group``, which serves any divisors, run it; the
+group keeps only the divisors and the columns of V (as the rows of Vᵀ) and
+skips U.  Every internal caller asks only 2-elementary questions and reads
+``_two_elementary``.
 
-``_two_elementary`` and ``brown_invariant`` are each a ``functools.lru_cache``
-of ``lattice.MEMO_SIZE`` entries, keyed by the Gram tuple and by the form.
-The results are a frozen record of tuples and an int, so every caller may
-share one; errors are not cached.  The Smith route behind
+``brown_invariant`` is a ``functools.lru_cache`` of ``lattice.MEMO_SIZE``
+entries keyed by the form; the result is an int, so every caller may share
+one, and errors are not cached.  The Smith route behind
 ``discriminant_group`` and the forms of ``discriminant_quadratic`` are not
 memoized: nothing in the package calls the first, the second is built from
 the memoized group in a few selections, and the benchmarks seldom ask either
 twice for one Gram.
 """
-
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
-from operator import and_, mul, rshift
+from operator import and_
 from typing import List, Optional, Sequence, Tuple
 
-from .lattice import (
-    MEMO_SIZE,
-    Gram,
-    GramLattice,
-    LatticeVector,
-    LatticeError,
-    _diagonal,
-    _elimination,
-    _freeze,
-    _json_ints,
-    _json_object,
-    _ONES,
-    _parities,
-    _Record,
-    _set,
-    _split,
-    gf2_solve,
-    is_even,
-    signature,
+from .lattice import (  # the 2-elementary kernel lives in lattice; re-exported here
+    MEMO_SIZE, DiscriminantGroup, Gram, GramLattice, LatticeVector, LatticeError, _freeze,
+    _json_ints, _json_object, _ONES, _parities, _Record, _set, _two_elementary,
+    bilinear_table, is_even, lattices_equivalent,
 )
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -162,42 +146,6 @@ def _smith(
 # discriminant groups
 # ---------------------------------------------------------------------------
 
-class DiscriminantGroup(_Record, frozen=True):
-    """L*/L presented by elementary divisors and integer generator lifts.
-
-    The i-th generator is g_i = lifts[i] / divisors[i], stored as its integer
-    numerator vector; duals[i] = G·g_i is integral because g_i lies in L*.
-    So <x, g_i> = x·duals[i] for x in L, and b(g_i, g_j) = lifts[i]·duals[j]
-    / divisors[i]: every pairing is a dot product of integer vectors.
-    """
-
-    __slots__ = ("divisors", "lifts", "duals")
-
-    @property
-    def order(self) -> int:
-        out = 1
-        for d in self.divisors:
-            out *= d
-        return out
-
-    @property
-    def is_two_periodic(self) -> bool:
-        return all(d == 2 for d in self.divisors)
-
-    @property
-    def rank(self) -> int:
-        return len(self.divisors)
-
-    @property
-    def _delta(self) -> int:
-        """Nikulin's δ of a 2-periodic group: 0 iff b(x, x) = 0 for every x; the
-        parity of the discriminant form, whatever w an odd one is built with.
-        b(x, x) mod Z is additive, so the generators decide it: 2·b(g_i, g_i) is
-        lifts[i]·duals[i] mod 2, which a lift's odd entries alone decide; one
-        C-level product per generator is cheaper than selecting them."""
-        return int(any(sum(map(mul, n, dual)) & 1 for n, dual in zip(self.lifts, self.duals)))
-
-
 def discriminant_group(l: GramLattice) -> DiscriminantGroup:
     """Elementary divisors and generator lifts of L*/L from the SNF of the Gram."""
     return _discriminant_group(l.gram)
@@ -223,44 +171,6 @@ def _discriminant_group(gram: Gram) -> DiscriminantGroup:
                 dual = [y + x * g for y, g in zip(dual, gram[r])]
         duals.append(tuple(y // di for y in dual))
     return DiscriminantGroup(tuple(divisors), tuple(lifts), tuple(duals))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _two_elementary(gram: Gram) -> Optional[DiscriminantGroup]:
-    """L*/L from one GF(2) elimination when it is 2-elementary, else None.
-
-    The x/2 for x in a kernel basis of G mod 2 lie in L*, and they present
-    the 2-torsion of L*/L, of order 2^dim ker.  That is all of L*/L exactly
-    when |det G| = 2^dim ker (Nikulin 1979, §1.3).  The lifts are the
-    ``gf2_solve`` kernel basis, 0/1 vectors, so the duals G·x/2 are sums of
-    the Gram rows the lifts select (G is symmetric).
-    """
-    det = _elimination(gram)[3]
-    if det == 0:  # decided over all blocks before any block may return None
-        raise LatticeError("gram matrix is degenerate")
-    blocks = _split(gram)
-    if len(blocks) > 1:
-        discs = [_two_elementary(block) for block in blocks]
-        if any(disc is None for disc in discs):
-            return None
-        widths = list(map(len, blocks))
-        lifts = _diagonal([disc.lifts for disc in discs], widths)
-        duals = _diagonal([disc.duals for disc in discs], widths)
-        return DiscriminantGroup((2,) * len(lifts), lifts, duals)
-    _, kernel = gf2_solve(gram, [0] * len(gram))
-    if abs(det) != 1 << len(kernel):
-        return None
-    duals = tuple([tuple(map(rshift, map(sum, zip(*compress(gram, x))), _ONES)) for x in kernel])
-    return DiscriminantGroup((2,) * len(kernel), tuple(map(tuple, kernel)), duals)
-
-
-def bilinear_table(disc: DiscriminantGroup) -> IntMatrix:
-    """2·b(g_i, g_j) mod 2 on a 2-periodic group: lifts[i]·duals[j] mod 2, the
-    popcount parity of the two rows' odd entries packed by ``_parities``.  An
-    even entry adds an even product, so this holds for any integer lifts, the
-    Smith route's included, not only the 0/1 ones of ``_two_elementary``."""
-    duals = _parities(disc.duals)
-    return tuple(tuple([(x & y).bit_count() & 1 for y in duals]) for x in _parities(disc.lifts))
 
 
 # ---------------------------------------------------------------------------
@@ -445,29 +355,3 @@ def forms_isomorphic(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> bool:
     if a.d != b.d or parity(a) != parity(b):
         return False
     return brown_invariant(a) == brown_invariant(b)
-
-
-def lattices_equivalent(a: GramLattice, b: GramLattice) -> str:
-    """Isomorphism oracle for even lattices with 2-periodic discriminants.
-
-    Returns "yes"/"no" when both inputs are even, non-degenerate, 2-periodic
-    and either indefinite or definite of rank <= 2; otherwise "undecidable".
-    Such a lattice is fixed by its signature, a = rank of L*/L and δ (Nikulin
-    1979, §3.6): its discriminant form is fixed by (a, δ, Brown), and on an
-    even lattice Brown ≡ σ₊ − σ₋ (mod 8) by Milgram's formula.
-    """
-    keys = []
-    for l in (a, b):
-        if not is_even(l):
-            return "undecidable"
-        try:
-            sig = signature(l)
-        except LatticeError:
-            return "undecidable"
-        if min(sig) == 0 and l.rank > 2:
-            return "undecidable"
-        disc = _two_elementary(l.gram)
-        if disc is None:
-            return "undecidable"
-        keys.append((sig, disc.rank, disc._delta))
-    return "yes" if keys[0] == keys[1] else "no"

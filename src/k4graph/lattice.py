@@ -5,33 +5,40 @@ rationals and no floating point.  Signatures come from fraction-free
 (Bareiss) symmetric elimination on the upper triangle, whose exact divisions
 keep every entry a minor of the input, so no gcd pass is needed; its last
 pivot is det G, so one elimination, ``_elimination``, gives both the inertia
-and the determinant that ``finite_forms._two_elementary`` reads.  An
-orthogonal complement comes from a gcd sweep of G·v by unimodular column
-operations, each applied to the Gram as a congruence, so its Gram is read off
-the swept Gram with no matrix product, and the inverse of the sweep gives
-coordinates in it.  Characteristic vectors and the GF(2) kernels of
-discriminant groups come from ``gf2_solve``, the one GF(2) solver of the
-package, which XORs in place rows packed mod 2 by ``_parities``.
-``_diagonal`` assembles every direct sum in one pass, and ``_elimination`` and
-``finite_forms._two_elementary`` read a Gram's diagonal blocks, split once by
-the ``_split`` memo, one at a time through their memos, so the catalog's sums
-of standard blocks are answered, exactly as whole Grams, from the nine blocks'
-memo entries.
+and the determinant that ``_two_elementary`` reads.  An orthogonal complement
+comes from a gcd sweep of G·v by unimodular column operations, each applied
+to the Gram as a congruence, so its Gram is read off the swept Gram with no
+matrix product, and the inverse of the sweep gives coordinates in it.
+Characteristic vectors and the GF(2) kernels of discriminant groups come from
+``gf2_solve``, the one GF(2) solver of the package, which XORs in place rows
+packed mod 2 by ``_parities``.  ``_diagonal`` assembles every direct sum in
+one pass, and ``_elimination`` and ``_two_elementary`` read a Gram's diagonal
+blocks, split once by the ``_split`` memo, one at a time through their memos,
+so the catalog's sums of standard blocks are answered, exactly as whole
+Grams, from the nine blocks' memo entries.
+
+The 2-elementary kernel lives here too, because the catalog, the element
+classes and the graph builders read it and nothing else of the finite forms:
+``_two_elementary`` gives L*/L as a ``DiscriminantGroup`` from one GF(2)
+elimination, ``bilinear_table`` its discriminant bilinear form mod 2, and
+``lattices_equivalent`` compares (signature, a, δ).  ``finite_forms``, which
+builds the quadratic forms, the Smith route and the Brown invariant on top of
+them, re-exports all four.
 
 ``inertia`` (and so ``signature``) is memoized: it reads ``_elimination``, a
 ``functools.lru_cache`` keyed by the Gram tuple alone (labels and summands do
-not change the answer) and bounded at ``MEMO_SIZE`` entries.  This is sound
-because a Gram is a tuple of tuples of ints and the result is a tuple, so
-neither the key nor the shared result can be mutated; errors are not cached.
+not change the answer) and bounded at ``MEMO_SIZE`` entries, and so is
+``_two_elementary``.  This is sound because a Gram is a tuple of tuples of
+ints and the results are tuples or frozen records of them, so neither the
+key nor the shared result can be mutated; errors are not cached.
 """
-
 from __future__ import annotations
 
 import re
 from functools import lru_cache
 from itertools import compress, repeat
 from math import prod
-from operator import and_, index, mul
+from operator import and_, index, mul, neg, rshift
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 Gram = Tuple[Tuple[int, ...], ...]
@@ -373,8 +380,13 @@ def rescale(l: GramLattice, k: int) -> GramLattice:
 
 def gram_apply(l: GramLattice, coords: Sequence[int]) -> Tuple[int, ...]:
     """The dual coordinates G·x of a vector, summed over the support of x: G is
-    symmetric, so G·x is the sum of x_i times row i over the nonzero x_i."""
-    rows = [[c * g for g in row] for c, row in zip(coords, l.gram) if c]
+    symmetric, so G·x is the sum of x_i times row i over the nonzero x_i.  A
+    row enters as itself at x_i = 1 and negated or scaled lazily otherwise, so
+    no scaled copy of a row is built."""
+    rows = [
+        row if c == 1 else map(neg, row) if c == -1 else map(mul, repeat(c), row)
+        for c, row in zip(coords, l.gram) if c
+    ]
     return tuple(map(sum, zip(*rows))) if rows else (0,) * l.rank
 
 
@@ -472,7 +484,7 @@ def _blocks(gram: Gram) -> List[Gram]:
 @lru_cache(maxsize=MEMO_SIZE)
 def _split(gram: Gram) -> Tuple[Gram, ...]:
     """``_blocks`` as a memoized tuple, so that ``_elimination`` and
-    ``finite_forms._two_elementary`` split each Gram once between them."""
+    ``_two_elementary`` split each Gram once between them."""
     return tuple(_blocks(gram))
 
 
@@ -647,3 +659,109 @@ def sublattice_coordinates(
         raise LatticeError("vector is not orthogonal to v")
     _, vinv = _complement(l, v)
     return tuple(sum(map(mul, row, x.coords)) for row in vinv[1:])
+
+# ---------------------------------------------------------------------------
+# 2-elementary discriminant groups
+# ---------------------------------------------------------------------------
+
+class DiscriminantGroup(_Record, frozen=True):
+    """L*/L presented by elementary divisors and integer generator lifts.
+
+    The i-th generator is g_i = lifts[i] / divisors[i], stored as its integer
+    numerator vector; duals[i] = G·g_i is integral because g_i lies in L*.
+    So <x, g_i> = x·duals[i] for x in L, and b(g_i, g_j) = lifts[i]·duals[j]
+    / divisors[i]: every pairing is a dot product of integer vectors.
+    """
+
+    __slots__ = ("divisors", "lifts", "duals")
+
+    @property
+    def order(self) -> int:
+        out = 1
+        for d in self.divisors:
+            out *= d
+        return out
+
+    @property
+    def is_two_periodic(self) -> bool:
+        return all(d == 2 for d in self.divisors)
+
+    @property
+    def rank(self) -> int:
+        return len(self.divisors)
+
+    @property
+    def _delta(self) -> int:
+        """Nikulin's δ of a 2-periodic group: 0 iff b(x, x) = 0 for every x; the
+        parity of the discriminant form, whatever w an odd one is built with.
+        b(x, x) mod Z is additive, so the generators decide it: 2·b(g_i, g_i) is
+        lifts[i]·duals[i] mod 2, which a lift's odd entries alone decide; one
+        C-level product per generator is cheaper than selecting them."""
+        return int(any(sum(map(mul, n, dual)) & 1 for n, dual in zip(self.lifts, self.duals)))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _two_elementary(gram: Gram) -> Optional[DiscriminantGroup]:
+    """L*/L from one GF(2) elimination when it is 2-elementary, else None.
+
+    The x/2 for x in a kernel basis of G mod 2 lie in L*, and they present
+    the 2-torsion of L*/L, of order 2^dim ker.  That is all of L*/L exactly
+    when |det G| = 2^dim ker (Nikulin 1979, §1.3).  The lifts are the
+    ``gf2_solve`` kernel basis, 0/1 vectors, so the duals G·x/2 are sums of
+    the Gram rows the lifts select (G is symmetric).  A block-diagonal Gram
+    embeds its blocks' groups at their offsets, which is the whole Gram's
+    group: the GF(2) reduced row echelon form is unique, and a block-diagonal
+    matrix's is its blocks'.
+    """
+    det = _elimination(gram)[3]
+    if det == 0:  # decided over all blocks before any block may return None
+        raise LatticeError("gram matrix is degenerate")
+    blocks = _split(gram)
+    if len(blocks) > 1:
+        discs = [_two_elementary(block) for block in blocks]
+        if any(disc is None for disc in discs):
+            return None
+        widths = list(map(len, blocks))
+        lifts = _diagonal([disc.lifts for disc in discs], widths)
+        duals = _diagonal([disc.duals for disc in discs], widths)
+        return DiscriminantGroup((2,) * len(lifts), lifts, duals)
+    _, kernel = gf2_solve(gram, [0] * len(gram))
+    if abs(det) != 1 << len(kernel):
+        return None
+    duals = tuple([tuple(map(rshift, map(sum, zip(*compress(gram, x))), _ONES)) for x in kernel])
+    return DiscriminantGroup((2,) * len(kernel), tuple(map(tuple, kernel)), duals)
+
+
+def bilinear_table(disc: DiscriminantGroup) -> Gram:
+    """2·b(g_i, g_j) mod 2 on a 2-periodic group: lifts[i]·duals[j] mod 2, the
+    popcount parity of the two rows' odd entries packed by ``_parities``.  An
+    even entry adds an even product, so this holds for any integer lifts, the
+    Smith route's included, not only the 0/1 ones of ``_two_elementary``."""
+    duals = _parities(disc.duals)
+    return tuple(tuple([(x & y).bit_count() & 1 for y in duals]) for x in _parities(disc.lifts))
+
+
+def lattices_equivalent(a: GramLattice, b: GramLattice) -> str:
+    """Isomorphism oracle for even lattices with 2-periodic discriminants.
+
+    Returns "yes"/"no" when both inputs are even, non-degenerate, 2-periodic
+    and either indefinite or definite of rank <= 2; otherwise "undecidable".
+    Such a lattice is fixed by its signature, a = rank of L*/L and δ (Nikulin
+    1979, §3.6): its discriminant form is fixed by (a, δ, Brown), and on an
+    even lattice Brown ≡ σ₊ − σ₋ (mod 8) by Milgram's formula.
+    """
+    keys = []
+    for l in (a, b):
+        if not is_even(l):
+            return "undecidable"
+        try:
+            sig = signature(l)
+        except LatticeError:
+            return "undecidable"
+        if min(sig) == 0 and l.rank > 2:
+            return "undecidable"
+        disc = _two_elementary(l.gram)
+        if disc is None:
+            return "undecidable"
+        keys.append((sig, disc.rank, disc._delta))
+    return "yes" if keys[0] == keys[1] else "no"

@@ -5,7 +5,7 @@ CLI exit status is the conjunction.  The suites are deterministic (seeded
 randomness only); a `k4graph verify` process takes about 0.27 s of CPU time
 without bytecode, about 0.12 s of it in the suites, with Python 3.11 on one
 core of a small x86-64 cloud VM.  No suite searches.  The predicates suite proves its
-negatives for all three classes from the one block table ``elements.SQUARES``
+negatives for all three classes from the one block table ``catalog.SQUARES``
 and confirms its positives with witnesses; the graphs suite builds its flip
 pairs from per-block witnesses and proves their absence by the K3-edge census.
 """

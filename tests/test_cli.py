@@ -240,13 +240,18 @@ def _fresh_process(code, *args):
     return proc.stdout
 
 
+# the package's submodules in registration order
+_SUBMODULES = (
+    "lattice", "finite_forms", "catalog", "elements", "graphs", "graph_checks", "verification"
+)
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # every short CLI process pays for what `import k4graph.cli` loads; the six
+    # every short CLI process pays for what `import k4graph.cli` loads; the seven
     # submodules are registered (loaded lazily), because a benchmark tracer
     # looks them up in sys.modules right after this import
     code = "import k4graph.cli; print(*sorted(m for m in sys.modules if m in sys.argv[2:]))"
-    modules = ["lattice", "finite_forms", "catalog", "elements", "graphs", "verification"]
-    wanted = ["dataclasses", "inspect", "json"] + [f"k4graph.{m}" for m in modules]
+    wanted = ["dataclasses", "inspect", "json"] + [f"k4graph.{m}" for m in _SUBMODULES]
     assert _fresh_process(code, *wanted).split() == sorted(wanted[3:])
 
 
@@ -256,13 +261,14 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         ("catalog --format json", ""),
         ("classify --vertex [3S] --square 6", "elements"),
         ("classify --vertex [7S] --square -2 --bound 2", "elements"),
-        ("build --graph k3 --format dot", "elements graphs"),
+        ("build --graph k3 --format dot", "graphs"),
+        ("export --graph k4 --out {tmp}/k4.json", "graphs"),
         ("verify --suite lattice", "verification"),
         ("verify --suite forms", "verification"),
         ("verify --suite catalog", "verification"),
     ],
 )
-def test_a_command_executes_only_the_modules_it_calls(argv, executed):
+def test_a_command_executes_only_the_modules_it_calls(argv, executed, tmp_path):
     # type() reads a registered module's class without loading it: it stays a
     # lazy module until the first access to one of its attributes
     code = (
@@ -271,11 +277,14 @@ def test_a_command_executes_only_the_modules_it_calls(argv, executed):
         "import k4graph.cli\n"
         "with redirect_stdout(io.StringIO()):\n"
         "    assert k4graph.cli.main(sys.argv[2:]) == 0\n"
-        "names = ('lattice', 'finite_forms', 'catalog', 'elements', 'graphs', 'verification')\n"
+        f"names = {_SUBMODULES!r}\n"
         "print(*(n for n in names if type(sys.modules['k4graph.' + n]) is types.ModuleType))\n"
     )
-    out = _fresh_process(code, *argv.split())
-    assert out.split() == ["lattice", "finite_forms", "catalog", *executed.split()]
+    out = _fresh_process(code, *argv.format(tmp=tmp_path).split())
+    # every command executes lattice and catalog; of the commands, only verify
+    # executes finite_forms (the module that verification imports it from)
+    base = ["lattice", "catalog"] + ["finite_forms"] * argv.startswith("verify")
+    assert out.split() == [n for n in _SUBMODULES if n in base + executed.split()]
 
 
 def test_benchmark_tracer_installs_after_the_cli_import():
@@ -297,6 +306,36 @@ def test_benchmark_tracer_installs_after_the_cli_import():
         "print(tracer.summary()['functions']['verification.suite_lattice']['calls'])\n"
     )
     assert _fresh_process(code, perfbench) == "1\n"
+
+
+def test_benchmark_tracer_reaches_the_moved_graph_checks():
+    # verify reads the flip, synthesis and structural checks through graphs,
+    # which forwards them to graph_checks; the tracer rebinds them there only
+    # because graph_checks is registered at import.  The counts are the ones
+    # the tracer read when the checks lived in graphs itself.
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    code = (
+        "import io\n"
+        "from contextlib import redirect_stdout\n"
+        "import k4graph.cli\n"
+        "sys.path.insert(0, sys.argv[2])\n"
+        "from tracer import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "with tracer, redirect_stdout(io.StringIO()):\n"
+        "    for suite in ('graphs', 'synthesis'):\n"
+        "        assert k4graph.cli.main(['verify', '--suite', suite]) == 0\n"
+        "calls = {k: v['calls'] for k, v in tracer.summary()['functions'].items()}\n"
+        "print(*(calls[n] for n in sys.argv[3:]))\n"
+    )
+    counts = {
+        "graphs.verify_flip_cycle": 71,
+        "graphs.synthesize_k4_plus": 126,
+        "lattice.twist": 126,
+        "finite_forms.lattices_equivalent": 201,
+    }
+    out = _fresh_process(code, perfbench, *counts)
+    assert dict(zip(counts, map(int, out.split()))) == counts
 
 
 # the names the package exported when it imported its submodules eagerly

@@ -539,7 +539,7 @@ def test_synthesize_rejects_wrong_square(catalog):
 
 def test_synthesize_names_a_non_2_elementary_m_plus(catalog, monkeypatch):
     # a twist that lands on an odd lattice of signature (rank L-, 1) and det -3
-    from k4graph import StructuralError, graphs
+    from k4graph import StructuralError, graph_checks
 
     v = catalog.by_id("[S1+9S]")
     h = construct_witness(v, 1, ElementClass.ODD)
@@ -547,7 +547,7 @@ def test_synthesize_names_a_non_2_elementary_m_plus(catalog, monkeypatch):
     fake = GramLattice.from_rows(
         [[x if i == j else 0 for j in range(len(diag))] for i, x in enumerate(diag)]
     )
-    monkeypatch.setattr(graphs, "twist", lambda l, w: fake)
+    monkeypatch.setattr(graph_checks, "twist", lambda l, w: fake)
     with pytest.raises(StructuralError, match="not 2-elementary"):
         synthesize_k4_plus(v, h)
 

@@ -166,6 +166,25 @@ def test_inner_ambient_mismatch():
         inner(u.vector([1, 0]), v.vector([1, 0]))
 
 
+@st.composite
+def _grams_and_coords(draw):
+    n = draw(st.integers(1, 8))
+    upper = {(i, j): draw(st.integers(-5, 5)) for i in range(n) for j in range(i, n)}
+    gram = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+    return GramLattice(n, gram), draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grams_and_coords())
+def test_gram_apply_is_the_dense_product(case):
+    # besides x: the zero vector, -x (every coefficient negated) and 3x (every
+    # nonzero coefficient of magnitude 3 or more)
+    l, x = case
+    for coords in ([0] * l.rank, x, [-c for c in x], [3 * c for c in x]):
+        dense = tuple(sum(g * c for g, c in zip(row, coords)) for row in l.gram)
+        assert gram_apply(l, coords) == dense
+
+
 # ---------------------------------------------------------------------------
 # signature
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 from k4graph import catalog as C
 from k4graph import elements as E
 from k4graph import finite_forms as F
+from k4graph import graph_checks as GC
 from k4graph import graphs as G
 from k4graph import lattice as L
 from k4graph import verification as V
@@ -42,7 +43,7 @@ CASES = {
         {"label": "", "summands": None},
     ),
     L.LatticeVector: (("coords", "ambient"), ((1, 2), U), ((1, 2), U), {}),
-    F.DiscriminantGroup: (
+    L.DiscriminantGroup: (
         ("divisors", "lifts", "duals"),
         ((2,), ((1, 0),), ((0, 1),)),
         ((2,), ((1, 0),), ((0, 1),)),
@@ -86,37 +87,37 @@ CASES = {
         {},
     ),
     G.K4VertexData: (("key", "mminus", "source"), ("irr", U, "irr"), ("irr", U, "irr"), {}),
-    G.FReport: (
+    GC.FReport: (
         ("vertices", "edges", "bijective", "mismatches"),
         (74, 100, False, ["k3 edge without k4 correspondent"]),
         (74, 100, True),
         {"mismatches": []},
     ),
-    G.FlipTriple: (
+    GC.FlipTriple: (
         ("h", "v"),
         (AMBIENT.vector((1, 3, 0)), AMBIENT.vector((0, 0, 1))),
         (AMBIENT.vector((1, 3, 0)), AMBIENT.vector((0, 0, 1))),
         {},
     ),
-    G.FlipCycleReport: (
+    GC.FlipCycleReport: (
         ("origin", "identities", "detail"),
         ("[S1]", [True, False], ["missing K4 edge"]),
         ("[S1]", [True, False], ["missing K4 edge"]),
         {},
     ),
-    G.BasicCycle: (
+    GC.BasicCycle: (
         ("origin", "even_cls", "edges_pos", "edges_neg", "regular"),
         ("a", E.ElementClass.WU, (("a", E.ElementClass.ODD),), (("a", E.ElementClass.WU),), True),
         ("a", E.ElementClass.WU, (("a", E.ElementClass.ODD),), (("a", E.ElementClass.WU),), True),
         {},
     ),
-    G.BasicCycleReport: (
+    GC.BasicCycleReport: (
         ("cycles", "all_regular", "cycle_rank", "incidence_rank", "incidence_divisors"),
         ([], True, 3, 3, (1, 1, 2)),
         ([], True, 3, 3, (1, 1, 2)),
         {},
     ),
-    G.StructuralReport: (
+    GC.StructuralReport: (
         ("verified", "undecidable", "failures"),
         (3, ["u"], ["f"]),
         (3,),
@@ -131,16 +132,16 @@ CASES = {
 }
 
 FROZEN = {
-    L.GramLattice, L.LatticeVector, F.DiscriminantGroup, F.FiniteQuadraticForm,
+    L.GramLattice, L.LatticeVector, L.DiscriminantGroup, F.FiniteQuadraticForm,
     C.TopType, C.K3Vertex, G.EdgeLabel, G.GraphEdge, G.DeformationGraph,
-    G.K4VertexData, G.FlipTriple,
+    G.K4VertexData, GC.FlipTriple,
 }
 
 
 def test_every_record_class_is_covered():
     assert len(CASES) == 18 and len(FROZEN) == 11 and FROZEN <= set(CASES)
     records = {
-        cls for mod in (L, F, C, E, G, V) for cls in vars(mod).values()
+        cls for mod in (L, F, C, E, G, GC, V) for cls in vars(mod).values()
         if isinstance(cls, type) and issubclass(cls, L._Record) and cls is not L._Record
     }
     assert records == set(CASES)
