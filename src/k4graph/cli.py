@@ -7,6 +7,7 @@ deterministic byte-for-byte for identical flags.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import Optional, Sequence
 
@@ -227,6 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a command makes few reference cycles, so the cyclic collector's passes
+    # free next to nothing; it is paused for the command and then restored
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except OSError as exc:
@@ -237,6 +242,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except elements.WitnessError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

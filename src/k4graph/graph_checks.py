@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .lattice import (
     GramLattice, LatticeError, LatticeVector, STANDARD_GRAMS, _Record, _complement, _set,
-    _two_elementary, direct_sum, gram_apply, inner, is_even, lattices_equivalent,
-    make_standard, norm, rescale, signature, twist,
+    _two_elementary, direct_sum, from_summands, gram_apply, inner, is_even,
+    lattices_equivalent, make_standard, norm, rescale, signature, twist,
 )
 from .finite_forms import _smith
 from .catalog import Catalog, ElementClass, K3Vertex, exists_class
@@ -324,10 +324,11 @@ def basic_cycles_regular(k3: DeformationGraph, catalog: Catalog) -> BasicCycleRe
 
 
 def _snf_divisors(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    """The nonzero Smith invariant factors, read from the divisors alone."""
+    """The nonzero Smith invariant factors, read from the divisors alone; they
+    are the transpose's, whose Vᵀ is as wide as ``rows`` is long (52, not 126)."""
     if not rows:
         return ()
-    return tuple([d for d in _smith(rows, False)[0] if d])
+    return tuple([d for d in _smith(list(zip(*rows)), False)[0] if d])
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +338,11 @@ def _snf_divisors(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
 def synthesize_k4_plus(c: K3Vertex, h: LatticeVector) -> GramLattice:
     """The positive K4 eigenlattice M_+ = t_w((-L_-) + Z) with w = h + 2e.
 
+    M_+ is returned on this basis: the standard blocks of -L_- that h misses,
+    in L_-'s order, then those it touches, then e.  The twist changes only
+    the rows and columns that Gw meets, so the missed blocks stay diagonal and
+    the eliminations answer them from the block memo.
+
     Checks all postconditions: w^2 = -2 before twisting, M_+ odd with
     signature (rank L_-, 1), discriminant rank d, and H = h + 3e of square 3
     orthogonal to w.
@@ -345,9 +351,16 @@ def synthesize_k4_plus(c: K3Vertex, h: LatticeVector) -> GramLattice:
         raise LatticeError("h must live in L-(c)")
     if norm(h) != 6:
         raise LatticeError(f"h^2 = {norm(h)} != 6")
-    ambient = direct_sum(rescale(c.lminus, -1), make_standard("<1>"))
-    w = ambient.vector(tuple(h.coords) + (2,))
-    big_h = ambient.vector(tuple(h.coords) + (3,))
+    blocks, off = [], 0
+    for name in c.lminus_summands:
+        part = h.coords[off : off + len(STANDARD_GRAMS[name])]
+        blocks.append((any(part), name, part))
+        off += len(part)
+    blocks.sort(key=lambda b: b[0])  # stable: missed, then touched, each in L_-'s order
+    coords = [x for _, _, part in blocks for x in part]  # h on the reordered blocks
+    ambient = direct_sum(rescale(from_summands([b[1] for b in blocks]), -1), make_standard("<1>"))
+    w = ambient.vector(coords + [2])
+    big_h = ambient.vector(coords + [3])
     if norm(w) != -2:
         raise StructuralError(f"{c.vid}: w^2 = {norm(w)} != -2")
     if norm(big_h) != 3 or inner(w, big_h) != 0:
@@ -367,7 +380,7 @@ def synthesize_k4_plus(c: K3Vertex, h: LatticeVector) -> GramLattice:
         raise StructuralError(
             f"{c.vid}: rank(discr M_+) = {dg.rank} != d = {c.d}"
         )
-    return GramLattice(mplus.rank, mplus.gram, f"M+{c.vid}", None)
+    return GramLattice._bind(mplus.rank, mplus.gram, f"M+{c.vid}", None)
 
 
 # ---------------------------------------------------------------------------

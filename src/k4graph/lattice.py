@@ -83,7 +83,7 @@ class _Record:
     A record is unhashable, like a dataclass with ``eq``, unless its class is
     declared with ``frozen=True``: then it hashes the tuple of its fields and
     refuses assignment, so fields are set through ``_set``.  Copies and pickles
-    are rebuilt through ``__init__``.
+    are rebuilt through ``__init__``; ``_bind`` alone skips it.
     """
 
     __slots__ = ()
@@ -109,6 +109,15 @@ class _Record:
         for name in kwargs:
             what = "repeated" if name in names else "unexpected"
             raise TypeError(f"{self.__class__.__name__} got {what} field {name!r}")
+
+    @classmethod
+    def _bind(cls, *values):
+        """A record whose fields are these values, in order, set without
+        ``__init__``: for builders whose output holds by construction."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            _set(self, name, value)
+        return self
 
     def __init_subclass__(cls, frozen: bool = False) -> None:
         if frozen:
@@ -146,8 +155,12 @@ class GramLattice(_Record, frozen=True):
     ``summands`` optionally records the ordered standard-block decomposition
     ("<2>", "U", "E8", ...) when the lattice was assembled from named pieces;
     bounded vector searches exploit it, everything else ignores it.
-    Tuple rows must already hold exact ints; other rows (lists, say) are frozen
-    to tuples of exact ints as by ``from_rows``, the checked path.
+    The constructor, so ``from_rows`` and ``from_json`` too, checks the rank,
+    the shape and the symmetry; tuple rows must already hold exact ints, other
+    rows are frozen as by ``from_rows``, the checked path.  Builders whose Gram
+    is symmetric by construction from a checked one ``_bind`` it, checking
+    nothing: ``from_summands``, ``direct_sum_all``, ``rescale``, ``twist``,
+    ``_complement`` and ``synthesize_k4_plus``.
     """
 
     __slots__ = ("rank", "gram", "label", "summands")
@@ -351,7 +364,7 @@ def direct_sum_all(parts: Sequence[GramLattice]) -> GramLattice:
     summands = tuple(name for p in parts for name in p.summands) if named else None
     label = "+".join(p.label for p in parts if p.label) if parts else "0"
     gram = _diagonal([p.gram for p in parts], [p.rank for p in parts])
-    return GramLattice(len(gram), gram, label, summands)
+    return GramLattice._bind(len(gram), gram, label, summands)
 
 
 def from_summands(names: Sequence[str], label: str = "") -> GramLattice:
@@ -362,7 +375,7 @@ def from_summands(names: Sequence[str], label: str = "") -> GramLattice:
     except KeyError as exc:
         raise LatticeError(f"unknown standard lattice {exc.args[0]!r}") from None
     gram = _diagonal(grams, [len(g) for g in grams])
-    return GramLattice(len(gram), gram, label or "+".join(names) or "0", names)
+    return GramLattice._bind(len(gram), gram, label or "+".join(names) or "0", names)
 
 
 def rescale(l: GramLattice, k: int) -> GramLattice:
@@ -371,7 +384,7 @@ def rescale(l: GramLattice, k: int) -> GramLattice:
         raise LatticeError("rescaling factor must be nonzero")
     gram = tuple([tuple([k * x for x in row]) for row in l.gram])
     label = f"{l.label}({k})" if l.label else ""
-    return GramLattice(l.rank, gram, label, None)
+    return GramLattice._bind(l.rank, gram, label, None)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +548,7 @@ def twist(l: GramLattice, v: LatticeVector) -> GramLattice:
         for row, g in zip(l.gram, gv)
     )
     label = f"t({l.label})" if l.label else ""
-    return GramLattice(l.rank, gram, label, None)
+    return GramLattice._bind(l.rank, gram, label, None)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +652,7 @@ def _complement(l: GramLattice, v: LatticeVector) -> Tuple[GramLattice, List[Lis
         for r in h:
             r[0], r[j] = r[j], r[0]
     label = f"perp({l.label})" if l.label else ""
-    return GramLattice(n - 1, tuple([tuple(r[1:]) for r in h[1:]]), label), vinv
+    return GramLattice._bind(n - 1, tuple([tuple(r[1:]) for r in h[1:]]), label, None), vinv
 
 
 def orthogonal_sublattice(l: GramLattice, v: LatticeVector) -> GramLattice:

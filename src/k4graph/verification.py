@@ -2,12 +2,14 @@
 
 Each suite returns a SuiteResult with human-readable failure strings; the
 CLI exit status is the conjunction.  The suites are deterministic (seeded
-randomness only); a `k4graph verify` process takes about 0.27 s of CPU time
-without bytecode, about 0.12 s of it in the suites, with Python 3.11 on one
-core of a small x86-64 cloud VM.  No suite searches.  The predicates suite proves its
-negatives for all three classes from the one block table ``catalog.SQUARES``
-and confirms its positives with witnesses; the graphs suite builds its flip
-pairs from per-block witnesses and proves their absence by the K3-edge census.
+randomness only); a `k4graph verify` process takes about 0.19 s of CPU time
+without bytecode, 0.12 to 0.16 s of it in the suites with the modules they
+load, with Python 3.11 on one core of a 2-core x86-64 VM.  No suite searches.
+The predicates suite proves its negatives for all three classes from the one
+block table ``catalog.SQUARES`` and confirms its positives with witnesses; the
+graphs suite builds its flip pairs from per-block witnesses and proves their
+absence by the K3-edge census.  ``finite_forms`` is held lazily, like
+``elements`` and ``graphs``, so ``verify --suite predicates`` never executes it.
 """
 
 from __future__ import annotations
@@ -30,18 +32,11 @@ from .lattice import (
     twist,
     find_characteristic,
     gram_apply,
+    lattices_equivalent,
     STANDARD_GRAMS,
 )
-from .finite_forms import (
-    brown_invariant,
-    discriminant_quadratic,
-    forms_isomorphic,
-    lattices_equivalent,
-    parity,
-    smith_normal_form,
-)
 from .catalog import Catalog, _validate_vertex, build_catalog
-from . import SUITE_NAMES, elements as E, graphs as G
+from . import SUITE_NAMES, elements as E, finite_forms as F, graphs as G
 
 
 class SuiteResult(_Record):
@@ -93,7 +88,7 @@ def suite_lattice() -> SuiteResult:
     for name in STANDARD_GRAMS:
         lat = make_standard(name)
         res.check(signature(lat) == golden_sig[name], f"signature of {name}")
-        _, d, _ = smith_normal_form(lat.gram)
+        _, d, _ = F.smith_normal_form(lat.gram)
         det = 1
         for i in range(lat.rank):
             det *= d[i][i]
@@ -132,8 +127,8 @@ def suite_lattice() -> SuiteResult:
         sp, sm = signature(lat)
         expect = (sp + 1, sm - 1) if norm(v) == -2 else (sp - 1, sm + 1)
         res.check(signature(tw) == expect, "twist moves one inertia unit")
-        _, d0, _ = smith_normal_form(lat.gram)
-        _, d1, _ = smith_normal_form(tw.gram)
+        _, d0, _ = F.smith_normal_form(lat.gram)
+        _, d1, _ = F.smith_normal_form(tw.gram)
         det0 = det1 = 1
         for i in range(lat.rank):
             det0 *= d0[i][i]
@@ -148,7 +143,7 @@ def suite_lattice() -> SuiteResult:
     m = twist(amb, w)
     res.check(signature(m) == (21, 2), "K4 lattice signature (21,2)")
     res.check(not is_even(m), "K4 lattice is odd")
-    _, dm, _ = smith_normal_form(m.gram)
+    _, dm, _ = F.smith_normal_form(m.gram)
     res.check(all(dm[i][i] == 1 for i in range(23)), "K4 lattice is unimodular")
     wch = find_characteristic(m)
     gw = gram_apply(m, wch.coords)
@@ -166,7 +161,7 @@ def suite_forms() -> SuiteResult:
         n = rng.randrange(1, 5)
         m = rng.randrange(1, 5)
         mat = [[rng.randrange(-9, 10) for _ in range(m)] for _ in range(n)]
-        u, d, v = smith_normal_form(mat)
+        u, d, v = F.smith_normal_form(mat)
         prod = [
             [sum(u[i][a] * mat[a][b] * v[b][j] for a in range(n) for b in range(m))
              for j in range(m)]
@@ -178,21 +173,21 @@ def suite_forms() -> SuiteResult:
                 res.failures.append(f"SNF divisibility chain, trial {trial}")
     golden_brown = {"<2>": 1, "<-2>": 7, "U(2)": 0, "D4": 4, "E8(2)": 0}
     for name, expect in golden_brown.items():
-        f = discriminant_quadratic(make_standard(name))
-        res.check(brown_invariant(f) == expect, f"Brown of discr {name}")
+        f = F.discriminant_quadratic(make_standard(name))
+        res.check(F.brown_invariant(f) == expect, f"Brown of discr {name}")
         res.check(
-            brown_invariant(f.negate()) == (-expect) % 8, f"Brown of -discr {name}"
+            F.brown_invariant(f.negate()) == (-expect) % 8, f"Brown of -discr {name}"
         )
-    fu2 = discriminant_quadratic(make_standard("U(2)"))
+    fu2 = F.discriminant_quadratic(make_standard("U(2)"))
     res.check(fu2.qvals == (0, 0) and fu2.bvals[0][1] == 1, "U(2) discriminant form")
-    res.check(parity(fu2) == "even", "U(2) form is even")
-    res.check(parity(discriminant_quadratic(make_standard("<2>"))) == "odd", "<2> form is odd")
+    res.check(F.parity(fu2) == "even", "U(2) form is even")
+    res.check(F.parity(F.discriminant_quadratic(make_standard("<2>"))) == "odd", "<2> form is odd")
     # Milgram on the standard lattices with 2-periodic discriminants
     for name in ("<2>", "<-2>", "U", "U(2)", "D4", "E8", "E8(2)"):
         lat = make_standard(name)
         sp, sm = signature(lat)
         res.check(
-            (sp - sm - brown_invariant(discriminant_quadratic(lat))) % 8 == 0,
+            (sp - sm - F.brown_invariant(F.discriminant_quadratic(lat))) % 8 == 0,
             f"Milgram congruence for {name}",
         )
     res.check(
@@ -200,9 +195,9 @@ def suite_forms() -> SuiteResult:
         "odd lattices are out of oracle scope",
     )
     res.check(
-        forms_isomorphic(
-            discriminant_quadratic(make_standard("<2>")),
-            discriminant_quadratic(make_standard("<-2>")),
+        F.forms_isomorphic(
+            F.discriminant_quadratic(make_standard("<2>")),
+            F.discriminant_quadratic(make_standard("<-2>")),
         ) is False,
         "<2> and <-2> discriminant forms differ",
     )
@@ -215,15 +210,15 @@ def suite_catalog(catalog: Catalog) -> SuiteResult:
     for v in catalog:
         # rank sum, signatures, discriminant ranks, type, and the id and topology placed at the key
         res.failures.extend(f"{v.vid}: {msg}" for msg in _validate_vertex(v))
-        fp = discriminant_quadratic(v.lplus)
-        fm = discriminant_quadratic(v.lminus)
-        res.check(parity(fp) == parity(fm), f"{v.vid}: anti-isometric parities")
-        bp, bm = brown_invariant(fp), brown_invariant(fm)
+        fp = F.discriminant_quadratic(v.lplus)
+        fm = F.discriminant_quadratic(v.lminus)
+        res.check(F.parity(fp) == F.parity(fm), f"{v.vid}: anti-isometric parities")
+        bp, bm = F.brown_invariant(fp), F.brown_invariant(fm)
         res.check((bp + bm) % 8 == 0, f"{v.vid}: Brown sum is 0 mod 8")
         for lat, b in ((v.lplus, bp), (v.lminus, bm)):
             sp, sm = signature(lat)
             res.check((sp - sm - b) % 8 == 0, f"{v.vid}: Milgram congruence")
-        inv = (signature(v.lplus), fp.d, parity(fp), bp)
+        inv = (signature(v.lplus), fp.d, F.parity(fp), bp)
         res.check(inv not in seen_plus, f"{v.vid}: duplicate L+ invariants")
         seen_plus.add(inv)
     return res

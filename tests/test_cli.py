@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -266,6 +267,7 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         ("verify --suite lattice", "verification"),
         ("verify --suite forms", "verification"),
         ("verify --suite catalog", "verification"),
+        ("verify --suite predicates", "elements verification"),
     ],
 )
 def test_a_command_executes_only_the_modules_it_calls(argv, executed, tmp_path):
@@ -282,9 +284,35 @@ def test_a_command_executes_only_the_modules_it_calls(argv, executed, tmp_path):
     )
     out = _fresh_process(code, *argv.format(tmp=tmp_path).split())
     # every command executes lattice and catalog; of the commands, only verify
-    # executes finite_forms (the module that verification imports it from)
-    base = ["lattice", "catalog"] + ["finite_forms"] * argv.startswith("verify")
+    # executes finite_forms, and only in the suites that call it
+    forms = argv.startswith("verify") and "predicates" not in argv
+    base = ["lattice", "catalog"] + ["finite_forms"] * forms
     assert out.split() == [n for n in _SUBMODULES if n in base + executed.split()]
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(collecting, tmp_path):
+    # a command runs with the cyclic collector paused; the caller gets back the
+    # state it left, after a command, an i/o failure and a usage error alike
+    runs = [
+        (["verify", "--suite", "lattice"], 0),
+        (["catalog", "--out", str(tmp_path / "missing" / "c.txt")], 1),
+        (["classify", "--vertex", "[nope]", "--square", "6"], 2),
+        (["catalog", "--format", "xml"], SystemExit),
+    ]
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        for argv, expect in runs:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                if expect is SystemExit:
+                    with pytest.raises(SystemExit):
+                        main(argv)
+                else:
+                    assert main(argv) == expect
+            assert gc.isenabled() is collecting, argv
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_benchmark_tracer_installs_after_the_cli_import():

@@ -519,6 +519,11 @@ def test_basic_cycle_membership(k3_graph, catalog):
 # ---------------------------------------------------------------------------
 
 def test_synthesize_all_square6_classes(catalog):
+    # M_+ comes on -L_-'s blocks reordered, those h misses first; against the
+    # twist on L_-'s own basis it has the same signature, parity and
+    # discriminant rank, and the missed blocks stay diagonal, one block each
+    from k4graph.lattice import STANDARD_GRAMS, _split, _two_elementary, is_even, twist
+
     count = 0
     for v in catalog:
         for cls in ElementClass:
@@ -526,6 +531,17 @@ def test_synthesize_all_square6_classes(catalog):
                 h = construct_witness(v, 1, cls)
                 m = synthesize_k4_plus(v, h)
                 assert signature(m) == (v.lminus.rank, 1)
+                amb = direct_sum(rescale(v.lminus, -1), make_standard("<1>"))
+                own = twist(amb, amb.vector(tuple(h.coords) + (2,)))
+                assert signature(m) == signature(own) and is_even(m) == is_even(own)
+                assert _two_elementary(m.gram).rank == _two_elementary(own.gram).rank
+                missed, off = [], 0
+                for name in v.lminus_summands:
+                    width = len(STANDARD_GRAMS[name])
+                    if not any(h.coords[off : off + width]):
+                        missed.append(rescale(make_standard(name), -1).gram)
+                    off += width
+                assert _split(m.gram)[:-1] == tuple(missed)
                 count += 1
     assert count == 126
 

@@ -589,6 +589,41 @@ def test_gram_given_as_lists_is_frozen():
             GramLattice(2, [[x, 0], [0, 2]])
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sampled_from(sorted(STANDARD_GRAMS)), max_size=4),
+    _grams_and_coords(),
+    st.sampled_from((-3, -2, -1, 2, 3)),
+)
+def test_bound_builders_give_what_the_checked_constructor_gives(names, case, k):
+    # the builders that bind their Gram unchecked; the root w = x + e + b·f (+ u)
+    # of the U + <1> tail meets the random block, so the twist changes it
+    l, x = case
+    blocks = from_summands(names)
+    amb = direct_sum_all((blocks, l, from_summands(("U", "<1>"))))
+    head = [0] * blocks.rank + x
+    odd = norm(amb.vector(head + [0, 0, 0])) % 2
+    b = (-2 - norm(amb.vector(head + [0, 0, odd]))) // 2
+    w = amb.vector(head + [1, b, odd])
+    assert norm(w) == -2
+    built = [blocks, amb, direct_sum(l, blocks), rescale(amb, k), twist(amb, w)]
+    built.append(_complement(amb, w)[0])  # w pairs to 1 with f
+    for r in built:
+        assert r == GramLattice(r.rank, r.gram, r.label, r.summands)
+        assert type(r.gram) is tuple
+        assert all(type(row) is tuple and all(type(e) is int for e in row) for row in r.gram)
+    assert twist(amb, w).gram != amb.gram
+
+
+def test_the_checked_constructor_still_checks():
+    with pytest.raises(LatticeError, match=r"not symmetric at \(0,1\)"):
+        GramLattice(2, ((0, 1), (2, 0)))
+    with pytest.raises(LatticeError, match="expected an exact integer, got float$"):
+        GramLattice(2, [[1.5, 0], [0, 2]])
+    with pytest.raises(LatticeError, match="shape does not match rank"):
+        GramLattice(2, ((1, 0), (0,)))
+
+
 @pytest.mark.parametrize(
     "text",
     ['{"d":1,"qvals":5,"bvals":[[1]]}', '{"d":1,"qvals":[1],"bvals":"x"}', "[]", "null",
