@@ -2,9 +2,10 @@
 
 Each suite returns a SuiteResult with human-readable failure strings; the
 CLI exit status is the conjunction.  The suites are deterministic (seeded
-randomness only); a `k4graph verify` process takes about 0.19 s of CPU time
-without bytecode, 0.12 to 0.16 s of it in the suites with the modules they
-load, with Python 3.11 on one core of a 2-core x86-64 VM.  No suite searches.
+randomness only); a `k4graph verify` process takes about 0.18 s of CPU time
+without bytecode (median of 24), 0.12 to 0.16 s of it in the suites with the
+modules they load and 5 ms in the interpreter's shutdown, with Python 3.11 on
+one core of a 2-core x86-64 VM.  No suite searches.
 The predicates suite proves its negatives for all three classes from the one
 block table ``catalog.SQUARES`` and confirms its positives with witnesses; the
 graphs suite builds its flip pairs from per-block witnesses and proves their

@@ -218,14 +218,34 @@ def test_run_suites_reads_signatures_through_wrappers(monkeypatch):
     assert seen == {"lattice": 0, "catalog": 1, "local": 0}
 
 
-def test_cli_entry_point_runs():
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("catalog --format table", 0),
+        ("catalog --out {tmp}/missing/c.txt", 1),
+        ("classify --vertex [nope] --square 6", 2),
+        ("catalog --format xml", 2),
+    ],
+    ids=["table", "io-failure", "unknown-vertex", "usage-error"],
+)
+def test_cli_entry_point_runs(argv, code, tmp_path, monkeypatch):
+    # `python -m` ends through run(), which freezes the collector after main();
+    # the exit code, stdout and stderr are those of an in-process main() run
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = argv.format(tmp=tmp_path).split()
     proc = subprocess.run(
-        [sys.executable, "-m", "k4graph.cli", "catalog", "--format", "table"],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-m", "k4graph.cli", *argv], capture_output=True, text=True
     )
-    assert proc.returncode == 0
-    assert proc.stdout.count("\n") >= 75
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            expect = main(argv)
+        except SystemExit as exc:
+            expect = exc.code
+    assert expect == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.getvalue(), err.getvalue())
+    if code == 0:
+        assert proc.stdout.count("\n") >= 75
 
 
 def _fresh_process(code, *args):
@@ -301,6 +321,7 @@ def test_main_leaves_the_collector_as_it_found_it(collecting, tmp_path):
         (["catalog", "--format", "xml"], SystemExit),
     ]
     was = gc.isenabled()
+    frozen = gc.get_freeze_count()
     try:
         (gc.enable if collecting else gc.disable)()
         for argv, expect in runs:
@@ -311,8 +332,37 @@ def test_main_leaves_the_collector_as_it_found_it(collecting, tmp_path):
                 else:
                     assert main(argv) == expect
             assert gc.isenabled() is collecting, argv
+            # only the process entry point freezes the collector
+            assert gc.get_freeze_count() == frozen, argv
     finally:
         (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("argv, code", [("catalog", 0), ("catalog --format xml", 2)])
+def test_process_entry_point_freezes_the_collector_and_runs_atexit(argv, code):
+    # `python -m k4graph.cli` freezes the collector once the command is done,
+    # also after a usage error, so the shutdown collections skip its objects;
+    # atexit handlers still run (os._exit would skip them, and this marker)
+    script = (
+        "import atexit, gc, runpy\n"
+        "atexit.register(print, 'atexit ran')\n"
+        "before = gc.get_freeze_count()\n"
+        "sys.argv = ['k4graph', *sys.argv[2:]]\n"
+        "try:\n"
+        "    runpy.run_module('k4graph.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code)\n"
+        "print('frozen', before, gc.get_freeze_count() > 0)\n"
+    )
+    out = _fresh_process(script, *argv.split())
+    assert out.splitlines()[-3:] == [f"exit {code}", "frozen 0 True", "atexit ran"]
+
+
+def test_console_script_is_the_process_entry_point():
+    # the installed `k4graph` command ends through run(), as `python -m` does
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    assert scripts.splitlines() == ['k4graph = "k4graph.cli:run"']
 
 
 def test_benchmark_tracer_installs_after_the_cli_import():
