@@ -6,6 +6,10 @@ topological type off the key.  Only the eigenlattices are transcribed, in two
 principal-series tables and the exceptional table, one line per source row.
 ``build_catalog`` instantiates the rows and checks that their lattices give
 each key of ``K3_KEYS`` once, at its placed id, among every entry invariant.
+It folds each row's signatures, discriminant rank d and type from its block
+names (``_block_invariants``), so a short command runs the kernels on the
+standard blocks alone; ``_validate_vertex`` reads them off the whole Grams
+unless it is given them, which is how ``verify``'s catalog suite checks the fold.
 
 The class-existence rule sits next to the key theorem ``_exists``, because
 the graph builders read it and nothing else of ``elements``.  x^2 mod 16 and
@@ -26,7 +30,10 @@ import enum
 from functools import lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .lattice import MEMO_SIZE, _Record, _set, _two_elementary, from_summands, is_even, signature
+from .lattice import (
+    MEMO_SIZE, STANDARD_GRAMS, Invariants, _Record, _elimination, _invariants, _set,
+    _two_elementary, from_summands, is_even,
+)
 
 
 class CatalogError(ValueError):
@@ -297,44 +304,65 @@ class Catalog(Sequence[K3Vertex]):
         return tuple(v.vid for v in self._vertices)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _block_invariants(names: Tuple[str, ...]) -> Optional[Invariants]:
+    """The invariants of a sum of standard blocks, or None if a block is not
+    2-elementary, folded like ``_reach`` from each block's ``_elimination`` and
+    ``_two_elementary`` memo entries.  Over an orthogonal sum the signatures
+    and the ranks a add, and delta is the largest of the blocks' (Nikulin
+    1979, §1), so no whole Gram is split or eliminated."""
+    if not names:
+        return (0, 0), 0, 0
+    rest = _block_invariants(names[1:])
+    gram = STANDARD_GRAMS[names[0]]
+    disc = _two_elementary(gram)
+    if rest is None or disc is None:
+        return None
+    (pos, neg), a, delta = rest
+    p, n, _, _ = _elimination(gram)
+    return (pos + p, neg + n), a + disc.rank, max(delta, disc._delta)
+
+
 def _make_vertex(
     vid: str, top: Optional[TopType], plus_names: Tuple[str, ...], minus_names: Tuple[str, ...]
 ) -> K3Vertex:
+    """The entry of a table row, with d and the type folded from its blocks."""
+    plus, minus = _block_invariants(plus_names), _block_invariants(minus_names)
+    if plus is None or minus is None:
+        raise CatalogError(f"catalog entry {vid}: discriminant groups must be 2-periodic")
     lplus = from_summands(plus_names, label=f"L+{vid}")
     lminus = from_summands(minus_names, label=f"L-{vid}")
-    disc_plus, disc_minus = _two_elementary(lplus.gram), _two_elementary(lminus.gram)
-    if disc_plus is None or disc_minus is None:
-        raise CatalogError(f"catalog entry {vid}: discriminant groups must be 2-periodic")
-    vt = "I" if disc_minus._delta == 0 else "II"
-    return K3Vertex(vid, top, lplus, lminus, lplus.rank, disc_plus.rank, vt)
+    return K3Vertex(vid, top, lplus, lminus, lplus.rank, plus[1], "I" if minus[2] == 0 else "II")
 
 
-def _validate_vertex(v: K3Vertex) -> List[str]:
+def _validate_vertex(
+    v: K3Vertex, invariants: Optional[Tuple[Invariants, Invariants]] = None
+) -> List[str]:
     """Every per-vertex invariant the entry violates, in a fixed order.
 
-    The vertex came from ``_make_vertex``, which already needed both
-    eigenlattices non-degenerate with 2-periodic discriminants, so every
-    check here can be evaluated.
+    ``invariants`` holds those of L+ and L-; by default they are read off the
+    whole Grams, and ``build_catalog`` passes its rows' block folds.  The
+    vertex came from ``_make_vertex``, which already needed both eigenlattices
+    non-degenerate with 2-periodic discriminants, so every check here can be
+    evaluated.
     """
+    (sp, a_plus, _), (sm, a_minus, delta) = invariants or (
+        _invariants(v.lplus), _invariants(v.lminus)
+    )
     out: List[str] = []
     if v.lplus.rank + v.lminus.rank != 22:
         out.append(f"rank(L+) + rank(L-) = {v.lplus.rank + v.lminus.rank} != 22")
     if not is_even(v.lplus) or not is_even(v.lminus):
         out.append("eigenlattices must be even")
-    sp, sm = signature(v.lplus), signature(v.lminus)
     if sp[0] != 1:
         out.append(f"sigma_+(L+) = {sp[0]} != 1")
     if sm[0] != 2:
         out.append(f"sigma_+(L-) = {sm[0]} != 2")
     if v.r != v.lplus.rank:
         out.append("r does not equal rank(L+)")
-    dg_plus, dg_minus = _two_elementary(v.lplus.gram), _two_elementary(v.lminus.gram)
-    if v.d != dg_plus.rank or v.d != dg_minus.rank:
-        out.append(
-            f"discriminant ranks disagree: d={v.d}, L+ gives {dg_plus.rank}, L- gives {dg_minus.rank}"
-        )
-    vt = "I" if dg_minus._delta == 0 else "II"
-    if v.vtype != vt:
+    if v.d != a_plus or v.d != a_minus:
+        out.append(f"discriminant ranks disagree: d={v.d}, L+ gives {a_plus}, L- gives {a_minus}")
+    if v.vtype != ("I" if delta == 0 else "II"):
         out.append("parity of discr(L-) disagrees with vertex type")
     placed = PLACEMENT.get(v.key)
     if placed is None:
@@ -370,7 +398,8 @@ def build_catalog() -> Catalog:
     for vid, plus_names, minus_names in rows + list(EXCEPTIONAL):
         # an id that no key is placed at gets no type, and fails validation
         vertices.append(_make_vertex(vid, tops.get(vid), plus_names, minus_names))
-        problems = _validate_vertex(vertices[-1])
+        folds = (_block_invariants(plus_names), _block_invariants(minus_names))
+        problems = _validate_vertex(vertices[-1], folds)
         if problems:
             raise CatalogError(f"catalog entry {vid}: {problems[0]}")
     missing = K3_KEYS.difference(v.key for v in vertices)

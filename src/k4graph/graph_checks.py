@@ -1,11 +1,12 @@
 """The checks that ``k4graph verify`` runs on the built K3 and K4 graphs.
 
-The regular subgraphs and the isomorphism F between them, the flip pairs and
-their flip cycles, the basic cycles, the K4 eigenlattice synthesis, and the
-eigenlattice bookkeeping along every K3 edge.  Only ``verify`` and the library
-run them, so they live apart from the graph builders of ``graphs``, which
-``build`` and ``export`` execute; ``graphs`` still resolves each name here
-(``from k4graph.graphs import verify_flip_cycle`` works).
+The lattice identification of the irregular K4 vertex, the regular subgraphs
+and the isomorphism F between them, the flip pairs and their flip cycles, the
+basic cycles, the K4 eigenlattice synthesis, and the eigenlattice bookkeeping
+along every K3 edge.  Only ``verify`` and the library run them, so they live
+apart from the graph builders of ``graphs``, which ``build`` and ``export``
+execute; ``graphs`` still resolves each name here (``from k4graph.graphs
+import verify_flip_cycle`` works).
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ from .lattice import (
     lattices_equivalent, make_standard, norm, rescale, signature, twist,
 )
 from .finite_forms import _smith
-from .catalog import Catalog, ElementClass, K3Vertex, exists_class
+from .catalog import K3_KEYS, Catalog, ElementClass, K3Vertex, exists_class
 from .elements import _search, classify_element
-from .graphs import IRREGULAR, DeformationGraph, GraphEdge, StructuralError, terminal_key
+from .graphs import (
+    IRR_KEY, IRR_MINUS_SUMMANDS, IRREGULAR, DeformationGraph, GraphEdge, StructuralError,
+    terminal_key,
+)
 
 # ---------------------------------------------------------------------------
 # regular subgraphs and the graph isomorphism F
@@ -78,6 +82,26 @@ def k4_equals_k3_after_swap(k3: DeformationGraph, k4: DeformationGraph) -> bool:
         and added in k4_e
         and set(k4.vertex_ids) == (set(k3.vertex_ids) - {removed[2]}) | {added[2]}
     )
+
+
+def _validate_irr(catalog: Catalog) -> None:
+    """The lattice facts that identify -M_- of the irregular K4 vertex: facts
+    about the constants ``IRR_KEY`` and ``IRR_MINUS_SUMMANDS``, so ``verify``
+    checks them and ``build`` does not."""
+    neg = from_summands(IRR_MINUS_SUMMANDS, "U(2)+3D4")
+    if IRR_KEY in K3_KEYS:
+        raise StructuralError(f"irr: {tuple(IRR_KEY)} must not be a K3 key")
+    if signature(neg) != (1, IRR_KEY.r - 1):
+        raise StructuralError(f"irr: -M_- must have signature (1, {IRR_KEY.r - 1})")
+    dg = _two_elementary(neg.gram)
+    if dg is None or dg.rank != IRR_KEY.d:
+        raise StructuralError(f"irr: -M_- must have 2-periodic discriminant of rank {IRR_KEY.d}")
+    if ("II" if dg._delta else "I") != IRR_KEY.vtype:
+        raise StructuralError(f"irr: -M_- must carry a discriminant form of type {IRR_KEY.vtype}")
+    for v in catalog:
+        verdict = lattices_equivalent(neg, v.lplus)
+        if verdict != "no":
+            raise StructuralError(f"irr: -M_- vs L+({v.vid}) is {verdict!r}, expected 'no'")
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,18 @@ catalog vertex has (the sentinel vertex ``irr``) and nothing reaches [8S]_I.
 The builder checks the derived swap against the paper's statement ``IRREGULAR``.
 
 This module holds what ``build`` and ``export`` run: the builders and the two
-export formats.  The checks that only ``verify`` runs on the built graphs live
-in ``graph_checks``, and the module ``__getattr__`` at the end resolves their
-names here too.
+export formats.  The checks that only ``verify`` runs live in
+``graph_checks``, among them the lattice identification of ``irr`` from the
+constants ``IRR_KEY`` and ``IRR_MINUS_SUMMANDS``, and the module
+``__getattr__`` at the end resolves their names here too.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .lattice import (
-    GramLattice, _Record, _set, _two_elementary, from_summands, lattices_equivalent, rescale,
-    signature,
-)
-from .catalog import K3_KEYS, Catalog, CatalogError, ElementClass, VertexKey, exists_class
+from .lattice import _Record, _set, from_summands, rescale
+from .catalog import Catalog, CatalogError, ElementClass, VertexKey, exists_class
 
 IRR_ID = "irr"
 # The key of the irregular K4 vertex, which Nikulin's theorem leaves out of K3_KEYS
@@ -197,26 +195,8 @@ def build_k4_graph(catalog: Catalog) -> Tuple[DeformationGraph, Dict[str, K4Vert
     """Square-6 edges; the vertices come out as the K3 ids but [8S]_I, then ``irr``."""
     g = _build_graph(catalog, "k4")
     neg = from_summands(IRR_MINUS_SUMMANDS, "U(2)+3D4")
-    _validate_irr(neg, catalog)
     plus = {vid: neg if vid == IRR_ID else catalog.by_id(vid).lplus for vid in g.vertex_ids}
     return g, {vid: K4VertexData(vid, rescale(l, -1), vid) for vid, l in plus.items()}
-
-
-def _validate_irr(neg: GramLattice, catalog: Catalog) -> None:
-    """The lattice facts that identify -M_- of the irregular K4 vertex."""
-    if IRR_KEY in K3_KEYS:
-        raise StructuralError(f"irr: {tuple(IRR_KEY)} must not be a K3 key")
-    if signature(neg) != (1, IRR_KEY.r - 1):
-        raise StructuralError(f"irr: -M_- must have signature (1, {IRR_KEY.r - 1})")
-    dg = _two_elementary(neg.gram)
-    if dg is None or dg.rank != IRR_KEY.d:
-        raise StructuralError(f"irr: -M_- must have 2-periodic discriminant of rank {IRR_KEY.d}")
-    if ("II" if dg._delta else "I") != IRR_KEY.vtype:
-        raise StructuralError(f"irr: -M_- must carry a discriminant form of type {IRR_KEY.vtype}")
-    for v in catalog:
-        verdict = lattices_equivalent(neg, v.lplus)
-        if verdict != "no":
-            raise StructuralError(f"irr: -M_- vs L+({v.vid}) is {verdict!r}, expected 'no'")
 
 
 # ---------------------------------------------------------------------------

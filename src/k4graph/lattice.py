@@ -18,12 +18,12 @@ so the catalog's sums of standard blocks are answered, exactly as whole
 Grams, from the nine blocks' memo entries.
 
 The 2-elementary kernel lives here too, because the catalog, the element
-classes and the graph builders read it and nothing else of the finite forms:
+classes and the graph checks read it and nothing else of the finite forms:
 ``_two_elementary`` gives L*/L as a ``DiscriminantGroup`` from one GF(2)
-elimination, ``bilinear_table`` its discriminant bilinear form mod 2, and
-``lattices_equivalent`` compares (signature, a, δ).  ``finite_forms``, which
-builds the quadratic forms, the Smith route and the Brown invariant on top of
-them, re-exports all four.
+elimination, ``bilinear_table`` its discriminant bilinear form mod 2,
+``_invariants`` reads (signature, a, δ) off a Gram, and ``lattices_equivalent``
+compares them.  ``finite_forms``, which builds the quadratic forms, the Smith
+route and the Brown invariant on top of them, re-exports the other four.
 
 ``inertia`` (and so ``signature``) is memoized: it reads ``_elimination``, a
 ``functools.lru_cache`` keyed by the Gram tuple alone (labels and summands do
@@ -754,6 +754,17 @@ def bilinear_table(disc: DiscriminantGroup) -> Gram:
     return tuple(tuple([(x & y).bit_count() & 1 for y in duals]) for x in _parities(disc.lifts))
 
 
+# (signature, rank a of L*/L, parity δ) of a 2-elementary lattice
+Invariants = Tuple[Tuple[int, int], int, int]
+
+
+def _invariants(l: GramLattice) -> Optional[Invariants]:
+    """The invariants of L read off its whole Gram, or None if L*/L is not
+    2-elementary; a degenerate Gram raises ``LatticeError``."""
+    disc = _two_elementary(l.gram)
+    return None if disc is None else (signature(l), disc.rank, disc._delta)
+
+
 def lattices_equivalent(a: GramLattice, b: GramLattice) -> str:
     """Isomorphism oracle for even lattices with 2-periodic discriminants.
 
@@ -768,13 +779,10 @@ def lattices_equivalent(a: GramLattice, b: GramLattice) -> str:
         if not is_even(l):
             return "undecidable"
         try:
-            sig = signature(l)
+            key = _invariants(l)
         except LatticeError:
             return "undecidable"
-        if min(sig) == 0 and l.rank > 2:
+        if key is None or min(key[0]) == 0 and l.rank > 2:
             return "undecidable"
-        disc = _two_elementary(l.gram)
-        if disc is None:
-            return "undecidable"
-        keys.append((sig, disc.rank, disc._delta))
+        keys.append(key)
     return "yes" if keys[0] == keys[1] else "no"

@@ -6,9 +6,13 @@ randomness only); a `k4graph verify` process takes about 0.18 s of CPU time
 without bytecode (median of 24), 0.12 to 0.16 s of it in the suites with the
 modules they load and 5 ms in the interpreter's shutdown, with Python 3.11 on
 one core of a 2-core x86-64 VM.  No suite searches.
+The catalog suite reads each entry's signatures, discriminant ranks and type
+off its whole Grams, where ``build_catalog`` folded them from the standard
+blocks, so it checks that direct-sum rule on all 150 eigenlattices.
 The predicates suite proves its negatives for all three classes from the one
 block table ``catalog.SQUARES`` and confirms its positives with witnesses; the
-graphs suite builds its flip pairs from per-block witnesses and proves their
+graphs suite identifies the irregular K4 vertex's lattice, which ``build``
+leaves out, builds its flip pairs from per-block witnesses and proves their
 absence by the K3-edge census.  ``finite_forms`` is held lazily, like
 ``elements`` and ``graphs``, so ``verify --suite predicates`` never executes it.
 """
@@ -209,7 +213,8 @@ def suite_catalog(catalog: Catalog) -> SuiteResult:
     res = SuiteResult("catalog")
     seen_plus = set()
     for v in catalog:
-        # rank sum, signatures, discriminant ranks, type, and the id and topology placed at the key
+        # rank sum, signatures, discriminant ranks, type, and the id and topology placed
+        # at the key, read off the whole Grams, where build_catalog folded the blocks
         res.failures.extend(f"{v.vid}: {msg}" for msg in _validate_vertex(v))
         fp = F.discriminant_quadratic(v.lplus)
         fm = F.discriminant_quadratic(v.lminus)
@@ -249,6 +254,7 @@ def suite_graphs(catalog: Catalog) -> SuiteResult:
     try:
         k3 = G.build_k3_graph(catalog)
         k4, _ = G.build_k4_graph(catalog)
+        G._validate_irr(catalog)
     except G.StructuralError as exc:
         res.failures.append(str(exc))
         return res

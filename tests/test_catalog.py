@@ -1,18 +1,23 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k4graph import (
+    Catalog,
     CatalogError,
+    GramLattice,
     K3Vertex,
     VertexKey,
     brown_invariant,
     build_catalog,
     discriminant_quadratic,
+    from_summands,
     parity,
     signature,
 )
-from k4graph import catalog as catalog_mod
+from k4graph import catalog as catalog_mod, lattice, verification
 
 
 def test_cardinality(catalog):
@@ -230,3 +235,60 @@ def test_existence_theorem_gives_the_catalog_keys(catalog):
             assert catalog_mod._exists(*signature(lat), f.d, parity(f) == "odd")
     # and rules out an even unimodular lattice of signature (2, 0)
     assert not catalog_mod._exists(2, 0, 0, 0)
+
+
+def _whole_gram_invariants(lat):
+    disc = lattice._two_elementary(lat.gram)
+    return signature(lat), disc.rank, disc._delta
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(sorted(lattice.STANDARD_GRAMS)), min_size=1, max_size=7))
+def test_block_fold_matches_the_whole_gram_kernels(names):
+    # signatures and discriminant ranks add over an orthogonal sum, and its
+    # parity is the largest of its blocks' (Nikulin 1979, §1)
+    folded = catalog_mod._block_invariants(tuple(names))
+    assert folded == _whole_gram_invariants(from_summands(names))
+
+
+def test_block_fold_matches_the_whole_grams_of_every_catalog_lattice(catalog):
+    for v in catalog:
+        for lat in (v.lplus, v.lminus):
+            assert catalog_mod._block_invariants(lat.summands) == _whole_gram_invariants(lat)
+        plus, minus = _whole_gram_invariants(v.lplus), _whole_gram_invariants(v.lminus)
+        assert (v.d, v.vtype) == (plus[1], "II" if minus[2] else "I")
+
+
+def test_block_fold_refuses_a_block_that_is_not_2_elementary(monkeypatch):
+    monkeypatch.setitem(lattice.STANDARD_GRAMS, "<4>", ((4,),))
+    assert lattice._two_elementary(from_summands(("U", "<4>")).gram) is None
+    assert catalog_mod._block_invariants(("U", "<4>")) is None
+    rows = list(catalog_mod.EXCEPTIONAL)
+    vid, plus, minus = rows[-1]
+    rows[-1] = (vid, plus + ("<4>",), minus)
+    monkeypatch.setattr(catalog_mod, "EXCEPTIONAL", tuple(rows))
+    with pytest.raises(CatalogError, match=re.escape(f"catalog entry {vid}: discriminant groups")):
+        build_catalog()
+
+
+@pytest.mark.parametrize(
+    "vid, donor, field, message",
+    [
+        ("[2S1]", "[S2+S]", "lminus", "parity of discr(L-) disagrees with vertex type"),
+        ("[S4+2S]", "[S5+3S]", "lplus", "discriminant ranks disagree: d=5, L+ gives 3, L- gives 5"),
+    ],
+    ids=["vtype", "d"],
+)
+def test_catalog_suite_checks_each_vertex_on_its_whole_grams(catalog, vid, donor, field, message):
+    # build_catalog reads d and the type off the table rows' block names; the
+    # suite reads them off the whole Grams.  Here one lattice keeps the vertex's
+    # block names but carries the donor's Gram, so its record disagrees with
+    # the Gram alone, and the suite names the vertex, whose key stays placed
+    v = catalog.by_id(vid)
+    own, gram = getattr(v, field), getattr(catalog.by_id(donor), field).gram
+    lattices = {"lplus": v.lplus, "lminus": v.lminus}
+    lattices[field] = GramLattice(len(gram), gram, own.label, own.summands)
+    broken = K3Vertex(v.vid, v.top, lattices["lplus"], lattices["lminus"], v.r, v.d, v.vtype)
+    assert verification.suite_catalog(catalog).ok
+    res = verification.suite_catalog(Catalog([broken if u is v else u for u in catalog]))
+    assert f"{vid}: {message}" in res.failures

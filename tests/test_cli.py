@@ -416,6 +416,41 @@ def test_benchmark_tracer_reaches_the_moved_graph_checks():
     assert dict(zip(counts, map(int, out.split()))) == counts
 
 
+def test_build_catalog_runs_the_kernels_on_the_standard_blocks_only():
+    # the catalog's invariants are folded from its blocks' memo entries, so a
+    # fresh process eliminates each distinct block once and no whole Gram
+    code = (
+        "from k4graph import catalog, lattice\n"
+        "cat = catalog.build_catalog()\n"
+        "names = {n for v in cat for n in v.lplus_summands + v.lminus_summands}\n"
+        "misses = (lattice._elimination.cache_info().misses,\n"
+        "          lattice._two_elementary.cache_info().misses)\n"
+        "print(*misses, len(names))\n"
+    )
+    eliminated, discs, names = map(int, _fresh_process(code).split())
+    assert eliminated == discs == names == 8
+
+
+def test_k4_build_leaves_the_irregular_lattice_checks_to_verify():
+    # the 75 comparisons of -M_- with every L+ run in verify's graphs suite
+    # (with its 126 structural checks), never in a build; graphs and
+    # graph_checks execute after the patch, so they bind the counting wrapper
+    code = (
+        "import io\n"
+        "from contextlib import redirect_stdout\n"
+        "import k4graph.cli\n"
+        "from k4graph import lattice\n"
+        "calls = []\n"
+        "real = lattice.lattices_equivalent\n"
+        "lattice.lattices_equivalent = lambda *a: calls.append(a) or real(*a)\n"
+        "for argv in (['build', '--graph', 'k4', '--format', 'json'], ['verify', '--suite', 'graphs']):\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        assert k4graph.cli.main(argv) == 0\n"
+        "    print(len(calls))\n"
+    )
+    assert _fresh_process(code).split() == ["0", "201"]
+
+
 # the names the package exported when it imported its submodules eagerly
 _EXPORTED = """
     GramLattice LatticeError LatticeVector direct_sum direct_sum_all find_characteristic

@@ -218,11 +218,12 @@ def test_k4_irregular_lattice(k4_graph, catalog):
 
 
 def test_irregular_key_must_not_be_a_k3_key(catalog, monkeypatch):
-    from k4graph import StructuralError, build_k4_graph, graphs
+    # a fact about the constants, so verify's graphs suite checks it, not the K4 build
+    from k4graph import graph_checks, verification
 
-    monkeypatch.setattr(graphs, "K3_KEYS", graphs.K3_KEYS | {IRR_KEY})
-    with pytest.raises(StructuralError, match=re.escape("irr: (14, 8, 'I') must not be a K3 key")):
-        build_k4_graph(catalog)
+    monkeypatch.setattr(graph_checks, "K3_KEYS", graph_checks.K3_KEYS | {IRR_KEY})
+    res = verification.suite_graphs(catalog)
+    assert res.failures == ["irr: (14, 8, 'I') must not be a K3 key"]
 
 
 @pytest.mark.parametrize(
