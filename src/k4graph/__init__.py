@@ -39,7 +39,7 @@ _EXPORTS = {
     "catalog": "Catalog CatalogError K3Vertex TopType VertexKey build_catalog".split(),
     # ElementClass and exists_class live in catalog, but resolve through elements:
     # a caller that reads them first has then compiled elements before its first
-    # search, as before they moved
+    # search, as the benchmark's library workload does
     "elements": """ElementClass SearchBudgetError WitnessError classify_element
         construct_witness enumerate_vectors exists_class search_witness""".split(),
     "graphs": """DeformationGraph EdgeLabel GraphEdge IRR_ID K4VertexData StructuralError

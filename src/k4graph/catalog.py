@@ -6,10 +6,11 @@ topological type off the key.  Only the eigenlattices are transcribed, in two
 principal-series tables and the exceptional table, one line per source row.
 ``build_catalog`` instantiates the rows and checks that their lattices give
 each key of ``K3_KEYS`` once, at its placed id, among every entry invariant.
-It folds each row's signatures, discriminant rank d and type from its block
-names (``_block_invariants``), so a short command runs the kernels on the
-standard blocks alone; ``_validate_vertex`` reads them off the whole Grams
-unless it is given them, which is how ``verify``'s catalog suite checks the fold.
+Each row's signatures, discriminant rank d and type are folded once from its
+block names by ``lattice._block_invariants``, where the direct-sum rule
+lives, so a short command runs the kernels on the standard blocks alone;
+``_validate_vertex`` reads them off the whole Grams unless it is given them,
+which is how ``verify``'s catalog suite checks the fold.
 
 The class-existence rule sits next to the key theorem ``_exists``, because
 the graph builders read it and nothing else of ``elements``.  x^2 mod 16 and
@@ -31,13 +32,15 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .lattice import (
-    MEMO_SIZE, STANDARD_GRAMS, Invariants, _Record, _elimination, _invariants, _set,
-    _two_elementary, from_summands, is_even,
+    MEMO_SIZE, Invariants, _Record, _block_invariants, _invariants, _set, from_summands, is_even,
 )
 
 
 class CatalogError(ValueError):
     """Raised when catalog data violates a structural invariant."""
+
+
+_NOT_2_PERIODIC = "discriminant groups must be 2-periodic"
 
 
 # Principal series, positive eigenlattice; one row per sphere count q.
@@ -304,51 +307,20 @@ class Catalog(Sequence[K3Vertex]):
         return tuple(v.vid for v in self._vertices)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _block_invariants(names: Tuple[str, ...]) -> Optional[Invariants]:
-    """The invariants of a sum of standard blocks, or None if a block is not
-    2-elementary, folded like ``_reach`` from each block's ``_elimination`` and
-    ``_two_elementary`` memo entries.  Over an orthogonal sum the signatures
-    and the ranks a add, and delta is the largest of the blocks' (Nikulin
-    1979, §1), so no whole Gram is split or eliminated."""
-    if not names:
-        return (0, 0), 0, 0
-    rest = _block_invariants(names[1:])
-    gram = STANDARD_GRAMS[names[0]]
-    disc = _two_elementary(gram)
-    if rest is None or disc is None:
-        return None
-    (pos, neg), a, delta = rest
-    p, n, _, _ = _elimination(gram)
-    return (pos + p, neg + n), a + disc.rank, max(delta, disc._delta)
-
-
-def _make_vertex(
-    vid: str, top: Optional[TopType], plus_names: Tuple[str, ...], minus_names: Tuple[str, ...]
-) -> K3Vertex:
-    """The entry of a table row, with d and the type folded from its blocks."""
-    plus, minus = _block_invariants(plus_names), _block_invariants(minus_names)
-    if plus is None or minus is None:
-        raise CatalogError(f"catalog entry {vid}: discriminant groups must be 2-periodic")
-    lplus = from_summands(plus_names, label=f"L+{vid}")
-    lminus = from_summands(minus_names, label=f"L-{vid}")
-    return K3Vertex(vid, top, lplus, lminus, lplus.rank, plus[1], "I" if minus[2] == 0 else "II")
-
-
 def _validate_vertex(
-    v: K3Vertex, invariants: Optional[Tuple[Invariants, Invariants]] = None
+    v: K3Vertex, invariants: Optional[Tuple[Optional[Invariants], Optional[Invariants]]] = None
 ) -> List[str]:
     """Every per-vertex invariant the entry violates, in a fixed order.
 
     ``invariants`` holds those of L+ and L-; by default they are read off the
-    whole Grams, and ``build_catalog`` passes its rows' block folds.  The
-    vertex came from ``_make_vertex``, which already needed both eigenlattices
-    non-degenerate with 2-periodic discriminants, so every check here can be
-    evaluated.
+    whole Grams, and ``build_catalog`` passes its rows' block folds.  An
+    eigenlattice whose discriminant group is not 2-elementary is the one
+    violation reported, since the other checks read its invariants.
     """
-    (sp, a_plus, _), (sm, a_minus, delta) = invariants or (
-        _invariants(v.lplus), _invariants(v.lminus)
-    )
+    plus, minus = invariants or (_invariants(v.lplus), _invariants(v.lminus))
+    if plus is None or minus is None:
+        return [_NOT_2_PERIODIC]
+    (sp, a_plus, _), (sm, a_minus, delta) = plus, minus
     out: List[str] = []
     if v.lplus.rank + v.lminus.rank != 22:
         out.append(f"rank(L+) + rank(L-) = {v.lplus.rank + v.lminus.rank} != 22")
@@ -370,6 +342,23 @@ def _validate_vertex(
     elif placed != (v.vid, v.top):
         out.append(f"key {tuple(v.key)} places {placed[0]} {placed[1]!r}")
     return out
+
+
+def _make_vertex(
+    vid: str, top: Optional[TopType], plus_names: Tuple[str, ...], minus_names: Tuple[str, ...]
+) -> K3Vertex:
+    """The validated entry of a table row, with d and the type folded from its
+    blocks once, for the entry and its validation alike."""
+    folds = plus, minus = _block_invariants(plus_names), _block_invariants(minus_names)
+    if plus is None or minus is None:
+        raise CatalogError(f"catalog entry {vid}: {_NOT_2_PERIODIC}")
+    lplus = from_summands(plus_names, label=f"L+{vid}")
+    lminus = from_summands(minus_names, label=f"L-{vid}")
+    v = K3Vertex(vid, top, lplus, lminus, lplus.rank, plus[1], "I" if minus[2] == 0 else "II")
+    problems = _validate_vertex(v, folds)
+    if problems:
+        raise CatalogError(f"catalog entry {vid}: {problems[0]}")
+    return v
 
 
 def build_catalog() -> Catalog:
@@ -394,14 +383,11 @@ def build_catalog() -> Catalog:
         s_minus, minus = PRINCIPAL_LMINUS[p]
         rows.append((cells[p, q], ("<2>",) * s_plus + ("<-2>",) * (pmax[q] - p) + plus,
                      ("<2>",) * s_minus + ("<-2>",) * (qmax[p] - q) + minus))
-    vertices: List[K3Vertex] = []
-    for vid, plus_names, minus_names in rows + list(EXCEPTIONAL):
-        # an id that no key is placed at gets no type, and fails validation
-        vertices.append(_make_vertex(vid, tops.get(vid), plus_names, minus_names))
-        folds = (_block_invariants(plus_names), _block_invariants(minus_names))
-        problems = _validate_vertex(vertices[-1], folds)
-        if problems:
-            raise CatalogError(f"catalog entry {vid}: {problems[0]}")
+    # an id that no key is placed at gets no type, and fails validation
+    vertices = [
+        _make_vertex(vid, tops.get(vid), plus_names, minus_names)
+        for vid, plus_names, minus_names in rows + list(EXCEPTIONAL)
+    ]
     missing = K3_KEYS.difference(v.key for v in vertices)
     if missing or len(vertices) != len(K3_KEYS):
         raise CatalogError(f"entries do not cover the K3 keys once each; missing {sorted(missing)}")

@@ -12,7 +12,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import SUITE_NAMES, elements, graphs, verification
-from .catalog import Catalog, CatalogError, build_catalog
+from .catalog import Catalog, CatalogError, ElementClass, build_catalog, exists_class
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -132,8 +132,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         print(f"unknown vertex id {args.vertex!r}", file=sys.stderr)
         return USAGE_ERROR
     n = 0 if args.square == -2 else 1
-    for cls in elements.ElementClass:
-        exists = elements.exists_class(v, n, cls)
+    for cls in ElementClass:
+        exists = exists_class(v, n, cls)
         line = f"{v.vid} square={args.square} {cls.value}: {'yes' if exists else 'no'}"
         if exists:
             if args.bound is not None:

@@ -3,8 +3,8 @@ witnesses, and the bounded search.
 
 Whether L-(c) has an element of a given square and class is decided by the
 class-existence rule of ``catalog`` (``ElementClass``, ``SQUARES``,
-``exists_class``), which this module re-exports; each positive answer is
-backed by the explicit witness of ``construct_witness``, re-checked with
+``exists_class``), where callers read it; each positive answer is backed by
+the explicit witness of ``construct_witness``, re-checked with
 ``classify_element``.  Of the commands, ``classify`` and ``verify`` execute
 this module; ``build`` and ``export`` read the rule alone.  Classification is
 one rule, ``_class_of``, read by ``classify_element`` and by the search's
@@ -48,8 +48,7 @@ from .lattice import (
     norm,
     signature,
 )
-# the class-existence rule lives in catalog; elements re-exports it
-from .catalog import SQUARES, ElementClass, K3Vertex, _INDEX, _join, _reach, exists_class
+from .catalog import ElementClass, K3Vertex, _INDEX, _join, _reach, exists_class
 
 
 class SearchBudgetError(RuntimeError):

@@ -12,16 +12,17 @@ b = m/2 in Q/Z (m lives mod 2).  The Brown invariant comes from the GF(2)
 normal form of the form, a sum of <±1/2>, u(2) and v(2) (Nikulin 1979, §1.8),
 in O(d²) operations on bilinear rows packed into ints.
 
-The 2-elementary kernel lives in ``lattice`` and is re-exported here:
-``DiscriminantGroup``, ``_two_elementary`` (one GF(2) elimination per Gram),
-``bilinear_table``, and ``lattices_equivalent``, which builds no form at all:
-it compares the signature, a = rank of L*/L and δ.  The catalog and the graph
-builders read only that kernel, so of the commands only ``verify`` executes
-this module.  ``_smith`` is the one Smith kernel.  ``smith_normal_form`` and
-the public ``discriminant_group``, which serves any divisors, run it; the
-group keeps only the divisors and the columns of V (as the rows of Vᵀ) and
-skips U.  Every internal caller asks only 2-elementary questions and reads
-``_two_elementary``.
+The 2-elementary kernel lives in ``lattice``: ``DiscriminantGroup``,
+``_two_elementary`` (one GF(2) elimination per Gram) and ``bilinear_table``,
+on which this module builds its forms, and ``lattices_equivalent``, which
+compares (signature, a, δ) and builds no form at all; ``lattice`` also holds
+the direct-sum rule that folds those invariants over standard blocks.  The
+catalog and the graph builders read only that kernel, so of the commands only
+``verify`` executes this module.  ``_smith`` is the one Smith kernel.
+``smith_normal_form`` and the public ``discriminant_group``, which serves any
+divisors, run it; the group keeps only the divisors and the columns of V (as
+the rows of Vᵀ) and skips U.  Every internal caller asks only 2-elementary
+questions and reads ``_two_elementary``.
 
 ``brown_invariant`` is a ``functools.lru_cache`` of ``lattice.MEMO_SIZE``
 entries keyed by the form; the result is an int, so every caller may share
@@ -38,10 +39,11 @@ from itertools import compress
 from operator import and_
 from typing import List, Optional, Sequence, Tuple
 
-from .lattice import (  # the 2-elementary kernel lives in lattice; re-exported here
+from .lattice import (
     MEMO_SIZE, DiscriminantGroup, Gram, GramLattice, LatticeVector, LatticeError, _freeze,
     _json_ints, _json_object, _ONES, _parities, _Record, _set, _two_elementary,
-    bilinear_table, is_even, lattices_equivalent,
+    bilinear_table, is_even,
+    lattices_equivalent,  # unused here: perfbench/tracer.py's TRACED names it under this module
 )
 
 IntMatrix = Tuple[Tuple[int, ...], ...]

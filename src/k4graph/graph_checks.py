@@ -5,8 +5,8 @@ and the isomorphism F between them, the flip pairs and their flip cycles, the
 basic cycles, the K4 eigenlattice synthesis, and the eigenlattice bookkeeping
 along every K3 edge.  Only ``verify`` and the library run them, so they live
 apart from the graph builders of ``graphs``, which ``build`` and ``export``
-execute; ``graphs`` still resolves each name here (``from k4graph.graphs
-import verify_flip_cycle`` works).
+execute.  The irregular vertex's -M_- and each synthesized M_+ are checked on
+the (signature, a, δ) that ``lattice._invariants`` reads off the whole Gram.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .lattice import (
-    GramLattice, LatticeError, LatticeVector, STANDARD_GRAMS, _Record, _complement, _set,
-    _two_elementary, direct_sum, from_summands, gram_apply, inner, is_even,
-    lattices_equivalent, make_standard, norm, rescale, signature, twist,
+    GramLattice, LatticeError, LatticeVector, STANDARD_GRAMS, _Record, _complement, _invariants,
+    _set, direct_sum, from_summands, gram_apply, inner, is_even, lattices_equivalent,
+    make_standard, norm, rescale, twist,
 )
 from .finite_forms import _smith
 from .catalog import K3_KEYS, Catalog, ElementClass, K3Vertex, exists_class
@@ -91,12 +91,12 @@ def _validate_irr(catalog: Catalog) -> None:
     neg = from_summands(IRR_MINUS_SUMMANDS, "U(2)+3D4")
     if IRR_KEY in K3_KEYS:
         raise StructuralError(f"irr: {tuple(IRR_KEY)} must not be a K3 key")
-    if signature(neg) != (1, IRR_KEY.r - 1):
+    inv = _invariants(neg)  # None when L*/L is not 2-elementary: the rank check fails
+    if inv is not None and inv[0] != (1, IRR_KEY.r - 1):
         raise StructuralError(f"irr: -M_- must have signature (1, {IRR_KEY.r - 1})")
-    dg = _two_elementary(neg.gram)
-    if dg is None or dg.rank != IRR_KEY.d:
+    if inv is None or inv[1] != IRR_KEY.d:
         raise StructuralError(f"irr: -M_- must have 2-periodic discriminant of rank {IRR_KEY.d}")
-    if ("II" if dg._delta else "I") != IRR_KEY.vtype:
+    if ("II" if inv[2] else "I") != IRR_KEY.vtype:
         raise StructuralError(f"irr: -M_- must carry a discriminant form of type {IRR_KEY.vtype}")
     for v in catalog:
         verdict = lattices_equivalent(neg, v.lplus)
@@ -392,18 +392,14 @@ def synthesize_k4_plus(c: K3Vertex, h: LatticeVector) -> GramLattice:
     mplus = twist(ambient, w)
     if is_even(mplus):
         raise StructuralError(f"{c.vid}: M_+ must be odd")
-    expect_sig = (c.lminus.rank, 1)
-    if signature(mplus) != expect_sig:
-        raise StructuralError(
-            f"{c.vid}: signature(M_+) = {signature(mplus)} != {expect_sig}"
-        )
-    dg = _two_elementary(mplus.gram)
-    if dg is None:
+    inv = _invariants(mplus)
+    if inv is None:
         raise StructuralError(f"{c.vid}: discr M_+ is not 2-elementary")
-    if dg.rank != c.d:
-        raise StructuralError(
-            f"{c.vid}: rank(discr M_+) = {dg.rank} != d = {c.d}"
-        )
+    sig, a, _ = inv
+    if sig != (c.lminus.rank, 1):
+        raise StructuralError(f"{c.vid}: signature(M_+) = {sig} != {(c.lminus.rank, 1)}")
+    if a != c.d:
+        raise StructuralError(f"{c.vid}: rank(discr M_+) = {a} != d = {c.d}")
     return GramLattice._bind(mplus.rank, mplus.gram, f"M+{c.vid}", None)
 
 

@@ -11,8 +11,7 @@ The builder checks the derived swap against the paper's statement ``IRREGULAR``.
 This module holds what ``build`` and ``export`` run: the builders and the two
 export formats.  The checks that only ``verify`` runs live in
 ``graph_checks``, among them the lattice identification of ``irr`` from the
-constants ``IRR_KEY`` and ``IRR_MINUS_SUMMANDS``, and the module
-``__getattr__`` at the end resolves their names here too.
+constants ``IRR_KEY`` and ``IRR_MINUS_SUMMANDS``.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ class DeformationGraph(_Record, _EdgeIndex, frozen=True):
 
 
 class K4VertexData(_Record, frozen=True):
-    __slots__ = ("key", "mminus", "source")  # source: the corresponding K3 vertex id, or "irr"
+    __slots__ = ("mminus",)  # M_-: -L+ of the K3 vertex, or -(U(2) + 3D4) at irr
 
 
 # The lattice identification of the irregular K4 vertex: -M_- = U(2) + 3D4.
@@ -196,7 +195,7 @@ def build_k4_graph(catalog: Catalog) -> Tuple[DeformationGraph, Dict[str, K4Vert
     g = _build_graph(catalog, "k4")
     neg = from_summands(IRR_MINUS_SUMMANDS, "U(2)+3D4")
     plus = {vid: neg if vid == IRR_ID else catalog.by_id(vid).lplus for vid in g.vertex_ids}
-    return g, {vid: K4VertexData(vid, rescale(l, -1), vid) for vid, l in plus.items()}
+    return g, {vid: K4VertexData(rescale(l, -1)) for vid, l in plus.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +234,9 @@ def graph_dot(g: DeformationGraph, catalog: Catalog) -> str:
 
 
 def __getattr__(name: str):
-    """The verify checks live in ``graph_checks``; their names, and the names
-    they were built from, still resolve here (PEP 562), so code that reads
-    ``graphs.verify_flip_cycle`` executes that module only then."""
+    """The names of ``graph_checks``, resolved here (PEP 562) only for the
+    ``TRACED`` list of ``perfbench/tracer.py``, which names five of the checks
+    under ``graphs``; every package caller reads them from ``graph_checks``."""
     if not name.startswith("__"):
         from . import graph_checks
 

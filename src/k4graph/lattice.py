@@ -20,10 +20,12 @@ Grams, from the nine blocks' memo entries.
 The 2-elementary kernel lives here too, because the catalog, the element
 classes and the graph checks read it and nothing else of the finite forms:
 ``_two_elementary`` gives L*/L as a ``DiscriminantGroup`` from one GF(2)
-elimination, ``bilinear_table`` its discriminant bilinear form mod 2,
-``_invariants`` reads (signature, a, δ) off a Gram, and ``lattices_equivalent``
-compares them.  ``finite_forms``, which builds the quadratic forms, the Smith
-route and the Brown invariant on top of them, re-exports the other four.
+elimination, ``bilinear_table`` its discriminant bilinear form mod 2, and
+``lattices_equivalent`` compares (signature, a, δ).  Those invariants have one
+home: ``_invariants`` reads them off a whole Gram, and ``_block_invariants``
+folds them over a sum of standard blocks by Nikulin's direct-sum rule, the
+signatures and a add and δ is the largest.  ``finite_forms`` builds the
+quadratic forms, the Smith route and the Brown invariant on top of them.
 
 ``inertia`` (and so ``signature``) is memoized: it reads ``_elimination``, a
 ``functools.lru_cache`` keyed by the Gram tuple alone (labels and summands do
@@ -763,6 +765,25 @@ def _invariants(l: GramLattice) -> Optional[Invariants]:
     2-elementary; a degenerate Gram raises ``LatticeError``."""
     disc = _two_elementary(l.gram)
     return None if disc is None else (signature(l), disc.rank, disc._delta)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _block_invariants(names: Tuple[str, ...]) -> Optional[Invariants]:
+    """The invariants of a sum of standard blocks, or None if a block is not
+    2-elementary, folded over the names from each block's ``_elimination`` and
+    ``_two_elementary`` memo entries.  Over an orthogonal sum the signatures
+    and the ranks a add, and delta is the largest of the blocks' (Nikulin
+    1979, §1), so no whole Gram is split or eliminated."""
+    if not names:
+        return (0, 0), 0, 0
+    rest = _block_invariants(names[1:])
+    gram = STANDARD_GRAMS[names[0]]
+    disc = _two_elementary(gram)
+    if rest is None or disc is None:
+        return None
+    (pos, neg), a, delta = rest
+    p, n, _, _ = _elimination(gram)
+    return (pos + p, neg + n), a + disc.rank, max(delta, disc._delta)
 
 
 def lattices_equivalent(a: GramLattice, b: GramLattice) -> str:

@@ -8,13 +8,16 @@ modules they load and 5 ms in the interpreter's shutdown, with Python 3.11 on
 one core of a 2-core x86-64 VM.  No suite searches.
 The catalog suite reads each entry's signatures, discriminant ranks and type
 off its whole Grams, where ``build_catalog`` folded them from the standard
-blocks, so it checks that direct-sum rule on all 150 eigenlattices.
+blocks, so it checks that direct-sum rule on all 150 eigenlattices; an entry
+whose lattice is not 2-elementary fails, and its forms are not built.
 The predicates suite proves its negatives for all three classes from the one
 block table ``catalog.SQUARES`` and confirms its positives with witnesses; the
 graphs suite identifies the irregular K4 vertex's lattice, which ``build``
 leaves out, builds its flip pairs from per-block witnesses and proves their
-absence by the K3-edge census.  ``finite_forms`` is held lazily, like
-``elements`` and ``graphs``, so ``verify --suite predicates`` never executes it.
+absence by the K3-edge census.  Each name is read from the module that
+defines it.  ``elements``, ``finite_forms``, ``graphs`` and ``graph_checks``
+are held lazily, so ``verify --suite predicates`` executes none of the last
+three.
 """
 
 from __future__ import annotations
@@ -23,25 +26,12 @@ import random
 from typing import Callable, Dict, List, Optional
 
 from .lattice import (
-    GramLattice,
-    _Record,
-    direct_sum,
-    from_summands,
-    inner,
-    is_even,
-    make_standard,
-    norm,
-    rescale,
-    reflect,
-    signature,
-    twist,
-    find_characteristic,
-    gram_apply,
-    lattices_equivalent,
-    STANDARD_GRAMS,
+    GramLattice, STANDARD_GRAMS, _Record, _invariants, direct_sum, find_characteristic,
+    from_summands, gram_apply, inner, is_even, lattices_equivalent, make_standard, norm,
+    rescale, reflect, signature, twist,
 )
-from .catalog import Catalog, _validate_vertex, build_catalog
-from . import SUITE_NAMES, elements as E, finite_forms as F, graphs as G
+from .catalog import Catalog, ElementClass, _validate_vertex, build_catalog, exists_class
+from . import SUITE_NAMES, elements as E, finite_forms as F, graph_checks as GC, graphs as G
 
 
 class SuiteResult(_Record):
@@ -215,7 +205,10 @@ def suite_catalog(catalog: Catalog) -> SuiteResult:
     for v in catalog:
         # rank sum, signatures, discriminant ranks, type, and the id and topology placed
         # at the key, read off the whole Grams, where build_catalog folded the blocks
-        res.failures.extend(f"{v.vid}: {msg}" for msg in _validate_vertex(v))
+        invariants = (_invariants(v.lplus), _invariants(v.lminus))
+        res.failures.extend(f"{v.vid}: {msg}" for msg in _validate_vertex(v, invariants))
+        if None in invariants:  # no discriminant form to check
+            continue
         fp = F.discriminant_quadratic(v.lplus)
         fm = F.discriminant_quadratic(v.lminus)
         res.check(F.parity(fp) == F.parity(fm), f"{v.vid}: anti-isometric parities")
@@ -234,8 +227,8 @@ def suite_predicates(catalog: Catalog) -> SuiteResult:
     res = SuiteResult("predicates")
     for v in catalog:
         for n in (0, 1):
-            for cls in E.ElementClass:
-                if E.exists_class(v, n, cls):
+            for cls in ElementClass:
+                if exists_class(v, n, cls):
                     x = E.construct_witness(v, n, cls)
                     res.check(norm(x) == 8 * n - 2, f"{v.vid} n={n} {cls.value}: witness norm")
                     res.check(
@@ -254,7 +247,7 @@ def suite_graphs(catalog: Catalog) -> SuiteResult:
     try:
         k3 = G.build_k3_graph(catalog)
         k4, _ = G.build_k4_graph(catalog)
-        G._validate_irr(catalog)
+        GC._validate_irr(catalog)
     except G.StructuralError as exc:
         res.failures.append(str(exc))
         return res
@@ -262,37 +255,37 @@ def suite_graphs(catalog: Catalog) -> SuiteResult:
     res.check(len(k4.vertex_ids) == 75, "K4 graph has 75 vertices")
     terminals = sorted(v for v in k3.vertex_ids if not k3.out_edges(v))
     res.check(terminals == ["[10S]", "[8S]_I"], f"K3 terminal vertices: {terminals}")
-    frep = G.regular_subgraphs_and_F(k3, k4)
+    frep = GC.regular_subgraphs_and_F(k3, k4)
     res.check(frep.ok and frep.vertices == 74, "F is a bijection on 74 regular vertices")
     res.check(frep.edges == len(k3.edges) - 1, "F covers all regular edges")
-    res.check(G.k4_equals_k3_after_swap(k3, k4), "K4 is K3 after the one-edge swap")
+    res.check(GC.k4_equals_k3_after_swap(k3, k4), "K4 is K3 after the one-edge swap")
     # flip cycles at every constructed pair.  The K3-edge census proves where none
     # exists: c has a pair iff some edge c -> t has a square-6 element in L-(t),
     # as v^⊥ ≅ L-(t) (Nikulin's uniqueness, applied by the structural checks)
     census = {
         e.src for e in k3.edges
-        if any(E.exists_class(catalog.by_id(e.dst), 1, cls) for cls in E.ElementClass)
+        if any(exists_class(catalog.by_id(e.dst), 1, cls) for cls in ElementClass)
     }
     found = 0
     for v in catalog:
-        t = G.construct_flip_triple(v)
+        t = GC.construct_flip_triple(v)
         res.check((t is not None) == (v.vid in census), f"{v.vid}: flip pair " + (
             "constructed, but the K3-edge census proves none" if t
             else "not constructed, but the K3-edge census has one"))
         if t is None:
             continue
         found += 1
-        f2 = G.flip(G.flip(t))
+        f2 = GC.flip(GC.flip(t))
         res.check(
             f2.h.coords == t.h.coords and f2.v.coords == t.v.coords,
             f"{v.vid}: flip is an involution",
         )
-        rep = G.verify_flip_cycle(v, t, k4, catalog)
+        rep = GC.verify_flip_cycle(v, t, k4, catalog)
         res.check(rep.ok, f"{v.vid}: flip cycle identities {rep.identities} {rep.detail}")
     res.check(found > 0, "at least one flip pair must be found")
     res.notes.append(f"flip cycles verified at {found} vertices")
     # basic cycles
-    br = G.basic_cycles_regular(k3, catalog)
+    br = GC.basic_cycles_regular(k3, catalog)
     res.check(br.all_regular, "all basic cycles are regular")
     res.check(br.count_matches_rank, f"{len(br.cycles)} basic cycles vs cycle rank {br.cycle_rank}")
     res.check(br.full_rank, "basic-cycle incidence matrix has full rational rank")
@@ -300,7 +293,7 @@ def suite_graphs(catalog: Catalog) -> SuiteResult:
         f"basic cycles: {len(br.cycles)}, incidence divisors all 1: "
         f"{set(br.incidence_divisors) == {1}}"
     )
-    sr = G.structural_checks(k3, catalog)
+    sr = GC.structural_checks(k3, catalog)
     res.check(sr.ok, f"structural failures: {sr.failures[:3]}")
     res.notes.append(
         f"structural checks: {sr.verified} verified, {len(sr.undecidable)} undecidable"
@@ -312,12 +305,12 @@ def suite_synthesis(catalog: Catalog) -> SuiteResult:
     res = SuiteResult("synthesis")
     count = 0
     for v in catalog:
-        for cls in E.ElementClass:
-            if not E.exists_class(v, 1, cls):
+        for cls in ElementClass:
+            if not exists_class(v, 1, cls):
                 continue
             h = E.construct_witness(v, 1, cls)
             try:
-                G.synthesize_k4_plus(v, h)
+                GC.synthesize_k4_plus(v, h)
             except G.StructuralError as exc:
                 res.failures.append(str(exc))
                 continue

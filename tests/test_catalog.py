@@ -247,14 +247,14 @@ def _whole_gram_invariants(lat):
 def test_block_fold_matches_the_whole_gram_kernels(names):
     # signatures and discriminant ranks add over an orthogonal sum, and its
     # parity is the largest of its blocks' (Nikulin 1979, §1)
-    folded = catalog_mod._block_invariants(tuple(names))
+    folded = lattice._block_invariants(tuple(names))
     assert folded == _whole_gram_invariants(from_summands(names))
 
 
 def test_block_fold_matches_the_whole_grams_of_every_catalog_lattice(catalog):
     for v in catalog:
         for lat in (v.lplus, v.lminus):
-            assert catalog_mod._block_invariants(lat.summands) == _whole_gram_invariants(lat)
+            assert lattice._block_invariants(lat.summands) == _whole_gram_invariants(lat)
         plus, minus = _whole_gram_invariants(v.lplus), _whole_gram_invariants(v.lminus)
         assert (v.d, v.vtype) == (plus[1], "II" if minus[2] else "I")
 
@@ -262,7 +262,7 @@ def test_block_fold_matches_the_whole_grams_of_every_catalog_lattice(catalog):
 def test_block_fold_refuses_a_block_that_is_not_2_elementary(monkeypatch):
     monkeypatch.setitem(lattice.STANDARD_GRAMS, "<4>", ((4,),))
     assert lattice._two_elementary(from_summands(("U", "<4>")).gram) is None
-    assert catalog_mod._block_invariants(("U", "<4>")) is None
+    assert lattice._block_invariants(("U", "<4>")) is None
     rows = list(catalog_mod.EXCEPTIONAL)
     vid, plus, minus = rows[-1]
     rows[-1] = (vid, plus + ("<4>",), minus)
@@ -292,3 +292,17 @@ def test_catalog_suite_checks_each_vertex_on_its_whole_grams(catalog, vid, donor
     assert verification.suite_catalog(catalog).ok
     res = verification.suite_catalog(Catalog([broken if u is v else u for u in catalog]))
     assert f"{vid}: {message}" in res.failures
+
+
+def test_catalog_suite_fails_a_vertex_whose_lattice_is_not_2_elementary(catalog):
+    # the first U block of L-([2S1]) becomes the even Gram ((2, 3), (3, 2)) of
+    # det -5: the suite names the vertex instead of unpacking the missing
+    # invariants or building a discriminant form for it
+    v = catalog.by_id("[2S1]")
+    gram = [list(row) for row in v.lminus.gram]
+    gram[0][:2], gram[1][:2] = [2, 3], [3, 2]
+    lminus = GramLattice(len(gram), gram, v.lminus.label, v.lminus.summands)
+    assert lattice._invariants(lminus) is None
+    broken = K3Vertex(v.vid, v.top, v.lplus, lminus, v.r, v.d, v.vtype)
+    res = verification.suite_catalog(Catalog([broken]))
+    assert res.failures == ["[2S1]: discriminant groups must be 2-periodic"]

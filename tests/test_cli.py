@@ -387,10 +387,11 @@ def test_benchmark_tracer_installs_after_the_cli_import():
 
 
 def test_benchmark_tracer_reaches_the_moved_graph_checks():
-    # verify reads the flip, synthesis and structural checks through graphs,
-    # which forwards them to graph_checks; the tracer rebinds them there only
-    # because graph_checks is registered at import.  The counts are the ones
-    # the tracer read when the checks lived in graphs itself.
+    # the tracer names the flip, synthesis and structural checks under graphs,
+    # whose module __getattr__ forwards them from graph_checks, and rebinds
+    # them in graph_checks, where verification reads them, because graph_checks
+    # is registered at import.  The counts are the ones the tracer read when
+    # the checks lived in graphs itself.
     perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
     code = (
         "import io\n"
@@ -560,6 +561,25 @@ def test_verify_ignores_search_budget(budget, monkeypatch, capsys):
     code, out, err = run_cli(["verify"], capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_SHA256
+
+
+def test_verify_resolves_no_name_through_graphs(monkeypatch, capsys):
+    # verify reads every graph check from graph_checks; graphs' module
+    # __getattr__ serves only the tracer's TRACED names.  The import system's
+    # probe for __path__ raises AttributeError, so only returned names count
+    from k4graph import graphs
+
+    resolved = []
+    real = graphs.__getattr__
+
+    def counting(name):
+        value = real(name)
+        resolved.append(name)
+        return value
+
+    monkeypatch.setattr(graphs, "__getattr__", counting)
+    assert run_cli(["verify"], capsys)[0] == 0
+    assert resolved == []
 
 
 @pytest.mark.parametrize(

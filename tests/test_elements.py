@@ -216,7 +216,7 @@ def _odd_squares(name):
 
 def test_even_squares_tables_are_the_lattice_walk():
     # every SQUARES entry: the even x of the Gray-code walk and the odd x
-    from k4graph.elements import SQUARES
+    from k4graph.catalog import SQUARES
 
     assert set(SQUARES) == set(STANDARD_GRAMS)
     for name, table in SQUARES.items():
@@ -248,7 +248,7 @@ def test_exists_class_matches_diagonal_rule(catalog):
 
 def _frozenset_reach(names):
     """The fold the residue masks replaced: sets of (x^2 mod 16, class) pairs."""
-    from k4graph.elements import SQUARES, _join
+    from k4graph.catalog import SQUARES, _join
 
     out = frozenset({(0, ElementClass.WU)})
     for name in reversed(names):
@@ -259,7 +259,7 @@ def _frozenset_reach(names):
 
 
 def _frozenset_fits(names, cls):
-    from k4graph.elements import _join
+    from k4graph.catalog import _join
 
     return frozenset(
         (r, kind)
@@ -275,7 +275,8 @@ def _pairs(masks):
 
 
 def _check_mask_fold(names):
-    from k4graph.elements import _fits, _reach
+    from k4graph.catalog import _reach
+    from k4graph.elements import _fits
 
     for i in range(len(names) + 1):  # every suffix, the empty one included
         tail = tuple(names[i:])
@@ -759,7 +760,7 @@ def test_block_table_survives_interrupted_fill(monkeypatch):
 
 
 def test_search_bound_is_checked(catalog, monkeypatch):
-    from k4graph.graphs import find_flip_triple
+    from k4graph.graph_checks import find_flip_triple
 
     v = catalog.by_id("[7S]")
     lat = v.lminus

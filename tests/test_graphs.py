@@ -446,11 +446,11 @@ def test_constructed_flip_pairs_verify(catalog, k4_graph):
 
 
 def test_suite_graphs_names_a_vertex_the_construction_misses(catalog, monkeypatch):
-    from k4graph import graphs
+    from k4graph import graph_checks
     from k4graph.verification import suite_graphs
 
     # without U's part orthogonal to its root, U + U(2) (+ E8(2)) reach no 6
-    monkeypatch.setitem(graphs._FLIP_PERP, "U", ())
+    monkeypatch.setitem(graph_checks._FLIP_PERP, "U", ())
     res = suite_graphs(catalog)
     assert [f for f in res.failures if "flip pair" in f] == [
         f"{vid}: flip pair not constructed, but the K3-edge census has one"
@@ -459,14 +459,14 @@ def test_suite_graphs_names_a_vertex_the_construction_misses(catalog, monkeypatc
 
 
 def test_suite_graphs_names_a_pair_the_census_rules_out(catalog, monkeypatch):
-    from k4graph import elements, verification
+    from k4graph import verification
 
     # the K3 edges of [7S] end at [8S] and at [8S]_I, whose U(2) + U(2) has no
     # square 6 element; hiding those of [8S] leaves the census no pair at [7S]
-    # (verification reads exists_class from the elements module at each call)
-    real = elements.exists_class
+    # (verification binds its own exists_class; the graph builders keep theirs)
+    real = verification.exists_class
     monkeypatch.setattr(
-        elements, "exists_class", lambda t, n, cls: t.vid != "[8S]" and real(t, n, cls)
+        verification, "exists_class", lambda t, n, cls: t.vid != "[8S]" and real(t, n, cls)
     )
     res = verification.suite_graphs(catalog)
     assert [f for f in res.failures if "flip pair" in f] == [
@@ -497,7 +497,7 @@ def test_basic_cycles(k3_graph, catalog):
 )
 def test_snf_divisors_read_the_smith_diagonal(rows):
     from k4graph.finite_forms import smith_normal_form
-    from k4graph.graphs import _snf_divisors
+    from k4graph.graph_checks import _snf_divisors
 
     _, d, _ = smith_normal_form(rows)
     diagonal = [d[i][i] for i in range(min(len(d), len(d[0])))]

@@ -4,7 +4,7 @@
 the gcd-reducing symmetric elimination and, for its det, with a row-pivoting
 Bareiss determinant, and ``finite_forms._discriminant_group`` (the Smith
 kernel that tracks only V) with the full (U, D, V) Smith normal form that
-cleared rows and columns with per-row loops.  ``finite_forms._two_elementary``
+cleared rows and columns with per-row loops.  ``lattice._two_elementary``
 (the GF(2) kernel with the determinant of the Bareiss elimination) is
 compared with that Smith route on every Gram matrix the group tests meet.
 ``finite_forms.brown_invariant`` (the GF(2) normal form) is compared with
@@ -40,19 +40,16 @@ from k4graph import (
     parity,
     signature,
 )
-from k4graph.finite_forms import (
-    DiscriminantGroup,
-    _discriminant_group,
-    _discriminant_quadratic,
-    _two_elementary,
-    bilinear_table,
-)
+from k4graph.finite_forms import _discriminant_group, _discriminant_quadratic
 from k4graph.lattice import (
     STANDARD_GRAMS,
+    DiscriminantGroup,
     GramLattice,
     _blocks,
     _elimination,
     _freeze,
+    _two_elementary,
+    bilinear_table,
     direct_sum_all,
     from_summands,
     gf2_solve,
