@@ -9,8 +9,7 @@ each key of ``K3_KEYS`` once, at its placed id, among every entry invariant.
 Each row's signatures, discriminant rank d and type are folded once from its
 block names by ``lattice._block_invariants``, where the direct-sum rule
 lives, so a short command runs the kernels on the standard blocks alone;
-``_validate_vertex`` reads them off the whole Grams unless it is given them,
-which is how ``verify``'s catalog suite checks the fold.
+``verify``'s catalog suite checks the fold on the whole Grams.
 
 The class-existence rule sits next to the key theorem ``_exists``, because
 the graph builders read it and nothing else of ``elements``.  x^2 mod 16 and
@@ -32,7 +31,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .lattice import (
-    MEMO_SIZE, Invariants, _Record, _block_invariants, _invariants, _set, from_summands, is_even,
+    MEMO_SIZE, Invariants, _Record, _block_invariants, _set, from_summands, is_even,
 )
 
 
@@ -308,16 +307,16 @@ class Catalog(Sequence[K3Vertex]):
 
 
 def _validate_vertex(
-    v: K3Vertex, invariants: Optional[Tuple[Optional[Invariants], Optional[Invariants]]] = None
+    v: K3Vertex, invariants: Tuple[Optional[Invariants], Optional[Invariants]]
 ) -> List[str]:
     """Every per-vertex invariant the entry violates, in a fixed order.
 
-    ``invariants`` holds those of L+ and L-; by default they are read off the
-    whole Grams, and ``build_catalog`` passes its rows' block folds.  An
-    eigenlattice whose discriminant group is not 2-elementary is the one
-    violation reported, since the other checks read its invariants.
+    ``invariants`` holds those of L+ and L-: ``build_catalog`` passes its
+    rows' block folds, and ``verify``'s catalog suite those of the whole
+    Grams.  An eigenlattice whose discriminant group is not 2-elementary is
+    the one violation reported, since the other checks read its invariants.
     """
-    plus, minus = invariants or (_invariants(v.lplus), _invariants(v.lminus))
+    plus, minus = invariants
     if plus is None or minus is None:
         return [_NOT_2_PERIODIC]
     (sp, a_plus, _), (sm, a_minus, delta) = plus, minus

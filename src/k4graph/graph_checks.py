@@ -11,7 +11,7 @@ the (signature, a, δ) that ``lattice._invariants`` reads off the whole Gram.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import islice
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -141,20 +141,15 @@ def flip(t: FlipTriple) -> FlipTriple:
 def find_flip_triple(v: K3Vertex, bound: int = 3, limit: int = 40) -> Optional[FlipTriple]:
     """Bounded search for an orthogonal (h, v) pair in L-(c), or None.
 
-    h and v are drawn lazily: a new v only when none drawn so far pairs with h.
+    The first ``limit`` vectors w of square -2 are drawn, with G·w, before any h.
     This is the search reference; ``verify`` uses ``construct_flip_triple``.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
     l = v.lminus
-    drawn: List[Tuple[LatticeVector, List[int]]] = []  # each w with G·w
-    def draw():
-        for w in islice(_search(l, -2, None, bound), limit):
-            drawn.append((w, gram_apply(l, w.coords)))
-            yield drawn[-1]
-    fresh = draw()  # one generator for every h, so each w is drawn once
+    ws = [(w, gram_apply(l, w.coords)) for w in islice(_search(l, -2, None, bound), limit)]
     for h in islice(_search(l, 6, None, bound), limit):
-        for w, gw in chain(drawn, fresh):
+        for w, gw in ws:
             if sum(map(mul, h.coords, gw)) == 0:
                 return FlipTriple(h, w)
     return None

@@ -9,7 +9,7 @@ one core of a 2-core x86-64 VM.  No suite searches.
 The catalog suite reads each entry's signatures, discriminant ranks and type
 off its whole Grams, where ``build_catalog`` folded them from the standard
 blocks, so it checks that direct-sum rule on all 150 eigenlattices; an entry
-whose lattice is not 2-elementary fails, and its forms are not built.
+whose Gram is degenerate or not 2-elementary fails, with no form built.
 The predicates suite proves its negatives for all three classes from the one
 block table ``catalog.SQUARES`` and confirms its positives with witnesses; the
 graphs suite identifies the irregular K4 vertex's lattice, which ``build``
@@ -26,9 +26,9 @@ import random
 from typing import Callable, Dict, List, Optional
 
 from .lattice import (
-    GramLattice, STANDARD_GRAMS, _Record, _invariants, direct_sum, find_characteristic,
-    from_summands, gram_apply, inner, is_even, lattices_equivalent, make_standard, norm,
-    rescale, reflect, signature, twist,
+    GramLattice, LatticeError, STANDARD_GRAMS, _Record, _invariants, direct_sum,
+    find_characteristic, from_summands, gram_apply, inner, is_even, lattices_equivalent,
+    make_standard, norm, rescale, reflect, signature, twist,
 )
 from .catalog import Catalog, ElementClass, _validate_vertex, build_catalog, exists_class
 from . import SUITE_NAMES, elements as E, finite_forms as F, graph_checks as GC, graphs as G
@@ -203,9 +203,12 @@ def suite_catalog(catalog: Catalog) -> SuiteResult:
     res = SuiteResult("catalog")
     seen_plus = set()
     for v in catalog:
-        # rank sum, signatures, discriminant ranks, type, and the id and topology placed
-        # at the key, read off the whole Grams, where build_catalog folded the blocks
-        invariants = (_invariants(v.lplus), _invariants(v.lminus))
+        # every entry invariant, read off the whole Grams where build_catalog folded blocks
+        try:
+            invariants = (_invariants(v.lplus), _invariants(v.lminus))
+        except LatticeError as exc:  # a degenerate Gram has neither invariants nor a form
+            res.failures.append(f"{v.vid}: {exc}")
+            continue
         res.failures.extend(f"{v.vid}: {msg}" for msg in _validate_vertex(v, invariants))
         if None in invariants:  # no discriminant form to check
             continue

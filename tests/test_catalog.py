@@ -9,6 +9,7 @@ from k4graph import (
     CatalogError,
     GramLattice,
     K3Vertex,
+    LatticeError,
     VertexKey,
     brown_invariant,
     build_catalog,
@@ -18,6 +19,7 @@ from k4graph import (
     signature,
 )
 from k4graph import catalog as catalog_mod, lattice, verification
+from k4graph.lattice import _invariants
 
 
 def test_cardinality(catalog):
@@ -128,7 +130,7 @@ def test_ks_flags(catalog):
 def _coords(v):
     # (r, d), with every per-vertex invariant (the coordinate formulas on the
     # principal series among them) holding
-    assert catalog_mod._validate_vertex(v) == []
+    assert catalog_mod._validate_vertex(v, (_invariants(v.lplus), _invariants(v.lminus))) == []
     return (v.r, v.d)
 
 
@@ -187,7 +189,7 @@ def test_coords_rejects_inconsistent_entry(catalog):
     broken = K3Vertex(v.vid, v.top, v.lplus, v.lminus, v.r + 1, v.d, v.vtype)
     key = (v.r + 1, v.d, v.vtype)
     assert f"key {key} is not a K3 key by Nikulin's existence theorem" in (
-        catalog_mod._validate_vertex(broken)
+        catalog_mod._validate_vertex(broken, (_invariants(v.lplus), _invariants(v.lminus)))
     )
 
 
@@ -294,15 +296,28 @@ def test_catalog_suite_checks_each_vertex_on_its_whole_grams(catalog, vid, donor
     assert f"{vid}: {message}" in res.failures
 
 
-def test_catalog_suite_fails_a_vertex_whose_lattice_is_not_2_elementary(catalog):
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        (((2, 3), (3, 2)), "discriminant groups must be 2-periodic"),
+        (((0, 0), (0, 0)), "gram matrix is degenerate"),
+    ],
+    ids=["det-5", "degenerate"],
+)
+def test_catalog_suite_fails_a_vertex_whose_lattice_is_not_2_elementary(catalog, block, message):
     # the first U block of L-([2S1]) becomes the even Gram ((2, 3), (3, 2)) of
-    # det -5: the suite names the vertex instead of unpacking the missing
-    # invariants or building a discriminant form for it
+    # det -5, or zero: the suite names the vertex instead of unpacking the
+    # missing invariants, raising on the degenerate Gram or building a
+    # discriminant form for it
     v = catalog.by_id("[2S1]")
     gram = [list(row) for row in v.lminus.gram]
-    gram[0][:2], gram[1][:2] = [2, 3], [3, 2]
+    gram[0][:2], gram[1][:2] = block
     lminus = GramLattice(len(gram), gram, v.lminus.label, v.lminus.summands)
-    assert lattice._invariants(lminus) is None
+    if message == "gram matrix is degenerate":
+        with pytest.raises(LatticeError, match=message):
+            lattice._invariants(lminus)
+    else:
+        assert lattice._invariants(lminus) is None
     broken = K3Vertex(v.vid, v.top, v.lplus, lminus, v.r, v.d, v.vtype)
     res = verification.suite_catalog(Catalog([broken]))
-    assert res.failures == ["[2S1]: discriminant groups must be 2-periodic"]
+    assert res.failures == [f"[2S1]: {message}"]

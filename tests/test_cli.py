@@ -375,6 +375,9 @@ def test_benchmark_tracer_installs_after_the_cli_import():
         "import k4graph.cli\n"
         "sys.path.insert(0, sys.argv[2])\n"
         "from tracer import Tracer\n"
+        # the benchmark's probe, not the tests' module of the same name
+        "import reference\n"
+        "assert reference.__file__.startswith(sys.argv[2]), reference.__file__\n"
         "tracer = Tracer()\n"
         "tracer.install()\n"
         "from k4graph import verification\n"

@@ -1,6 +1,6 @@
 import contextlib
 import random
-from operator import mul
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +10,10 @@ from k4graph import (
     ElementClass,
     LatticeError,
     SearchBudgetError,
+    WitnessError,
     classify_element,
     construct_witness,
+    elements,
     exists_class,
     enumerate_vectors,
     make_standard,
@@ -19,10 +21,18 @@ from k4graph import (
     orthogonal_sublattice,
     search_witness,
 )
-from k4graph.elements import _wu_parities
+from k4graph.catalog import SQUARES, _reach
+from k4graph.cli import main
+from k4graph.elements import (
+    RESTRICT_RANK, _SearchState, _block_data, _block_table, _block_vectors, _fits, _odd_bumps,
+    _search_blocks, _value_order, _wu_parities,
+)
 from k4graph.finite_forms import _discriminant_group
-from k4graph.lattice import STANDARD_GRAMS, from_summands
+from k4graph.graph_checks import find_flip_triple
+from k4graph.lattice import STANDARD_GRAMS, GramLattice, from_summands, gram_apply
 from k4graph.verification import _congruent, _random_unimodular
+
+import reference as ref
 
 
 # ---------------------------------------------------------------------------
@@ -61,33 +71,9 @@ def test_classify_rejects_zero(catalog):
 
 
 def test_wu_implies_even_pairings(catalog):
-    from k4graph.lattice import gram_apply
-
     v = catalog.by_id("[7S]")
     x = v.lminus.vector([1, 1, 1, 1, 1])
     assert all(p % 2 == 0 for p in gram_apply(v.lminus, x.coords))
-
-
-def _reference_classes(gram, xs):
-    """The class of each x, or the error message, by the definition on the
-    Smith route's group: x is odd iff G·x is odd somewhere; else x/2 is in L*,
-    and x is Wu iff b(x/2, g) = b(g, g) for every generator g = lift/2, that
-    is iff x·G·lift = lift·G·lift = 2 lift·dual mod 4."""
-    try:
-        disc = _discriminant_group(gram)
-        error = None if disc.is_two_periodic else "classification needs a 2-periodic discriminant"
-    except LatticeError as exc:
-        error = str(exc)
-    for x in xs:
-        gx = [sum(map(mul, row, x)) for row in gram]
-        if any(v % 2 for v in gx):
-            yield ElementClass.ODD
-        elif error:
-            yield error
-        else:
-            pairs = zip(disc.lifts, disc.duals)
-            wu = all(sum(map(mul, gx, n)) % 4 == 2 * sum(map(mul, n, d)) % 4 for n, d in pairs)
-            yield ElementClass.WU if wu else ElementClass.EVEN_NON_WU
 
 
 def test_classify_matches_definition_on_whole_grams(catalog):
@@ -104,7 +90,7 @@ def test_classify_matches_definition_on_whole_grams(catalog):
             with contextlib.suppress(LatticeError):
                 xs.append(tuple(p + 2 * c for p, c in zip(_wu_parities(l.gram), xs[0])))
             xs = [x for x in xs if any(x)]
-            for x, want in zip(xs, _reference_classes(l.gram, xs)):
+            for x, want in zip(xs, ref.classes(l.gram, xs)):
                 try:
                     got = classify_element(l, l.vector(x))
                 except LatticeError as exc:
@@ -164,8 +150,6 @@ def _even_squares_walk(name):
     walk also keeps x mod 2 and checks that Wu means x = wu_parities mod 2,
     the block-local test the search reads.
     """
-    from k4graph.elements import _block_data
-
     gram = make_standard(name).gram
     r = len(gram)
     lifts = list(_discriminant_group(gram).lifts)
@@ -200,8 +184,6 @@ def _odd_squares(name):
     x·u odd reaches x^2 + 0, 4, 8, 12 mod 16, so each odd x mod 2L gives its
     whole class mod 4.  <1> is odd, so it is walked directly over x mod 8.
     """
-    from itertools import product
-
     gram = make_standard(name).gram
     if name == "<1>":
         return {(x * x % 16, ElementClass.ODD) for x in range(1, 8, 2)}
@@ -216,23 +198,9 @@ def _odd_squares(name):
 
 def test_even_squares_tables_are_the_lattice_walk():
     # every SQUARES entry: the even x of the Gray-code walk and the odd x
-    from k4graph.catalog import SQUARES
-
     assert set(SQUARES) == set(STANDARD_GRAMS)
     for name, table in SQUARES.items():
         assert _even_squares_walk(name) | _odd_squares(name) == table, name
-
-
-def _diagonal_rule(v, n, cls):
-    """The hand-written (s, t) rule that decided existence before the tables."""
-    s, t = v.diag_s, v.diag_t
-    if cls is ElementClass.ODD:
-        return not (v.kS_flag or v.vid == "[8S]_I")
-    if cls is ElementClass.WU:
-        if v.kS_flag:
-            return (s - t) % 8 == (4 * n - 1) % 8
-        return (s - t) % 4 == 3
-    return t > 1 or (t == 1 and (s - t) % 4 != 3)
 
 
 def test_exists_class_matches_diagonal_rule(catalog):
@@ -241,32 +209,9 @@ def test_exists_class_matches_diagonal_rule(catalog):
         for n in (0, 1):
             for cls in ElementClass:
                 got = exists_class(v, n, cls)
-                assert got == _diagonal_rule(v, n, cls), (v.vid, n, cls)
+                assert got == ref.diagonal_rule(v, n, cls), (v.vid, n, cls)
                 answers.append(got)
     assert (answers.count(True), answers.count(False)) == (252, 198)
-
-
-def _frozenset_reach(names):
-    """The fold the residue masks replaced: sets of (x^2 mod 16, class) pairs."""
-    from k4graph.catalog import SQUARES, _join
-
-    out = frozenset({(0, ElementClass.WU)})
-    for name in reversed(names):
-        out = frozenset(
-            ((a + b) % 16, _join(c, d)) for a, c in SQUARES[name] for b, d in out
-        )
-    return out
-
-
-def _frozenset_fits(names, cls):
-    from k4graph.catalog import _join
-
-    return frozenset(
-        (r, kind)
-        for r, c in _frozenset_reach(names)
-        for kind in ElementClass
-        if cls is None or _join(kind, c) is cls
-    )
 
 
 def _pairs(masks):
@@ -275,14 +220,12 @@ def _pairs(masks):
 
 
 def _check_mask_fold(names):
-    from k4graph.catalog import _reach
-    from k4graph.elements import _fits
-
     for i in range(len(names) + 1):  # every suffix, the empty one included
         tail = tuple(names[i:])
-        assert _pairs(_reach.__wrapped__(tail)) == _frozenset_reach(tail), tail
+        assert _pairs(_reach.__wrapped__(tail)) == ref.frozenset_reach(tail), tail
         for cls in (None, *ElementClass):
-            assert _pairs(_fits.__wrapped__(tail, cls)) == _frozenset_fits(tail, cls), (tail, cls)
+            want = ref.frozenset_fits(tail, cls)
+            assert _pairs(_fits.__wrapped__(tail, cls)) == want, (tail, cls)
 
 
 def test_mask_fold_matches_frozenset_fold_on_catalog(catalog):
@@ -340,15 +283,11 @@ def test_witness_wu_e8_case(catalog):
 
 
 def test_witness_requires_existence(catalog):
-    from k4graph import WitnessError
-
     with pytest.raises(WitnessError):
         construct_witness(catalog.by_id("[10S]"), 0, ElementClass.ODD)
 
 
 def test_failed_construction_raises_without_search(catalog, monkeypatch):
-    from k4graph import WitnessError, elements
-
     v = next(v for v in catalog if exists_class(v, 0, ElementClass.EVEN_NON_WU))
     monkeypatch.setattr(elements, "_even_witness", lambda v, n: None)
     with pytest.raises(WitnessError, match="construction failed"):
@@ -410,8 +349,6 @@ def test_search_agrees_with_classify():
 def _raises_again_when_warm(monkeypatch, lat, budget):
     # the same search, with the block tables it reads already filled
     # without a budget, must still exceed the budget
-    from k4graph.elements import _block_table
-
     monkeypatch.delenv("K4GRAPH_SEARCH_BUDGET")
     assert search_witness(lat, -2, ElementClass.ODD, bound=3) is not None
     misses = _block_table.cache_info().misses
@@ -422,8 +359,6 @@ def _raises_again_when_warm(monkeypatch, lat, budget):
 
 
 def test_search_budget_error(monkeypatch):
-    from k4graph.elements import _block_table
-
     _block_table.cache_clear()
     monkeypatch.setenv("K4GRAPH_SEARCH_BUDGET", "10")
     lat = from_summands(("U", "U", "U"))
@@ -433,8 +368,6 @@ def test_search_budget_error(monkeypatch):
 
 
 def test_search_budget_env_override(monkeypatch):
-    from k4graph.elements import _block_table
-
     _block_table.cache_clear()
     monkeypatch.setenv("K4GRAPH_SEARCH_BUDGET", "5")
     lat = from_summands(("U", "U", "U"))
@@ -444,8 +377,6 @@ def test_search_budget_env_override(monkeypatch):
 
 
 def test_search_without_summand_structure():
-    from k4graph.lattice import GramLattice
-
     lat = GramLattice.from_rows([[0, 1], [1, 0]])
     x = search_witness(lat, -2, ElementClass.ODD, bound=2)
     assert x is not None and norm(x) == -2
@@ -463,10 +394,6 @@ def test_search_restricts_big_lattices(catalog):
 def test_search_matches_naive_enumeration():
     # differential check of the block-pruned search against the plain
     # box walk: existence must agree on random small lattices
-    import random
-
-    from k4graph.lattice import GramLattice
-
     names_pool = ["<2>", "<-2>", "U", "U(2)", "D4", "<1>"]
     rng = random.Random(99)
     for _ in range(120):
@@ -487,10 +414,6 @@ def test_search_matches_naive_enumeration():
 
     # every residue mod 16, odd targets and the zero target included: each
     # target between the box's extreme norms against one plain box walk
-    from itertools import product
-
-    from k4graph.elements import _value_order
-
     residues = set()
     for names in (("D4",), ("E7",), ("E8",), ("<1>", "E7"), ("<1>", "<-2>", "D4", "U")):
         lat = from_summands(names)
@@ -525,65 +448,7 @@ def test_enumerate_vectors_deterministic(catalog):
 # integer block walk against the rational reference
 # ---------------------------------------------------------------------------
 
-def _fraction_ldl(block):
-    """Rational LDL^T of the positively-oriented form: x^T P x = sum_k d_k w_k^2."""
-    from fractions import Fraction
-
-    r = block.rank
-    sign = -1 if block.neg_definite else 1
-    a = [[Fraction(sign * block.gram[i][j]) for j in range(r)] for i in range(r)]
-    diag = []
-    lower = [[Fraction(0)] * r for _ in range(r)]
-    for k in range(r):
-        dk = a[k][k] - sum(diag[m] * lower[k][m] ** 2 for m in range(k))
-        diag.append(dk)
-        lower[k][k] = Fraction(1)
-        for i in range(k + 1, r):
-            val = a[i][k] - sum(diag[m] * lower[i][m] * lower[k][m] for m in range(k))
-            lower[i][k] = val / dk
-    return diag, lower
-
-
-def _fraction_block_vectors(block, bound, lo, hi, parities, state):
-    """The definite-block walk with Fraction pruning, as it was first written."""
-    from fractions import Fraction
-
-    from k4graph.elements import _value_order
-
-    r = block.rank
-    vals = _value_order(bound)
-    sign = -1 if block.neg_definite else 1
-    diag, lower = _fraction_ldl(block)
-    cap = Fraction(max(abs(lo), abs(hi)))
-
-    def rec(depth, acc, partial):
-        if depth == r:
-            n = sign * partial
-            if lo <= n <= hi:
-                yield tuple(reversed(acc)), int(n)
-            return
-        k = r - 1 - depth
-        for v in vals:
-            if parities is not None and (v - parities[k]) % 2:
-                continue
-            state.tick()
-            w = Fraction(v) + sum(
-                lower[i][k] * acc[r - 1 - i] for i in range(k + 1, r) if lower[i][k]
-            )
-            p2 = partial + diag[k] * w * w
-            if p2 > cap:
-                continue
-            acc.append(v)
-            yield from rec(depth + 1, acc, p2)
-            acc.pop()
-
-    yield from rec(0, [], Fraction(0))
-
-
 def test_integer_block_walk_matches_fraction_reference():
-    from k4graph.elements import _SearchState, _block_data, _block_vectors
-    from k4graph.lattice import STANDARD_GRAMS
-
     # windows as (a, b) on |norm|, oriented by the block's sign, plus one
     # window straddling zero where the cap comes from the far end
     magnitudes = [(0, 0), (2, 2), (0, 4)]
@@ -595,14 +460,16 @@ def test_integer_block_walk_matches_fraction_reference():
         sign = -1 if block.neg_definite else 1
         windows = [(a, b) if sign > 0 else (-b, -a) for a, b in magnitudes]
         windows.append((-3, 5))
+        ldl = ref.fraction_ldl(block)  # once per block, for all of its windows
         for bound in (1, 2, 3):
             for lo, hi in windows:
                 for parities in (None, block.wu_parities):
                     ref_state, int_state = _SearchState(), _SearchState()
-                    ref = list(_fraction_block_vectors(block, bound, lo, hi, parities, ref_state))
-                    got = list(_block_vectors(block, bound, lo, hi, parities, int_state))
-                    key = (name, bound, lo, hi, parities)
-                    assert got == ref, key
+                    args = (bound, lo, hi, parities)
+                    want = list(ref.fraction_block_vectors(block, ldl, *args, ref_state))
+                    got = list(_block_vectors(block, *args, int_state))
+                    key = (name, *args)
+                    assert got == want, key
                     assert int_state.visited == ref_state.visited, key
                     checked += 1
     assert checked == 7 * 3 * 4 * 2
@@ -613,10 +480,6 @@ def test_indefinite_block_walk_is_filtered_box():
     # points in _value_order that pass the parity filter and the norm window,
     # with one tick per point that passes the parity filter; the window
     # (-64, 64) holds every norm of both boxes up to bound 4
-    from itertools import product
-
-    from k4graph.elements import _SearchState, _block_data, _block_vectors, _value_order
-
     for name in ("U", "U(2)"):
         block = _block_data(name)
         g = block.gram
@@ -642,31 +505,7 @@ def test_indefinite_block_walk_is_filtered_box():
 # shared block tables
 # ---------------------------------------------------------------------------
 
-class _UncachedTable:
-    """Test-only reference: the unshared walk, ticking the reader's own state."""
-
-    def __init__(self, name, bound, lo, hi, parities):
-        from k4graph.elements import _block_data
-
-        self.args = (_block_data(name), bound, lo, hi, parities)
-
-    def read(self, state):
-        from k4graph.elements import _block_vectors
-
-        block = self.args[0]
-        for coords, n in _block_vectors(*self.args, state):
-            even = all(sum(g * c for g, c in zip(row, coords)) % 2 == 0 for row in block.gram)
-            wu = all((c - p) % 2 == 0 for c, p in zip(coords, block.wu_parities))
-            if not even:
-                kind = ElementClass.ODD
-            else:
-                kind = ElementClass.WU if wu else ElementClass.EVEN_NON_WU
-            yield coords, n, kind, None
-
-
 def _searched_blocks(lat):
-    from k4graph.elements import RESTRICT_RANK
-
     names, rank = [], 0
     for name in lat.summands:
         rank += make_standard(name).rank
@@ -678,10 +517,6 @@ def _searched_blocks(lat):
 
 def _first_hits(cases, limit=30):
     # (first `limit` vectors, nodes visited) of each block search, in order
-    from itertools import islice
-
-    from k4graph.elements import _SearchState, _search_blocks
-
     out = []
     for case in cases:
         state = _SearchState()
@@ -693,10 +528,6 @@ def test_block_tables_match_uncached_walk(catalog, monkeypatch):
     # every catalog L- x square -2/6 x class (and none) x bound 2/3: the
     # shared tables yield the same vectors and charge the same ticks as the
     # unshared walk, cold and after a shuffled warm-up
-    import random
-
-    from k4graph import elements
-
     cases = [
         (_searched_blocks(v.lminus), square, cls, bound)
         for v in catalog
@@ -705,7 +536,7 @@ def test_block_tables_match_uncached_walk(catalog, monkeypatch):
         for bound in (2, 3)
     ]
     with monkeypatch.context() as m:
-        m.setattr(elements, "_block_table", _UncachedTable)
+        m.setattr(elements, "_block_table", ref.UncachedTable)
         want = _first_hits(cases)
     assert sum(len(vecs) for vecs, _ in want) > 1000
     cold = []
@@ -723,15 +554,10 @@ def test_block_tables_match_uncached_walk(catalog, monkeypatch):
 def test_block_table_survives_interrupted_fill(monkeypatch):
     # a fill that exceeds the budget restarts its table; every later search,
     # and a reader paused before the restart, still sees the unshared walk
-    from itertools import islice
-
-    from k4graph import elements
-    from k4graph.elements import _SearchState, _search_blocks
-
     case = (("<2>", "E8", "<-2>", "<-2>"), -2, None, 3)
     state = _SearchState()
     with monkeypatch.context() as m:
-        m.setattr(elements, "_block_table", _UncachedTable)
+        m.setattr(elements, "_block_table", ref.UncachedTable)
         want = list(islice(_search_blocks(*case, state), 30))
     assert len(want) == 30
     for budget in range(1, state.visited, max(1, state.visited // 25)):
@@ -746,8 +572,8 @@ def test_block_table_survives_interrupted_fill(monkeypatch):
     window = ("E8", 1, -4, 0, None)
     table = elements._block_table(*window)
     ref_state = _SearchState()
-    ref = list(_UncachedTable(*window).read(ref_state))
-    assert len(ref) > 3
+    unshared = list(ref.UncachedTable(*window).read(ref_state))
+    assert len(unshared) > 3
     paused_state = _SearchState()
     paused = table.read(paused_state)
     head = [next(paused) for _ in range(3)]
@@ -755,13 +581,11 @@ def test_block_table_survives_interrupted_fill(monkeypatch):
         list(table.read(_SearchState(budget=head[-1][3])))
     assert table.entries == []
     got = head + list(paused)
-    assert [e[:3] for e in got] == [e[:3] for e in ref]
+    assert [e[:3] for e in got] == [e[:3] for e in unshared]
     assert paused_state.visited == ref_state.visited
 
 
 def test_search_bound_is_checked(catalog, monkeypatch):
-    from k4graph.graph_checks import find_flip_triple
-
     v = catalog.by_id("[7S]")
     lat = v.lminus
     for bound in (0, -1):
@@ -786,26 +610,11 @@ def test_enumerate_vectors_limit(catalog):
         enumerate_vectors(lat, -2, 2, -1)
 
 
-def _product_walk_deltas(s, t):
-    """The walk ``_odd_bumps`` replaced, over all of 3^(s+t): every all-odd
-    vector in lexicographic order with the delta the old loop computed."""
-    from itertools import product
-
-    for vals in product((1, 3, 5), repeat=s + t):
-        delta = 0
-        for i, val in enumerate(vals):
-            step = val * val - 1  # 0, 8, 24
-            delta += 2 * step if i < s else -2 * step
-        yield vals, delta
-
-
 def test_odd_bumps_match_product_walk():
-    from k4graph.elements import _odd_bumps
-
     for s in range(5):
         for t in range(5):
             want = {}
-            for vals, delta in _product_walk_deltas(s, t):
+            for vals, delta in ref.product_walk_deltas(s, t):
                 want.setdefault(delta, []).append(vals)
             for need in range(-200, 201):
                 assert list(_odd_bumps(s, t, need)) == want.get(need, []), (s, t, need)
@@ -819,7 +628,5 @@ def test_odd_bumps_match_product_walk():
     ],
 )
 def test_odd_bumps_wu_witness_lines(vid, square, line, capsys):
-    from k4graph.cli import main
-
     assert main(["classify", "--vertex", vid, "--square", square]) == 0
     assert line in capsys.readouterr().out.splitlines()

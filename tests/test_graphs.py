@@ -14,7 +14,6 @@ from k4graph import (
     construct_flip_triple,
     construct_witness,
     discriminant_quadratic,
-    enumerate_vectors,
     exists_class,
     find_characteristic,
     find_flip_triple,
@@ -358,34 +357,6 @@ def test_flip_cycles_verify(catalog, k4_graph):
         assert rep.ok, (v.vid, rep.identities, rep.detail)
         verified += 1
     assert found == verified > 0
-
-
-def _eager_flip_triple(v, bound, limit):
-    # test-only reference: the full list of square -2 vectors comes first
-    from itertools import islice
-
-    from k4graph.elements import _search
-
-    l = v.lminus
-    ws = enumerate_vectors(l, -2, bound, limit)
-    for h in islice(_search(l, 6, None, bound), limit):
-        for w in ws:
-            if inner(h, w) == 0:
-                return FlipTriple(h, w)
-    return None
-
-
-def test_flip_triple_matches_eager_partner_list(catalog):
-    found = 0
-    for v in catalog:
-        got = find_flip_triple(v, bound=3, limit=40)
-        want = _eager_flip_triple(v, 3, 40)
-        if want is None:
-            assert got is None, v.vid
-            continue
-        found += 1
-        assert (got.h.coords, got.v.coords) == (want.h.coords, want.v.coords), v.vid
-    assert found == 71
 
 
 def test_flip_triple_checks_bound_and_limit(catalog):

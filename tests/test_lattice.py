@@ -2,9 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from operator import mul
 from pathlib import Path
-from typing import List, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +36,8 @@ from k4graph.lattice import (
     inertia,
     sublattice_coordinates,
 )
+
+import reference as ref
 
 
 def absdet(l):
@@ -181,8 +181,7 @@ def test_gram_apply_is_the_dense_product(case):
     # nonzero coefficient of magnitude 3 or more)
     l, x = case
     for coords in ([0] * l.rank, x, [-c for c in x], [3 * c for c in x]):
-        dense = tuple(sum(g * c for g, c in zip(row, coords)) for row in l.gram)
-        assert gram_apply(l, coords) == dense
+        assert gram_apply(l, coords) == ref.apply(l.gram, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +365,7 @@ def test_gf2_solve_matches_brute_force(system):
     n = len(a[0])
 
     def image(x):
-        return tuple(sum(r * c for r, c in zip(row, x)) % 2 for row in a)
+        return tuple(y % 2 for y in ref.apply(a, x))
 
     space = list(itertools.product((0, 1), repeat=n))
     target = tuple(y % 2 for y in b)
@@ -399,21 +398,6 @@ def test_gf2_solve_matches_brute_force(system):
     assert 2 ** len(basis) == len(kernel)  # the basis is independent
 
 
-def _xor_new(vectors) -> List[bool]:
-    """For each integer vector, whether it is independent over GF(2) of the
-    ones before it, by an XOR basis keyed by the leading bit: an elimination
-    independent of ``gf2_solve``'s column pivots."""
-    basis, out = {}, []
-    for v in vectors:
-        x = int("".join(str(e % 2) for e in v) or "0", 2)
-        while x and x.bit_length() in basis:
-            x ^= basis[x.bit_length()]
-        if x:
-            basis[x.bit_length()] = x
-        out.append(bool(x))
-    return out
-
-
 @st.composite
 def _library_size_gf2_systems(draw):
     """Up to 24 rows and 24 columns, wide or tall, fresh rows with entries
@@ -439,15 +423,15 @@ def _library_size_gf2_systems(draw):
 def test_gf2_solve_at_library_sizes(system):
     a, b = system
     n = len(a[0])
-    rank = sum(_xor_new(a))
+    rank = sum(ref.xor_new(a))
     # column c is free iff it lies in the span of the columns before it
-    free = [c for c, new in enumerate(_xor_new(zip(*a))) if not new]
+    free = [c for c, new in enumerate(ref.xor_new(zip(*a))) if not new]
     x, kernel = gf2_solve(a, b)
 
     def image(v):
-        return [sum(map(mul, row, v)) % 2 for row in a]
+        return [y % 2 for y in ref.apply(a, v)]
 
-    if sum(_xor_new([row + [y] for row, y in zip(a, b)])) == rank:
+    if sum(ref.xor_new([row + [y] for row, y in zip(a, b)])) == rank:
         assert x is not None and image(x) == [y % 2 for y in b]
         assert [x[f] for f in free] == [0] * len(free)
     else:
@@ -492,7 +476,7 @@ def test_sublattice_coordinates_round_trip(catalog):
         v = lat.vector([0] * lat.rank)
         while not any(gram_apply(lat, v.coords)):
             v = lat.vector([rng.randint(-2, 2) for _ in range(lat.rank)])
-        basis, _ = _row_kernel_basis(gram_apply(lat, v.coords))
+        basis, _ = ref.row_kernel_basis(ref.apply(lat.gram, v.coords))
         sub = orthogonal_sublattice(lat, v)
         for _ in range(3):
             z = lat.vector([rng.randint(-3, 3) for _ in range(lat.rank)])
@@ -664,62 +648,8 @@ def test_json_hostile_payloads_raise_documented_error(data):
         assert cls.from_json(obj.to_json()) == obj
 
 
-# The column reduction that ``lattice._complement`` replaced, kept as the reference.
-def _row_kernel_basis(c: Sequence[int]) -> Tuple[List[List[int]], List[List[int]]]:
-    """Integral basis of {x : sum c_i x_i = 0} via unimodular column reduction.
-
-    Returns the basis and the inverse of the unimodular V with c·V = (g, 0, ..., 0);
-    the basis is columns 1.. of V, so x = V·y has y = V^-1·x with y_0 = 0.
-    """
-    n = len(c)
-    row = list(c)
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # columns of V
-    vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # rows of V^-1
-    # Sweep gcd into position 0 by column operations, mirrored on V and,
-    # as the inverse row operations, on V^-1.
-    while True:
-        nz = [j for j in range(n) if row[j] != 0]
-        if not nz:
-            return [[v[i][j] for i in range(n)] for j in range(n)], vinv
-        if len(nz) == 1:
-            j = nz[0]
-            if j != 0:
-                row[0], row[j] = row[j], row[0]
-                for i in range(n):
-                    v[i][0], v[i][j] = v[i][j], v[i][0]
-                vinv[0], vinv[j] = vinv[j], vinv[0]
-            break
-        # reduce the entry of largest absolute value by the smallest nonzero
-        jmin = min(nz, key=lambda j: abs(row[j]))
-        for j in nz:
-            if j == jmin:
-                continue
-            q = row[j] // row[jmin]
-            if q:
-                row[j] -= q * row[jmin]
-                for i in range(n):
-                    v[i][j] -= q * v[i][jmin]
-                vinv[jmin] = [a + q * b for a, b in zip(vinv[jmin], vinv[j])]
-    return [[v[i][j] for i in range(n)] for j in range(1, n)], vinv
-
-
-def _complement_gram_reference(l, v):
-    """The complement Gram as B·G·B^T summed entry by entry, in O(n^4)."""
-    basis, _ = _row_kernel_basis(gram_apply(l, v.coords))
-    return tuple(
-        tuple(
-            sum(
-                basis[a][i] * l.gram[i][j] * basis[b][j]
-                for i in range(l.rank)
-                for j in range(l.rank)
-            )
-            for b in range(len(basis))
-        )
-        for a in range(len(basis))
-    )
-
-
 def test_orthogonal_matches_quartic_reference(catalog):
+    # the reference multiplies out the B·G·B^T that the quartic entrywise sum did
     from k4graph.verification import _congruent, _random_unimodular
 
     rng = random.Random(2006)
@@ -737,7 +667,7 @@ def test_orthogonal_matches_quartic_reference(catalog):
         while not any(coords):
             coords = [rng.randint(-2, 2) for _ in range(lat.rank)]
         x = lat.vector(coords)
-        assert orthogonal_sublattice(lat, x).gram == _complement_gram_reference(lat, x)
+        assert orthogonal_sublattice(lat, x).gram == ref.complement(lat.gram, coords)[0]
         checked += 1
     assert checked == len(lattices) == 165
 
@@ -746,37 +676,10 @@ def test_orthogonal_matches_quartic_reference(catalog):
 # the Gram kernels against their dense definitions
 # ---------------------------------------------------------------------------
 
-def _dense_complement(l, v):
-    """The route ``_complement`` replaced: the kernel basis B of the column
-    reduction, then B·G·B^T as row dot products, with the same V^-1."""
-    basis, vinv = _row_kernel_basis(gram_apply(l, v.coords))
-    gb = [gram_apply(l, row) for row in basis]
-    return tuple(tuple(sum(map(mul, ra, gbb)) for gbb in gb) for ra in basis), vinv
-
-
-def _dense_apply(l, x):
-    """The G·x that ``gram_apply`` replaced: one dot product per Gram row."""
-    return tuple([sum(map(mul, row, x)) for row in l.gram])
-
-
-def _dense_inner(l, x, y):
-    return sum(x[i] * l.gram[i][j] * y[j] for i in range(l.rank) for j in range(l.rank))
-
-
 def _check_complement(lat, v):
     sub, vinv = _complement(lat, v)
-    assert (sub.gram, vinv) == _dense_complement(lat, v)
+    assert (sub.gram, vinv) == ref.complement(lat.gram, v.coords)
     assert sub.rank == lat.rank - 1
-
-
-def _lattice(names, seed):
-    """A sum of standard blocks, or for an odd seed a random congruent of it."""
-    from k4graph.verification import _congruent, _random_unimodular
-
-    lat = from_summands(names)
-    if seed % 2:
-        lat = _congruent(lat.gram, _random_unimodular(random.Random(seed), lat.rank))
-    return lat
 
 
 def test_complement_matches_dense_route_on_catalog(catalog):
@@ -804,7 +707,7 @@ def test_complement_matches_dense_route_on_catalog(catalog):
 )
 @settings(max_examples=100, deadline=None)
 def test_complement_matches_dense_route_on_congruents(names, seed, data):
-    lat = _lattice(names, seed)
+    lat = ref.block_sum(names, seed if seed % 2 else None)
     coords = data.draw(st.lists(st.integers(-3, 3), min_size=lat.rank, max_size=lat.rank))
     if not any(coords):  # standard blocks are nondegenerate: only v = 0 pairs trivially
         coords[data.draw(st.integers(0, lat.rank - 1))] = 1
@@ -827,7 +730,7 @@ def test_complement_matches_dense_route_on_congruents(names, seed, data):
 def test_complement_small_cases(names, coords, gram, vinv):
     lat = from_summands(names)
     sub, got = _complement(lat, lat.vector(coords))
-    assert (sub.gram, got) == (gram, vinv) == _dense_complement(lat, lat.vector(coords))
+    assert (sub.gram, got) == (gram, vinv) == ref.complement(lat.gram, coords)
 
 
 def test_complement_errors():
@@ -851,7 +754,7 @@ def test_complement_errors():
 def test_inner_matches_dense_product(names, seed, kind, data):
     """``inner``, ``norm`` and ``gram_apply`` against the dense products, on
     zero, one-hot, dense and sparse x."""
-    lat = _lattice(names, seed)
+    lat = ref.block_sum(names, seed if seed % 2 else None)
     n = lat.rank
     if kind == "zero":
         x = [0] * n
@@ -864,10 +767,11 @@ def test_inner_matches_dense_product(names, seed, kind, data):
         x = data.draw(st.lists(st.sampled_from((0, 0, 0, -1, 1, 3)), min_size=n, max_size=n))
     y = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
     xv, yv = lat.vector(x), lat.vector(y)
-    assert inner(xv, yv) == _dense_inner(lat, x, y)
-    assert inner(yv, xv) == _dense_inner(lat, y, x)
-    assert norm(xv) == _dense_inner(lat, x, x)
-    assert gram_apply(lat, x) == _dense_apply(lat, x)
+    gx, gy = ref.apply(lat.gram, x), ref.apply(lat.gram, y)
+    assert inner(xv, yv) == ref.dot(gx, y)
+    assert inner(yv, xv) == ref.dot(gy, x)
+    assert norm(xv) == ref.dot(gx, x)
+    assert gram_apply(lat, x) == gx
 
 
 def test_twist_matches_entrywise_formula(catalog):
