@@ -260,6 +260,11 @@ def _reach(names: Tuple[str, ...]) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _check_class(cls: ElementClass) -> None:
+    if not isinstance(cls, ElementClass):
+        raise ValueError(f"unknown class {cls!r}")
+
+
 def exists_class(v: K3Vertex, n: int, cls: ElementClass) -> bool:
     """Does L-(c) contain an element of square 8n-2 in the given class?
 
@@ -268,8 +273,7 @@ def exists_class(v: K3Vertex, n: int, cls: ElementClass) -> bool:
     """
     if n not in (0, 1):
         raise ValueError("n must be 0 or 1")
-    if not isinstance(cls, ElementClass):
-        raise ValueError(f"unknown class {cls!r}")
+    _check_class(cls)
     return bool(_reach(v.lminus_summands)[_INDEX[cls]] >> (8 * n - 2) % 16 & 1)
 
 

@@ -48,7 +48,7 @@ from .lattice import (
     norm,
     signature,
 )
-from .catalog import ElementClass, K3Vertex, _INDEX, _join, _reach, exists_class
+from .catalog import ElementClass, K3Vertex, _INDEX, _check_class, _join, _reach, exists_class
 
 
 class SearchBudgetError(RuntimeError):
@@ -438,6 +438,7 @@ def search_witness(
 
     The order is that of ``_search``.  A "none" answer is evidence, not proof.
     """
+    _check_class(cls)
     return next(_search(lminus, target_square, cls, bound), None)
 
 

@@ -19,18 +19,18 @@ compares (signature, a, δ) and builds no form at all; ``lattice`` also holds
 the direct-sum rule that folds those invariants over standard blocks.  The
 catalog and the graph builders read only that kernel, so of the commands only
 ``verify`` executes this module.  ``_smith`` is the one Smith kernel.
-``smith_normal_form`` and the public ``discriminant_group``, which serves any
-divisors, run it; the group keeps only the divisors and the columns of V (as
-the rows of Vᵀ) and skips U.  Every internal caller asks only 2-elementary
-questions and reads ``_two_elementary``.
+``smith_normal_form`` and ``discriminant_group``, which serves any divisors,
+run it; the group keeps only the divisors and the columns v of V (as the rows
+of Vᵀ), skips U and reads each G·v from ``lattice.gram_apply``.  Every
+internal caller asks only 2-elementary questions and reads ``_two_elementary``.
 
 ``brown_invariant`` is a ``functools.lru_cache`` of ``lattice.MEMO_SIZE``
 entries keyed by the form; the result is an int, so every caller may share
-one, and errors are not cached.  The Smith route behind
-``discriminant_group`` and the forms of ``discriminant_quadratic`` are not
-memoized: nothing in the package calls the first, the second is built from
-the memoized group in a few selections, and the benchmarks seldom ask either
-twice for one Gram.
+one, and errors are not cached.  ``discriminant_group`` and
+``discriminant_quadratic`` are not memoized, so each is one body on the
+lattice with no Gram-keyed twin: nothing in the package calls the first, the
+second is built from the memoized group in a few selections, and the
+benchmarks seldom ask either twice for one Gram.
 """
 from __future__ import annotations
 
@@ -42,11 +42,9 @@ from typing import List, Optional, Sequence, Tuple
 from .lattice import (
     MEMO_SIZE, DiscriminantGroup, Gram, GramLattice, LatticeVector, LatticeError, _freeze,
     _json_ints, _json_object, _ONES, _parities, _Record, _set, _two_elementary,
-    bilinear_table, is_even,
+    bilinear_table, gram_apply, is_even,
     lattices_equivalent,  # unused here: perfbench/tracer.py's TRACED names it under this module
 )
-
-IntMatrix = Tuple[Tuple[int, ...], ...]
 
 
 class FormError(ValueError):
@@ -57,7 +55,7 @@ class FormError(ValueError):
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(m: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
+def smith_normal_form(m: Sequence[Sequence[int]]) -> Tuple[Gram, Gram, Gram]:
     """Exact Smith normal form: returns (U, D, V) with U·m·V = D.
 
     D is diagonal with d_i | d_{i+1} and non-negative entries; U and V are
@@ -150,14 +148,8 @@ def _smith(
 
 def discriminant_group(l: GramLattice) -> DiscriminantGroup:
     """Elementary divisors and generator lifts of L*/L from the SNF of the Gram."""
-    return _discriminant_group(l.gram)
-
-
-def _discriminant_group(gram: Gram) -> DiscriminantGroup:
-    divisors = []
-    lifts = []
-    duals = []
-    diag, vt, _ = _smith(gram, False)
+    divisors, lifts, duals = [], [], []
+    diag, vt, _ = _smith(l.gram, False)
     for di, num in zip(diag, vt):
         if di == 0:
             raise LatticeError("gram matrix is degenerate")
@@ -165,13 +157,8 @@ def _discriminant_group(gram: Gram) -> DiscriminantGroup:
             continue
         divisors.append(di)
         lifts.append(tuple(num))
-        # G·v_i as a sum of Gram rows over the lift's support (G is symmetric);
         # U·G·V = D gives G·v_i = d_i·U^-1·e_i, so the division is exact
-        dual = [0] * len(num)
-        for r, x in enumerate(num):
-            if x:
-                dual = [y + x * g for y, g in zip(dual, gram[r])]
-        duals.append(tuple(y // di for y in dual))
+        duals.append(tuple([y // di for y in gram_apply(l, num)]))
     return DiscriminantGroup(tuple(divisors), tuple(lifts), tuple(duals))
 
 
@@ -188,7 +175,7 @@ class FiniteQuadraticForm(_Record, frozen=True):
 
     __slots__ = ("d", "qvals", "bvals")
 
-    def __init__(self, d: int, qvals: Tuple[int, ...], bvals: IntMatrix) -> None:
+    def __init__(self, d: int, qvals: Tuple[int, ...], bvals: Gram) -> None:
         if len(qvals) != d or len(bvals) != d:
             raise FormError("value tables do not match rank d")
         if any(len(row) != d for row in bvals):
@@ -254,9 +241,6 @@ class FiniteQuadraticForm(_Record, frozen=True):
         )
 
 
-TRIVIAL_FORM = FiniteQuadraticForm(0, (), ())
-
-
 def discriminant_quadratic(
     l: GramLattice, w: Optional[LatticeVector] = None
 ) -> FiniteQuadraticForm:
@@ -268,26 +252,20 @@ def discriminant_quadratic(
     or a characteristic vector anyway; for odd l a characteristic w in L is
     required and q(x+L) = x^2 + <w,x> mod 2Z.
     """
-    wc = None
-    if w is not None and not is_even(l):
-        if w.ambient.gram != l.gram:
-            raise FormError("characteristic vector lives in the wrong lattice")
-        wc = w.coords
-    return _discriminant_quadratic(l.gram, wc)
-
-
-def _discriminant_quadratic(gram: Gram, wc: Optional[Tuple[int, ...]]) -> FiniteQuadraticForm:
-    disc = _two_elementary(gram)
+    odd = not is_even(l)
+    if odd and w is not None and w.ambient.gram != l.gram:
+        raise FormError("characteristic vector lives in the wrong lattice")
+    disc = _two_elementary(l.gram)
     if disc is None:
         raise FormError("form out of scope: discriminant is not 2-periodic")
     # even: canonical q(x+L) = x^2 mod 2Z, and a supplied w is not used
     wodd: Tuple[int, ...] = ()
-    if any(row[i] % 2 for i, row in enumerate(gram)):
-        if wc is None:
+    if odd:
+        if w is None:
             raise FormError("odd lattice needs a characteristic vector")
         # mod 2, a product with w is the sum at w's odd entries
-        wodd = tuple(map(and_, wc, _ONES))
-        if any((sum(compress(row, wodd)) - row[i]) & 1 for i, row in enumerate(gram)):
+        wodd = tuple(map(and_, w.coords, _ONES))
+        if any((sum(compress(row, wodd)) - row[i]) & 1 for i, row in enumerate(l.gram)):
             raise FormError("supplied vector is not characteristic")
     # with every divisor 2, 2q(g) = 2(g^2 + <w,g>) = n·(G g) + 2 w·(G g)
     # for g = n/2: integral by construction, so no value can be malformed;

@@ -8,7 +8,8 @@ pivot is det G, so one elimination, ``_elimination``, gives both the inertia
 and the determinant that ``_two_elementary`` reads.  An orthogonal complement
 comes from a gcd sweep of G·v by unimodular column operations, each applied
 to the Gram as a congruence, so its Gram is read off the swept Gram with no
-matrix product, and the inverse of the sweep gives coordinates in it.
+matrix product; ``_complement`` returns the inverse of the sweep with it, the
+coordinates in it that ``graph_checks.verify_flip_cycle`` reads.
 Characteristic vectors and the GF(2) kernels of discriminant groups come from
 ``gf2_solve``, the one GF(2) solver of the package, which XORs in place rows
 packed mod 2 by ``_parities``.  ``_diagonal`` assembles every direct sum in
@@ -476,11 +477,14 @@ def _elimination(gram: Gram) -> Tuple[int, int, int, int]:
     return pos, neg, zero, 0 if zero else prev
 
 
-def _blocks(gram: Gram) -> List[Gram]:
+@lru_cache(maxsize=MEMO_SIZE)
+def _split(gram: Gram) -> Tuple[Gram, ...]:
     """The finest split of a symmetric Gram into contiguous diagonal blocks, in
-    order.  A row only moves the end of its block past its last nonzero entry,
-    and once the end is n every later row is in the last block, so a dense
-    Gram costs O(n) steps, and its only block is the Gram itself."""
+    order, memoized so that ``_elimination`` and ``_two_elementary`` split each
+    Gram once between them.  A row only moves the end of its block past its
+    last nonzero entry, and once the end is n every later row is in the last
+    block, so a dense Gram costs O(n) steps, and its only block is the Gram
+    itself."""
     n = len(gram)
     cuts, end = [], 0
     for i, row in enumerate(gram):
@@ -492,15 +496,8 @@ def _blocks(gram: Gram) -> List[Gram]:
         if end == n:
             break
     if len(cuts) == 1:
-        return [gram]
-    return [tuple([r[s:e] for r in gram[s:e]]) for s, e in zip(cuts, cuts[1:] + [n])]
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _split(gram: Gram) -> Tuple[Gram, ...]:
-    """``_blocks`` as a memoized tuple, so that ``_elimination`` and
-    ``_two_elementary`` split each Gram once between them."""
-    return tuple(_blocks(gram))
+        return (gram,)
+    return tuple([tuple([r[s:e] for r in gram[s:e]]) for s, e in zip(cuts, cuts[1:] + [n])])
 
 
 def signature(l: GramLattice) -> Tuple[int, int]:
@@ -662,19 +659,6 @@ def orthogonal_sublattice(l: GramLattice, v: LatticeVector) -> GramLattice:
     return _complement(l, v)[0]
 
 
-def sublattice_coordinates(
-    l: GramLattice, v: LatticeVector, x: LatticeVector
-) -> Tuple[int, ...]:
-    """Coordinates of x in the basis used by orthogonal_sublattice(l, v).
-
-    x must pair to zero with v; they are (V^-1·x)[1:] for the unimodular V
-    of ``_complement``, so they are integers.
-    """
-    if inner(x, v) != 0:
-        raise LatticeError("vector is not orthogonal to v")
-    _, vinv = _complement(l, v)
-    return tuple(sum(map(mul, row, x.coords)) for row in vinv[1:])
-
 # ---------------------------------------------------------------------------
 # 2-elementary discriminant groups
 # ---------------------------------------------------------------------------
@@ -692,10 +676,7 @@ class DiscriminantGroup(_Record, frozen=True):
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.divisors:
-            out *= d
-        return out
+        return prod(self.divisors)
 
     @property
     def is_two_periodic(self) -> bool:

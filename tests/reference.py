@@ -20,8 +20,8 @@ from operator import mul
 from k4graph import ElementClass, FiniteQuadraticForm, FormError, LatticeError
 from k4graph.catalog import SQUARES, _join
 from k4graph.elements import _block_data, _block_vectors, _value_order
-from k4graph.finite_forms import _discriminant_group
-from k4graph.lattice import DiscriminantGroup, _freeze, from_summands, gf2_solve
+from k4graph.finite_forms import discriminant_group as smith_group
+from k4graph.lattice import DiscriminantGroup, GramLattice, _freeze, from_summands, gf2_solve
 from k4graph.verification import _congruent, _random_unimodular
 
 
@@ -200,7 +200,7 @@ def two_elementary(gram):
 
 
 def discriminant_form(gram, wc):
-    """``_discriminant_quadratic`` by dot products on the whole-Gram group
+    """``discriminant_quadratic`` by dot products on the whole-Gram group
     (``finite_forms`` at 880c876)."""
     disc = two_elementary(gram)
     if disc is None:
@@ -324,24 +324,41 @@ def complement(gram, coords):
 
 def classes(gram, xs):
     """The class of each x, or the error message, by the definition on the
-    Smith route's group: x is odd iff G·x is odd somewhere; else x/2 is in L*,
-    and x is Wu iff b(x/2, g) = b(g, g) for every generator g = lift/2, that
-    is iff x·G·lift = lift·G·lift = 2 lift·dual mod 4."""
+    group of ``discriminant_group``: x is odd iff G·x is odd somewhere; else
+    x/2 is in L*, and x is Wu iff b(x/2, g) = b(g, g) for every generator
+    g = lift/2, that is iff x·G·lift = lift·G·lift = 2 lift·dual mod 4."""
+    return _classes(gram, [apply(gram, x) for x in xs])
+
+
+def _classes(gram, products):
+    """``classes`` read off the products G·x."""
     try:
-        disc = _discriminant_group(gram)
+        disc = smith_group(GramLattice.from_rows(gram))
         error = None if disc.is_two_periodic else "classification needs a 2-periodic discriminant"
+        wu_values = [(n, 2 * dot(n, d) % 4) for n, d in zip(disc.lifts, disc.duals)]
     except LatticeError as exc:
         error = str(exc)
-    for x in xs:
-        gx = apply(gram, x)
+    for gx in products:
         if any(v % 2 for v in gx):
             yield ElementClass.ODD
         elif error:
             yield error
         else:
-            pairs = zip(disc.lifts, disc.duals)
-            wu = all(dot(gx, n) % 4 == 2 * dot(n, d) % 4 for n, d in pairs)
+            wu = all(dot(gx, n) % 4 == value for n, value in wu_values)
             yield ElementClass.WU if wu else ElementClass.EVEN_NON_WU
+
+
+@lru_cache(maxsize=None)
+def box_walk(gram, bound):
+    """{x: (x^2, class of x)} for every nonzero x with |x_i| <= bound, in the
+    order of the package's box walk: each coordinate runs 0, 1, -1, 2, -2,
+    ..., the last one fastest.  x^2 is x·(G·x) by ``dot`` and ``apply``, and
+    the classes are those of ``classes`` on the same G·x, so no package
+    search or classification is read."""
+    values = [0] + [s * k for k in range(1, bound + 1) for s in (1, -1)]
+    xs = [x for x in product(values, repeat=len(gram)) if any(x)]
+    products = [apply(gram, x) for x in xs]
+    return dict(zip(xs, zip(map(dot, xs, products), _classes(gram, products))))
 
 
 def diagonal_rule(v, n, cls):

@@ -27,7 +27,7 @@ from k4graph.elements import (
     RESTRICT_RANK, _SearchState, _block_data, _block_table, _block_vectors, _fits, _odd_bumps,
     _search_blocks, _value_order, _wu_parities,
 )
-from k4graph.finite_forms import _discriminant_group
+from k4graph.finite_forms import discriminant_group
 from k4graph.graph_checks import find_flip_triple
 from k4graph.lattice import STANDARD_GRAMS, GramLattice, from_summands, gram_apply
 from k4graph.verification import _congruent, _random_unimodular
@@ -150,9 +150,10 @@ def _even_squares_walk(name):
     walk also keeps x mod 2 and checks that Wu means x = wu_parities mod 2,
     the block-local test the search reads.
     """
-    gram = make_standard(name).gram
+    block = make_standard(name)
+    gram = block.gram
     r = len(gram)
-    lifts = list(_discriminant_group(gram).lifts)
+    lifts = list(discriminant_group(block).lifts)
     gens = [[2 if i == j else 0 for j in range(r)] for i in range(r)] + lifts
     gg = [[sum(a * b for a, b in zip(row, h)) for row in gram] for h in gens]
     pair = [[sum(a * b for a, b in zip(h, gk)) for gk in gg] for h in gens]
@@ -392,8 +393,9 @@ def test_search_restricts_big_lattices(catalog):
 
 
 def test_search_matches_naive_enumeration():
-    # differential check of the block-pruned search against the plain
-    # box walk: existence must agree on random small lattices
+    # differential check of the block-pruned search and of the plain box walk
+    # against the reference walk of the box: existence must agree on random
+    # small lattices, and the box walk must return the reference's first hit
     names_pool = ["<2>", "<-2>", "U", "U(2)", "D4", "<1>"]
     rng = random.Random(99)
     for _ in range(120):
@@ -404,28 +406,33 @@ def test_search_matches_naive_enumeration():
         raw = GramLattice(lat.rank, lat.gram, lat.label, None)
         target = rng.choice([-2, 6, -4, 4, 2])
         bound = rng.choice([1, 2])
+        walk = ref.box_walk(lat.gram, bound)
         for cls in ElementClass:
             via_blocks = search_witness(lat, target, cls, bound=bound)
             via_box = search_witness(raw, target, cls, bound=bound)
+            want = next((x for x, got in walk.items() if got == (target, cls)), None)
             assert (via_blocks is None) == (via_box is None), (names, target, bound, cls)
+            assert (via_box is None) == (want is None), (names, target, bound, cls)
+            if via_box is not None:
+                assert via_box.coords == want
             if via_blocks is not None:
                 assert norm(via_blocks) == target
                 assert classify_element(lat, via_blocks) is cls
+                assert walk[via_blocks.coords] == (target, cls)
 
     # every residue mod 16, odd targets and the zero target included: each
-    # target between the box's extreme norms against one plain box walk
+    # target between the box's extreme norms against the reference box walk
     residues = set()
     for names in (("D4",), ("E7",), ("E8",), ("<1>", "E7"), ("<1>", "<-2>", "D4", "U")):
         lat = from_summands(names)
-        found = set()
-        for coords in product(_value_order(1), repeat=lat.rank):
-            if any(coords):
-                x = lat.vector(coords)
-                found.add((norm(x), classify_element(lat, x)))
+        found = set(ref.box_walk(lat.gram, 1).values())
         norms = [n for n, _ in found]
         for target in range(min(norms) - 1, max(norms) + 2):
             for cls in (None, *ElementClass):
-                hit = search_witness(lat, target, cls, bound=1)
+                if cls is None:  # any class: the first vector enumerate_vectors lists
+                    hit = next(iter(enumerate_vectors(lat, target, 1, 1)), None)
+                else:
+                    hit = search_witness(lat, target, cls, bound=1)
                 want = target in norms if cls is None else (target, cls) in found
                 assert (hit is not None) == want, (names, target, cls)
                 if hit is not None:
@@ -433,6 +440,16 @@ def test_search_matches_naive_enumeration():
                     assert cls is None or classify_element(lat, hit) is cls
                     residues.add(target % 16)
     assert residues == set(range(16))
+
+
+def test_search_witness_rejects_an_unknown_class(catalog):
+    # the string "wu" is not an ElementClass: both entry points reject it,
+    # rather than the search answering "no witness within the bound"
+    v = catalog.by_id("[S1]")
+    with pytest.raises(ValueError, match="unknown class 'wu'"):
+        exists_class(v, 0, "wu")
+    with pytest.raises(ValueError, match="unknown class 'wu'"):
+        search_witness(v.lminus, -2, "wu", bound=1)
 
 
 def test_enumerate_vectors_deterministic(catalog):

@@ -19,7 +19,8 @@ from k4graph import (
     smith_normal_form,
 )
 from k4graph.lattice import GramLattice, direct_sum, from_summands
-from k4graph.finite_forms import TRIVIAL_FORM, _discriminant_quadratic
+
+import reference as ref
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +150,8 @@ def test_form_of_u2():
     assert f.bvals[0][1] == 1  # b = 1/2
     assert parity(f) == "even"
     # (1, 0) is characteristic, but an even lattice's form ignores a supplied w
-    assert _discriminant_quadratic(((0, 2), (2, 0)), (1, 0)) == f
+    u2 = make_standard("U(2)")
+    assert discriminant_quadratic(u2, u2.vector((1, 0))) == f
 
 
 def test_form_of_e8_2():
@@ -207,7 +209,7 @@ def test_discriminant_group_rejects_degenerate():
 # ---------------------------------------------------------------------------
 
 def test_brown_golden_values():
-    assert brown_invariant(TRIVIAL_FORM) == 0
+    assert brown_invariant(FiniteQuadraticForm(0, (), ())) == 0
     assert brown_invariant(discriminant_quadratic(make_standard("<2>"))) == 1
     assert brown_invariant(discriminant_quadratic(make_standard("<-2>"))) == 7
     assert brown_invariant(discriminant_quadratic(make_standard("D4"))) == 4
@@ -314,7 +316,6 @@ def test_memo_matches_uncached_helpers(names, seed, degenerate):
     import random
 
     from k4graph import LatticeError, find_characteristic
-    from k4graph.finite_forms import _discriminant_group, _discriminant_quadratic
     from k4graph.lattice import _elimination
     from k4graph.verification import _congruent, _random_unimodular
 
@@ -338,7 +339,7 @@ def test_memo_matches_uncached_helpers(names, seed, degenerate):
     pos, neg, _ = _elimination.__wrapped__(gram)[:3]
     for _ in range(2):
         assert signature(lat) == (pos, neg)
-        assert discriminant_group(lat) == _discriminant_group(gram)
-        assert discriminant_quadratic(lat, w) == _discriminant_quadratic(gram, wc)
+        assert discriminant_group(lat) == ref.discriminant_group(gram)
+        assert discriminant_quadratic(lat, w) == ref.discriminant_form(gram, wc)
         f = discriminant_quadratic(lat, w)
         assert brown_invariant(f) == brown_invariant.__wrapped__(f)

@@ -3,7 +3,7 @@ eliminations they replaced.
 
 ``lattice._elimination`` (half-matrix Bareiss elimination) is compared with
 the gcd-reducing symmetric elimination and, for its det, with a row-pivoting
-Bareiss determinant, and ``finite_forms._discriminant_group`` (the Smith
+Bareiss determinant, and ``finite_forms.discriminant_group`` (the Smith
 kernel that tracks only V) with the full (U, D, V) Smith normal form that
 cleared rows and columns with per-row loops.  ``lattice._two_elementary``
 (the GF(2) kernel with the determinant of the Bareiss elimination) is
@@ -13,7 +13,7 @@ the Gauss sum over the whole group that it replaced, and
 ``lattices_equivalent`` (signature, a and δ) with the full comparison of
 signature, rank, parity and Brown invariant.  The block route of
 ``_elimination`` and ``_two_elementary``, and the forms
-``_discriminant_quadratic`` builds on it, are compared with the whole-Gram
+``discriminant_quadratic`` builds on it, are compared with the whole-Gram
 route, errors and their messages included, and the one-pass block-diagonal
 assembly with the pairwise fold it replaced.  ``bilinear_table`` and
 ``DiscriminantGroup._delta`` are compared with their dot-product definitions
@@ -22,6 +22,7 @@ on the groups of both routes.
 
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,18 +35,18 @@ from k4graph import (
     LatticeError,
     brown_invariant,
     classify_element,
+    discriminant_group,
     discriminant_quadratic,
     find_characteristic,
     lattices_equivalent,
     parity,
     signature,
 )
-from k4graph.finite_forms import _discriminant_group, _discriminant_quadratic
 from k4graph.lattice import (
     STANDARD_GRAMS,
     GramLattice,
-    _blocks,
     _elimination,
+    _split,
     _two_elementary,
     bilinear_table,
     direct_sum_all,
@@ -58,9 +59,11 @@ from k4graph.verification import _congruent, _random_unimodular
 import reference as ref
 
 
+@lru_cache(maxsize=None)
 def _parity_and_brown(disc):
     """(parity, Brown) of an even lattice's discriminant form, built from the
-    group's lifts and duals."""
+    group's lifts and duals; once per group, which ``_check_two_elementary``
+    and ``_check_congruent`` both read."""
     qvals = tuple(ref.dot(n, dual) % 4 for n, dual in zip(disc.lifts, disc.duals))
     f = FiniteQuadraticForm(disc.rank, qvals, bilinear_table(disc))
     return parity(f), brown_invariant(f)
@@ -133,7 +136,7 @@ def test_inertia_matches_reference_on_catalog_and_congruences(catalog):
 def _check_discriminant_group(lat):
     """The kernel against the reference SNF route and the defining identities."""
     gram = lat.gram
-    disc = _discriminant_group(gram)
+    disc = discriminant_group(lat)
     want = ref.discriminant_group(gram)
     assert disc.divisors == want.divisors
     assert disc == want  # the same lifts, so the same classify witnesses
@@ -231,8 +234,8 @@ def test_odd_form_reads_w_mod_two(names, seed):
     moved = tuple(c + 2 * rng.choice((-2, -1, 1, 2)) for c in w)
     two = _two_elementary.__wrapped__(lat.gram)
     qvals = tuple((ref.dot(n, d) + 2 * ref.dot(moved, d)) % 4 for n, d in zip(two.lifts, two.duals))
-    form = _discriminant_quadratic(lat.gram, moved)
-    assert form == _discriminant_quadratic(lat.gram, w)
+    form = discriminant_quadratic(lat, lat.vector(moved))
+    assert form == discriminant_quadratic(lat, lat.vector(w))
     assert form.qvals == qvals
 
 
@@ -241,7 +244,7 @@ def test_odd_form_reads_w_mod_two(names, seed):
 def test_discriminant_group_degenerate_raises(gram):
     if ref.det(gram) == 0:
         with pytest.raises(LatticeError):
-            _discriminant_group(gram)
+            discriminant_group(GramLattice.from_rows(gram))
         with pytest.raises(LatticeError):
             ref.discriminant_group(gram)
         with pytest.raises(LatticeError):
@@ -385,7 +388,7 @@ def _check_block_route(gram):
         except LatticeError:  # G·w = diag G has no solution mod 2
             pass
     for wc in chars:
-        got = _outcome(_discriminant_quadratic, gram, wc)
+        got = _outcome(discriminant_quadratic, lat, None if wc is None else lat.vector(wc))
         assert got == _outcome(ref.discriminant_form, gram, wc)
 
 
@@ -399,7 +402,7 @@ def test_block_route_on_catalog(catalog):
     for v in catalog:
         for lat in (v.lplus, v.lminus):
             sizes = [len(STANDARD_GRAMS[name]) for name in lat.summands]
-            assert list(map(len, _blocks(lat.gram))) == sizes
+            assert list(map(len, _split.__wrapped__(lat.gram))) == sizes
             _check_block_route(lat.gram)
 
 
@@ -415,7 +418,7 @@ def test_block_route_on_random_block_sums(parts):
     grams = [STANDARD_GRAMS[p] if isinstance(p, str) else p for p in parts]
     gram = direct_sum_all([GramLattice.from_rows(g) for g in grams]).gram
     _check_block_route(gram)
-    blocks = _blocks(gram)
+    blocks = _split.__wrapped__(gram)
     assert direct_sum_all([GramLattice.from_rows(b) for b in blocks]).gram == gram
     ends = list(itertools.accumulate(map(len, blocks)))
     assert ends == _split_points(gram) + ([len(gram)] if gram else [])
@@ -431,17 +434,17 @@ def test_block_route_decides_degeneracy_first(gram):
 
 
 def test_blocks_of_small_grams():
-    assert _blocks(()) == []
+    assert _split.__wrapped__(()) == ()
     dense = ((2, 1, 1), (1, 2, 1), (1, 1, 2))
-    assert len(_blocks(dense)) == 1 and _blocks(dense)[0] is dense
+    assert len(_split.__wrapped__(dense)) == 1 and _split.__wrapped__(dense)[0] is dense
     # A3 closes only at its last row, though its first row stops at column 1
     a3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
     # row 0 reaches column 2 past a zero; <6> sits between two blocks
     gram = direct_sum_all(
         [GramLattice.from_rows(g) for g in (a3, ((6,),), ((2, 0, 1), (0, 2, 0), (1, 0, 2)))]
     ).gram
-    assert _blocks(gram) == [a3, ((6,),), ((2, 0, 1), (0, 2, 0), (1, 0, 2))]
-    assert _blocks(((0, 0), (0, 0))) == [((0,),), ((0,),)]
+    assert _split.__wrapped__(gram) == (a3, ((6,),), ((2, 0, 1), (0, 2, 0), (1, 0, 2)))
+    assert _split.__wrapped__(((0, 0), (0, 0))) == (((0,),), ((0,),))
 
 
 @given(st.lists(st.sampled_from(sorted(STANDARD_GRAMS)), max_size=8))

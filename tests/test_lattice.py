@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import random
@@ -34,7 +35,6 @@ from k4graph.lattice import (
     gf2_solve,
     gram_apply,
     inertia,
-    sublattice_coordinates,
 )
 
 import reference as ref
@@ -466,7 +466,9 @@ def test_orthogonal_rank_drop():
         orthogonal_sublattice(l, l.vector([0] * 6))
 
 
-def test_sublattice_coordinates_round_trip(catalog):
+def test_complement_coordinates_round_trip(catalog):
+    """x in v-perp has coordinates (V^-1·x)[1:] in the basis of its Gram, the
+    V^-1 rows that ``_complement`` returns and ``verify_flip_cycle`` reads."""
     from k4graph.verification import _congruent, _random_unimodular
 
     rng = random.Random(1979)
@@ -477,17 +479,14 @@ def test_sublattice_coordinates_round_trip(catalog):
         while not any(gram_apply(lat, v.coords)):
             v = lat.vector([rng.randint(-2, 2) for _ in range(lat.rank)])
         basis, _ = ref.row_kernel_basis(ref.apply(lat.gram, v.coords))
-        sub = orthogonal_sublattice(lat, v)
+        sub, vinv = _complement(lat, v)
         for _ in range(3):
             z = lat.vector([rng.randint(-3, 3) for _ in range(lat.rank)])
             x = z.scale(norm(v)) - v.scale(inner(z, v))
-            y = sublattice_coordinates(lat, v, x)
+            y = tuple(ref.dot(row, x.coords) for row in vinv[1:])
             combo = tuple(sum(c * b[i] for c, b in zip(y, basis)) for i in range(lat.rank))
             assert combo == x.coords
             assert norm(sub.vector(y)) == norm(x)
-        off = next(e for e in map(lat.basis_vector, range(lat.rank)) if inner(e, v))
-        with pytest.raises(LatticeError):
-            sublattice_coordinates(lat, v, off)
 
 
 def test_package_has_no_rational_arithmetic():
@@ -497,6 +496,61 @@ def test_package_has_no_rational_arithmetic():
     for path in sorted(package.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert "Fraction" not in text and "fractions" not in text, path.name
+
+
+def _defined(tree):
+    """(name, statement) for each module-level function, class and constant."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name):
+                        yield node.id, stmt
+
+
+def _read(stmt):
+    """The identifiers a statement reads: names, attributes, imported names and
+    the submodules it imports from."""
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module.rpartition(".")[2]
+
+
+def test_package_has_no_unread_names():
+    """Every module-level function, class and constant of the package is read
+    by a statement of the package other than its own definition, exported
+    through ``_EXPORTS``, or named in the ``TRACED`` list of
+    ``perfbench/tracer.py``; the ``suite_*`` functions are read through
+    ``SUITE_NAMES``.  Dunder names are read by the interpreter."""
+    import k4graph
+
+    package = Path(k4graph.__file__).parent
+    tracer = ast.parse((package.parents[1] / "perfbench" / "tracer.py").read_text("utf-8"))
+    traced = next(
+        ast.literal_eval(stmt.value) for stmt in tracer.body
+        if isinstance(stmt, ast.AnnAssign) and stmt.target.id == "TRACED"
+    )
+    kept = {name for names in k4graph._EXPORTS.values() for name in names}
+    kept |= {name for _, name in traced} | {f"suite_{name}" for name in k4graph.SUITE_NAMES}
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in package.glob("*.py")}
+    reads = {stmt: set(_read(stmt)) for tree in trees.values() for stmt in tree.body}
+    unread = sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, stmt in _defined(tree)
+        if name not in kept and not (name.startswith("__") and name.endswith("__"))
+        and not any(name in names for other, names in reads.items() if other is not stmt)
+    )
+    assert unread == []
 
 
 # ---------------------------------------------------------------------------
