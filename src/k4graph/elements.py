@@ -398,10 +398,17 @@ def _search_vectors(
             raise SearchBudgetError(
                 "enumeration budget exceeded; reduce the rank or the bound"
             )
+        # x^2 = sum of k·x_i·x_j over the Gram's nonzero upper triangle, where
+        # k is g_ii or 2g_ij: no vector is built and no norm taken but for a hit
+        terms = [
+            (i, j, g if i == j else 2 * g)
+            for i, row in enumerate(l.gram) for j, g in enumerate(row) if j >= i and g
+        ]
         for coords in product(_value_order(bound), repeat=l.rank):
-            vec = l.vector(coords)
-            if vec.is_zero() or norm(vec) != target_square:
+            square = sum([k * coords[i] * coords[j] for i, j, k in terms])
+            if square != target_square or not any(coords):
                 continue
+            vec = l.vector(coords)
             if cls is None or classify_element(l, vec) is cls:
                 yield vec
         return

@@ -18,19 +18,20 @@ on which this module builds its forms, and ``lattices_equivalent``, which
 compares (signature, a, δ) and builds no form at all; ``lattice`` also holds
 the direct-sum rule that folds those invariants over standard blocks.  The
 catalog and the graph builders read only that kernel, so of the commands only
-``verify`` executes this module.  ``_smith`` is the one Smith kernel.
-``smith_normal_form`` and ``discriminant_group``, which serves any divisors,
-run it; the group keeps only the divisors and the columns v of V (as the rows
-of Vᵀ), skips U and reads each G·v from ``lattice.gram_apply``.  Every
-internal caller asks only 2-elementary questions and reads ``_two_elementary``.
+``verify`` executes this module.  ``_smith`` is the one Smith kernel, run by
+``smith_normal_form``.  Every internal caller reads ``_two_elementary``, and
+so does ``discriminant_group`` on a 2-elementary Gram: its group and the form
+share the 0/1 ``gf2_solve`` kernel basis as generators.  Only a divisor other
+than 2 runs ``_smith``; the group keeps the divisors and the columns v of V
+(as the rows of Vᵀ), skips U and reads each G·v from ``gram_apply``.
 
 ``brown_invariant`` is a ``functools.lru_cache`` of ``lattice.MEMO_SIZE``
 entries keyed by the form; the result is an int, so every caller may share
 one, and errors are not cached.  ``discriminant_group`` and
-``discriminant_quadratic`` are not memoized, so each is one body on the
-lattice with no Gram-keyed twin: nothing in the package calls the first, the
-second is built from the memoized group in a few selections, and the
-benchmarks seldom ask either twice for one Gram.
+``discriminant_quadratic`` are not memoized themselves, so each is one body
+on the lattice with no Gram-keyed twin: both read the memoized 2-elementary
+group, the second in a few selections, and no caller in the package asks for
+the first.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> Tuple[Gram, Gram, Gram]:
     """Exact Smith normal form: returns (U, D, V) with U·m·V = D.
 
     D is diagonal with d_i | d_{i+1} and non-negative entries; U and V are
-    unimodular.
+    unimodular.  A matrix whose rows differ in length raises ``LatticeError``.
     """
     diag, vt, u = _smith(m, True)
     cols = len(vt)
@@ -80,6 +81,8 @@ def _smith(
     a = list(map(list, _freeze(m)))
     rows = len(a)
     cols = len(a[0]) if rows else 0
+    if any(len(row) != cols for row in a):
+        raise LatticeError("matrix rows differ in length")
     u = [[int(i == j) for j in range(rows)] for i in range(rows)] if keep_u else None
     vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
@@ -147,12 +150,16 @@ def _smith(
 # ---------------------------------------------------------------------------
 
 def discriminant_group(l: GramLattice) -> DiscriminantGroup:
-    """Elementary divisors and generator lifts of L*/L from the SNF of the Gram."""
+    """L*/L by elementary divisors and generator lifts.  A 2-elementary Gram
+    is answered by the memoized ``_two_elementary`` group, whose lifts are the
+    0/1 ``gf2_solve`` kernel basis that ``discriminant_quadratic`` also reads;
+    any other runs the Smith kernel, the lifts being the columns of V."""
+    disc = _two_elementary(l.gram)  # raises first on a degenerate Gram
+    if disc is not None:
+        return disc
     divisors, lifts, duals = [], [], []
     diag, vt, _ = _smith(l.gram, False)
     for di, num in zip(diag, vt):
-        if di == 0:
-            raise LatticeError("gram matrix is degenerate")
         if di == 1:
             continue
         divisors.append(di)

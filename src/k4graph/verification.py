@@ -2,10 +2,9 @@
 
 Each suite returns a SuiteResult with human-readable failure strings; the
 CLI exit status is the conjunction.  The suites are deterministic (seeded
-randomness only); a `k4graph verify` process takes about 0.18 s of CPU time
-without bytecode (median of 24), 0.12 to 0.16 s of it in the suites with the
-modules they load and 5 ms in the interpreter's shutdown, with Python 3.11 on
-one core of a 2-core x86-64 VM.  No suite searches.
+randomness only); a `k4graph verify` process takes about 0.16 s of CPU time
+without bytecode (median of 15, 0.14 to 0.18 s; a bare interpreter 0.04 s),
+with Python 3.11 on one core of a 2-core x86-64 VM.  No suite searches.
 The catalog suite reads each entry's signatures, discriminant ranks and type
 off its whole Grams, where ``build_catalog`` folded them from the standard
 blocks, so it checks that direct-sum rule on all 150 eigenlattices; an entry

@@ -20,8 +20,7 @@ from operator import mul
 from k4graph import ElementClass, FiniteQuadraticForm, FormError, LatticeError
 from k4graph.catalog import SQUARES, _join
 from k4graph.elements import _block_data, _block_vectors, _value_order
-from k4graph.finite_forms import discriminant_group as smith_group
-from k4graph.lattice import DiscriminantGroup, GramLattice, _freeze, from_summands, gf2_solve
+from k4graph.lattice import DiscriminantGroup, _freeze, from_summands, gf2_solve
 from k4graph.verification import _congruent, _random_unimodular
 
 
@@ -333,7 +332,7 @@ def classes(gram, xs):
 def _classes(gram, products):
     """``classes`` read off the products G·x."""
     try:
-        disc = smith_group(GramLattice.from_rows(gram))
+        disc = discriminant_group(gram)
         error = None if disc.is_two_periodic else "classification needs a 2-periodic discriminant"
         wu_values = [(n, 2 * dot(n, d) % 4) for n, d in zip(disc.lifts, disc.duals)]
     except LatticeError as exc:

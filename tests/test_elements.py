@@ -27,7 +27,6 @@ from k4graph.elements import (
     RESTRICT_RANK, _SearchState, _block_data, _block_table, _block_vectors, _fits, _odd_bumps,
     _search_blocks, _value_order, _wu_parities,
 )
-from k4graph.finite_forms import discriminant_group
 from k4graph.graph_checks import find_flip_triple
 from k4graph.lattice import STANDARD_GRAMS, GramLattice, from_summands, gram_apply
 from k4graph.verification import _congruent, _random_unimodular
@@ -153,7 +152,7 @@ def _even_squares_walk(name):
     block = make_standard(name)
     gram = block.gram
     r = len(gram)
-    lifts = list(discriminant_group(block).lifts)
+    lifts = list(ref.discriminant_group(gram).lifts)
     gens = [[2 if i == j else 0 for j in range(r)] for i in range(r)] + lifts
     gg = [[sum(a * b for a, b in zip(row, h)) for row in gram] for h in gens]
     pair = [[sum(a * b for a, b in zip(h, gk)) for gk in gg] for h in gens]

@@ -91,6 +91,15 @@ def test_snf_transforms_are_unimodular():
     assert abs(det3(v)) == 1
 
 
+@pytest.mark.parametrize("mat", [[[2], [3, 5]], [[2, 4], [6, 5, 7]], [[1, 2], [3]]])
+def test_snf_rejects_ragged_matrices(mat):
+    # a short first row must not drop later entries, nor a short later row raise IndexError
+    from k4graph import LatticeError
+
+    with pytest.raises(LatticeError, match="rows differ in length"):
+        smith_normal_form(mat)
+
+
 # ---------------------------------------------------------------------------
 # discriminant groups
 # ---------------------------------------------------------------------------
@@ -339,7 +348,10 @@ def test_memo_matches_uncached_helpers(names, seed, degenerate):
     pos, neg, _ = _elimination.__wrapped__(gram)[:3]
     for _ in range(2):
         assert signature(lat) == (pos, neg)
-        assert discriminant_group(lat) == ref.discriminant_group(gram)
+        smith = ref.discriminant_group(gram)
+        assert discriminant_group(lat) == (
+            ref.two_elementary(gram) if smith.is_two_periodic else smith
+        )
         assert discriminant_quadratic(lat, w) == ref.discriminant_form(gram, wc)
         f = discriminant_quadratic(lat, w)
         assert brown_invariant(f) == brown_invariant.__wrapped__(f)

@@ -3,11 +3,16 @@ eliminations they replaced.
 
 ``lattice._elimination`` (half-matrix Bareiss elimination) is compared with
 the gcd-reducing symmetric elimination and, for its det, with a row-pivoting
-Bareiss determinant, and ``finite_forms.discriminant_group`` (the Smith
-kernel that tracks only V) with the full (U, D, V) Smith normal form that
-cleared rows and columns with per-row loops.  ``lattice._two_elementary``
-(the GF(2) kernel with the determinant of the Bareiss elimination) is
-compared with that Smith route on every Gram matrix the group tests meet.
+Bareiss determinant.  ``finite_forms.discriminant_group`` is compared, for
+its divisors, with the full (U, D, V) Smith normal form that cleared rows and
+columns with per-row loops, and, for its whole group, with the whole-Gram
+GF(2) route on a 2-elementary Gram and that Smith route on any other (where
+it runs the Smith kernel that tracks only V); its Smith fallback is pinned on
+three Grams, a 2-elementary Gram must not reach the Smith kernel, and its
+bilinear table must equal that of ``discriminant_quadratic`` on the same
+lattice.  ``lattice._two_elementary`` (the GF(2) kernel with the determinant
+of the Bareiss elimination) is compared with the Smith reference on every
+Gram matrix the group tests meet.
 ``finite_forms.brown_invariant`` (the GF(2) normal form) is compared with
 the Gauss sum over the whole group that it replaced, and
 ``lattices_equivalent`` (signature, a and δ) with the full comparison of
@@ -134,18 +139,22 @@ def test_inertia_matches_reference_on_catalog_and_congruences(catalog):
 # ---------------------------------------------------------------------------
 
 def _check_discriminant_group(lat):
-    """The kernel against the reference SNF route and the defining identities."""
+    """The kernel against the reference routes and the defining identities:
+    the Smith route's divisors always, and the GF(2) route's group on a
+    2-elementary Gram, the Smith route's on any other.  Returns the kernel's
+    group and the Smith reference's."""
     gram = lat.gram
     disc = discriminant_group(lat)
-    want = ref.discriminant_group(gram)
-    assert disc.divisors == want.divisors
-    assert disc == want  # the same lifts, so the same classify witnesses
+    smith = ref.discriminant_group(gram)
+    assert disc.divisors == smith.divisors
+    assert disc == (ref.two_elementary(gram) if smith.is_two_periodic else smith)
     for n, dual, d in zip(disc.lifts, disc.duals, disc.divisors):
         assert [ref.dot(row, n) for row in gram] == [d * y for y in dual]
     assert disc.order == abs(ref.det(gram))
     _check_pairings(disc)
-    _check_two_elementary(lat, disc)
-    return disc
+    _check_pairings(smith)
+    _check_two_elementary(lat, smith)
+    return disc, smith
 
 
 def _check_pairings(disc):
@@ -177,14 +186,15 @@ def _check_two_elementary(lat, smith):
 
 
 def _check_congruent(lat, rng):
-    """A random congruent of lat: the same divisors and, if even, the same form."""
-    disc = _check_discriminant_group(lat)
+    """A random congruent of lat: the same divisors and, if even, the same form.
+    Returns the Smith reference groups of both."""
+    disc, smith = _check_discriminant_group(lat)
     moved = _congruent(lat.gram, _random_unimodular(rng, lat.rank))
-    moved_disc = _check_discriminant_group(moved)
+    moved_disc, moved_smith = _check_discriminant_group(moved)
     assert moved_disc.divisors == disc.divisors
     if disc.is_two_periodic and is_even(lat):  # odd forms depend on the chosen w
         assert _parity_and_brown(moved_disc) == _parity_and_brown(disc)
-    return disc, moved_disc
+    return smith, moved_smith
 
 
 def test_discriminant_group_on_catalog_and_congruences(catalog):
@@ -196,6 +206,46 @@ def test_discriminant_group_on_catalog_and_congruences(catalog):
     # _check_pairings met Smith lifts with an even nonzero or a negative entry,
     # where a parity read off the nonzero entries, not the odd ones, is wrong
     assert any(x < 0 or (x and x % 2 == 0) for n in lifts for x in n)
+
+
+def _check_shared_generators(lat):
+    """The group and the form of one lattice present L*/L on the same generators."""
+    w = None if is_even(lat) else find_characteristic(lat)
+    assert bilinear_table(discriminant_group(lat)) == discriminant_quadratic(lat, w).bvals
+
+
+def test_group_and_form_share_generators_on_catalog(catalog):
+    rng = random.Random(2006)
+    for v in catalog:
+        for lat in (v.lplus, v.lminus):
+            _check_shared_generators(lat)
+            _check_shared_generators(_congruent(lat.gram, _random_unimodular(rng, lat.rank)))
+
+
+def test_two_elementary_group_runs_no_smith(monkeypatch):
+    import k4graph.finite_forms as F
+
+    def refuse(*args):
+        raise AssertionError("the Smith kernel ran")
+
+    monkeypatch.setattr(F, "_smith", refuse)
+    lat = ref.block_sum(("U(2)", "D4"), 30)
+    assert discriminant_group(lat) == ref.two_elementary(lat.gram)
+    with pytest.raises(AssertionError, match="the Smith kernel ran"):  # A2: divisor 3
+        discriminant_group(GramLattice.from_rows(((2, -1), (-1, 2))))
+
+
+@pytest.mark.parametrize(
+    "gram, divisors, lifts, duals",
+    [
+        (((2, -1), (-1, 2)), (3,), ((1, 2),), ((0, 1),)),
+        (((4,),), (4,), ((1,),), ((1,),)),
+        (((2, 0), (0, 6)), (2, 6), ((1, 0), (0, 1)), ((1, 0), (0, 1))),
+    ],
+)
+def test_smith_fallback_values(gram, divisors, lifts, duals):
+    disc = discriminant_group(GramLattice.from_rows(gram))
+    assert (disc.divisors, disc.lifts, disc.duals) == (divisors, lifts, duals)
 
 
 # 2-elementary blocks, plus <6> and A2 for divisors other than 2
@@ -216,6 +266,15 @@ def _block(name):
 @settings(max_examples=60, deadline=None)
 def test_discriminant_group_on_random_block_sums(names, seed):
     _check_congruent(direct_sum_all([_block(n) for n in names]), random.Random(seed))
+
+
+@given(
+    st.lists(st.sampled_from(_BLOCKS[:9]), min_size=1, max_size=4),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_group_and_form_share_generators_on_congruents(names, seed):
+    _check_shared_generators(ref.block_sum(names, seed))
 
 
 @given(
