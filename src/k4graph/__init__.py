@@ -2,16 +2,17 @@
 and real nonsingular cubic fourfolds.
 
 The submodules load on first use.  Importing the package registers
-``lattice``, ``finite_forms``, ``catalog``, ``elements``, ``graphs``,
-``graph_checks`` and ``verification`` in ``sys.modules`` through
+``gram``, ``lattice``, ``finite_forms``, ``catalog``, ``elements``,
+``graphs``, ``graph_checks`` and ``verification`` in ``sys.modules`` through
 ``importlib.util.LazyLoader``, and each is compiled and executed on the first
 access to one of its attributes (``from .catalog import build_catalog`` is
 one).  So a ``k4graph`` command executes only the modules it calls, and each
-module holds what its commands run: ``catalog`` executes ``lattice`` and
-``catalog``, ``classify`` adds ``elements``, ``build`` and ``export`` add
-``graphs``, and only ``verify`` executes ``finite_forms`` and
+module holds what its commands run: ``catalog`` (and ``build_catalog``)
+executes ``gram``, the data model, and ``catalog``; ``build`` and ``export``
+add ``graphs``; ``classify`` adds ``lattice``, the exact kernels, and
+``elements``; and only ``verify`` executes ``finite_forms`` and
 ``graph_checks``.  The modules are registered rather than imported inside
-functions so that code which looks all seven up in ``sys.modules`` after
+functions so that code which looks all eight up in ``sys.modules`` after
 ``import k4graph.cli`` still finds them.  ``k4graph.cli`` is imported
 normally, because ``python -m k4graph.cli`` runs it as ``__main__``.
 
@@ -31,9 +32,10 @@ SUITE_NAMES = ("lattice", "forms", "catalog", "predicates", "graphs", "synthesis
 
 # Each submodule, in dependency order, with the public names it re-exports.
 _EXPORTS = {
-    "lattice": """DiscriminantGroup GramLattice LatticeError LatticeVector direct_sum
-        direct_sum_all find_characteristic from_summands inner is_even lattices_equivalent
-        make_standard norm orthogonal_sublattice reflect rescale signature twist""".split(),
+    "gram": """GramLattice LatticeError LatticeVector direct_sum direct_sum_all
+        from_summands is_even make_standard rescale""".split(),
+    "lattice": """DiscriminantGroup find_characteristic inner lattices_equivalent norm
+        orthogonal_sublattice reflect signature twist""".split(),
     "finite_forms": """FiniteQuadraticForm FormError brown_invariant discriminant_group
         discriminant_quadratic forms_isomorphic parity smith_normal_form""".split(),
     "catalog": "Catalog CatalogError K3Vertex TopType VertexKey build_catalog".split(),
@@ -64,7 +66,7 @@ def _register_lazy(name: str):
     return module
 
 
-(lattice, finite_forms, catalog, elements, graphs, graph_checks,
+(gram, lattice, finite_forms, catalog, elements, graphs, graph_checks,
  verification) = map(_register_lazy, _EXPORTS)
 
 

@@ -7,9 +7,11 @@ principal-series tables and the exceptional table, one line per source row.
 ``build_catalog`` instantiates the rows and checks that their lattices give
 each key of ``K3_KEYS`` once, at its placed id, among every entry invariant.
 Each row's signatures, discriminant rank d and type are folded once from its
-block names by ``lattice._block_invariants``, where the direct-sum rule
-lives, so a short command runs the kernels on the standard blocks alone;
-``verify``'s catalog suite checks the fold on the whole Grams.
+block names by ``_block_invariants``, by the direct-sum rule over the stated
+per-block table ``BLOCK_INVARIANTS``, so a short command runs no lattice
+kernel and never executes ``lattice``.  ``verify``'s lattice suite recomputes
+every row of the table, and its catalog suite checks the fold on the whole
+Grams.
 
 The class-existence rule sits next to the key theorem ``_exists``, because
 the graph builders read it and nothing else of ``elements``.  x^2 mod 16 and
@@ -30,9 +32,7 @@ import enum
 from functools import lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .lattice import (
-    MEMO_SIZE, Invariants, _Record, _block_invariants, _set, from_summands, is_even,
-)
+from .gram import MEMO_SIZE, Invariants, _Record, _set, from_summands, is_even
 
 
 class CatalogError(ValueError):
@@ -230,6 +230,33 @@ SQUARES = {
     "E8": frozenset({(0, _W), (8, _W)}) | _ODD_EVERYWHERE,
     "E8(2)": frozenset({(0, _N), (0, _W), (4, _N), (8, _N), (12, _N)}),
 }
+
+
+# (signature, rank a of L*/L, parity δ) of each standard block, or None for a
+# block whose L*/L is not 2-elementary; ``verify``'s lattice suite recomputes
+# every row with the kernels, with Smith |det| = 2^a
+BLOCK_INVARIANTS: Dict[str, Optional[Invariants]] = {
+    "<1>": ((1, 0), 0, 0),
+    "<2>": ((1, 0), 1, 1),
+    "<-2>": ((0, 1), 1, 1),
+    "U": ((1, 1), 0, 0),
+    "U(2)": ((1, 1), 2, 0),
+    "D4": ((0, 4), 2, 0),
+    "E7": ((0, 7), 1, 1),
+    "E8": ((0, 8), 0, 0),
+    "E8(2)": ((0, 8), 8, 0),
+}
+
+
+def _block_invariants(names: Sequence[str]) -> Optional[Invariants]:
+    """The invariants of a sum of standard blocks, or None if a block is not
+    2-elementary: over an orthogonal sum the signatures and the ranks a add,
+    and δ is the largest of the blocks' (Nikulin 1979, §1)."""
+    rows = [BLOCK_INVARIANTS[name] for name in names]
+    if None in rows:
+        return None
+    sigs, ranks, deltas = zip(((0, 0), 0, 0), *rows)
+    return tuple(map(sum, zip(*sigs))), sum(ranks), max(deltas)
 
 
 def _join(a: ElementClass, b: ElementClass) -> ElementClass:

@@ -26,15 +26,23 @@ def _write_out(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+_INTS = {int}
+
+
 def _json_text(value) -> str:
     """``json.dumps(value, indent=1) + "\\n"`` for str, int, bool and None
     leaves in lists and in dicts with str keys.
 
     The standard encoder drops to its pure-Python path whenever an indent is
-    set; this writer joins each list or dict in one ``str.join``.
+    set; this writer joins each list or dict in one ``str.join``, a list of
+    ints with no call per item.  It quotes strings with the C function that
+    ``json.encoder`` binds, read from the ``_json`` accelerator, so the
+    ``json`` package is never imported.
     """
-    # only the commands that print JSON pay for the import
-    from json.encoder import encode_basestring_ascii as quote
+    try:
+        from _json import encode_basestring_ascii as quote
+    except ImportError:  # an interpreter without the accelerator
+        from json.encoder import encode_basestring_ascii as quote
 
     def encode(o, pad: str) -> str:
         cls = o.__class__
@@ -46,7 +54,11 @@ def _json_text(value) -> str:
         if cls is list:
             if not o:
                 return "[]"
-            return "[" + inner + ("," + inner).join([encode(x, inner) for x in o]) + pad + "]"
+            if set(map(type, o)) == _INTS:
+                items = map(int.__repr__, o)
+            else:
+                items = [encode(x, inner) for x in o]
+            return "[" + inner + ("," + inner).join(items) + pad + "]"
         if cls is dict:
             if not o:
                 return "{}"
@@ -106,10 +118,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 def cmd_build(args: argparse.Namespace) -> int:
     cat = build_catalog()
     try:
-        if args.graph == "k3":
-            g = graphs.build_k3_graph(cat)
-        else:
-            g, _ = graphs.build_k4_graph(cat)
+        g = graphs._build_graph(cat, args.graph)
     except graphs.StructuralError as exc:
         print(f"structural verification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR

@@ -32,22 +32,11 @@ from itertools import chain, compress, islice, product
 from operator import and_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .lattice import (
-    MEMO_SIZE,
-    Gram,
-    GramLattice,
-    LatticeError,
-    LatticeVector,
-    STANDARD_GRAMS,
-    _ONES,
-    _Record,
-    _two_elementary,
-    bilinear_table,
-    gf2_solve,
+from .gram import (
+    MEMO_SIZE, Gram, GramLattice, LatticeError, LatticeVector, STANDARD_GRAMS, _Record,
     make_standard,
-    norm,
-    signature,
 )
+from .lattice import _ONES, _two_elementary, bilinear_table, gf2_solve, norm, signature
 from .catalog import ElementClass, K3Vertex, _INDEX, _check_class, _join, _reach, exists_class
 
 

@@ -15,17 +15,17 @@ in O(d²) operations on bilinear rows packed into ints.
 The 2-elementary kernel lives in ``lattice``: ``DiscriminantGroup``,
 ``_two_elementary`` (one GF(2) elimination per Gram) and ``bilinear_table``,
 on which this module builds its forms, and ``lattices_equivalent``, which
-compares (signature, a, δ) and builds no form at all; ``lattice`` also holds
-the direct-sum rule that folds those invariants over standard blocks.  The
-catalog and the graph builders read only that kernel, so of the commands only
-``verify`` executes this module.  ``_smith`` is the one Smith kernel, run by
-``smith_normal_form``.  Every internal caller reads ``_two_elementary``, and
-so does ``discriminant_group`` on a 2-elementary Gram: its group and the form
-share the 0/1 ``gf2_solve`` kernel basis as generators.  Only a divisor other
-than 2 runs ``_smith``; the group keeps the divisors and the columns v of V
-(as the rows of Vᵀ), skips U and reads each G·v from ``gram_apply``.
+compares (signature, a, δ) and builds no form at all.  The element classes
+and the graph checks read only that kernel, and the catalog and the graph
+builders no kernel, so of the commands only ``verify`` executes this module.
+``_smith`` is the one Smith kernel, run by ``smith_normal_form``.  Every
+internal caller reads ``_two_elementary``, and so does ``discriminant_group``
+on a 2-elementary Gram: its group and the form share the 0/1 ``gf2_solve``
+kernel basis as generators.  Only a divisor other than 2 runs ``_smith``; the
+group keeps the divisors and the columns v of V (as the rows of Vᵀ), skips U
+and reads each G·v from ``gram_apply``.
 
-``brown_invariant`` is a ``functools.lru_cache`` of ``lattice.MEMO_SIZE``
+``brown_invariant`` is a ``functools.lru_cache`` of ``gram.MEMO_SIZE``
 entries keyed by the form; the result is an int, so every caller may share
 one, and errors are not cached.  ``discriminant_group`` and
 ``discriminant_quadratic`` are not memoized themselves, so each is one body
@@ -40,10 +40,12 @@ from itertools import compress
 from operator import and_
 from typing import List, Optional, Sequence, Tuple
 
+from .gram import (
+    MEMO_SIZE, Gram, GramLattice, LatticeVector, LatticeError, _freeze, _json_ints,
+    _json_object, _Record, _set, is_even,
+)
 from .lattice import (
-    MEMO_SIZE, DiscriminantGroup, Gram, GramLattice, LatticeVector, LatticeError, _freeze,
-    _json_ints, _json_object, _ONES, _parities, _Record, _set, _two_elementary,
-    bilinear_table, gram_apply, is_even,
+    DiscriminantGroup, _ONES, _parities, _two_elementary, bilinear_table, gram_apply,
     lattices_equivalent,  # unused here: perfbench/tracer.py's TRACED names it under this module
 )
 

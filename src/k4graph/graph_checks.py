@@ -15,10 +15,12 @@ from itertools import islice
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from .gram import (
+    GramLattice, LatticeError, LatticeVector, STANDARD_GRAMS, _Record, _set, direct_sum,
+    from_summands, is_even, make_standard, rescale,
+)
 from .lattice import (
-    GramLattice, LatticeError, LatticeVector, STANDARD_GRAMS, _Record, _complement, _invariants,
-    _set, direct_sum, from_summands, gram_apply, inner, is_even, lattices_equivalent,
-    make_standard, norm, rescale, twist,
+    _complement, _invariants, gram_apply, inner, lattices_equivalent, norm, twist,
 )
 from .finite_forms import _smith
 from .catalog import K3_KEYS, Catalog, ElementClass, K3Vertex, exists_class

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .lattice import _Record, _set, from_summands, rescale
+from .gram import _Record, _set, from_summands, rescale
 from .catalog import Catalog, CatalogError, ElementClass, VertexKey, exists_class
 
 IRR_ID = "irr"

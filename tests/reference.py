@@ -20,7 +20,8 @@ from operator import mul
 from k4graph import ElementClass, FiniteQuadraticForm, FormError, LatticeError
 from k4graph.catalog import SQUARES, _join
 from k4graph.elements import _block_data, _block_vectors, _value_order
-from k4graph.lattice import DiscriminantGroup, _freeze, from_summands, gf2_solve
+from k4graph.gram import _freeze, from_summands
+from k4graph.lattice import DiscriminantGroup, gf2_solve
 from k4graph.verification import _congruent, _random_unimodular
 
 

@@ -135,7 +135,7 @@ def test_criterion_5_k4_structure(k4_graph, catalog):
     assert signature(neg) == (1, 13)
     f = discriminant_quadratic(neg)
     assert f.d == 8 and parity(f) == "even"
-    from k4graph.lattice import from_summands
+    from k4graph.gram import from_summands
 
     assert lattices_equivalent(neg, from_summands(("U(2)", "D4", "D4", "D4"))) == "yes"
     assert all(lattices_equivalent(neg, v.lplus) == "no" for v in catalog)
@@ -179,7 +179,8 @@ def test_criterion_8_basic_cycles(k3_graph, catalog):
 
 
 def test_criterion_9_synthesis(catalog):
-    from k4graph.lattice import direct_sum, from_summands, is_even, make_standard, twist
+    from k4graph.gram import direct_sum, from_summands, is_even, make_standard
+    from k4graph.lattice import twist
 
     count = 0
     for v in catalog:

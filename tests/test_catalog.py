@@ -18,7 +18,7 @@ from k4graph import (
     parity,
     signature,
 )
-from k4graph import catalog as catalog_mod, lattice, verification
+from k4graph import catalog as catalog_mod, gram, lattice, verification
 from k4graph.lattice import _invariants
 
 
@@ -245,32 +245,55 @@ def _whole_gram_invariants(lat):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.sampled_from(sorted(lattice.STANDARD_GRAMS)), min_size=1, max_size=7))
+@given(st.lists(st.sampled_from(sorted(gram.STANDARD_GRAMS)), min_size=1, max_size=7))
 def test_block_fold_matches_the_whole_gram_kernels(names):
     # signatures and discriminant ranks add over an orthogonal sum, and its
     # parity is the largest of its blocks' (Nikulin 1979, §1)
-    folded = lattice._block_invariants(tuple(names))
+    folded = catalog_mod._block_invariants(tuple(names))
     assert folded == _whole_gram_invariants(from_summands(names))
 
 
 def test_block_fold_matches_the_whole_grams_of_every_catalog_lattice(catalog):
     for v in catalog:
         for lat in (v.lplus, v.lminus):
-            assert lattice._block_invariants(lat.summands) == _whole_gram_invariants(lat)
+            assert catalog_mod._block_invariants(lat.summands) == _whole_gram_invariants(lat)
         plus, minus = _whole_gram_invariants(v.lplus), _whole_gram_invariants(v.lminus)
         assert (v.d, v.vtype) == (plus[1], "II" if minus[2] else "I")
 
 
 def test_block_fold_refuses_a_block_that_is_not_2_elementary(monkeypatch):
-    monkeypatch.setitem(lattice.STANDARD_GRAMS, "<4>", ((4,),))
+    # <4> has L*/L = Z/4, so the kernel finds no 2-elementary group and its
+    # stated row is None; the fold reads the table, not the Gram
+    monkeypatch.setitem(gram.STANDARD_GRAMS, "<4>", ((4,),))
+    monkeypatch.setitem(catalog_mod.BLOCK_INVARIANTS, "<4>", None)
     assert lattice._two_elementary(from_summands(("U", "<4>")).gram) is None
-    assert lattice._block_invariants(("U", "<4>")) is None
+    assert catalog_mod._block_invariants(("U", "<4>")) is None
     rows = list(catalog_mod.EXCEPTIONAL)
     vid, plus, minus = rows[-1]
     rows[-1] = (vid, plus + ("<4>",), minus)
     monkeypatch.setattr(catalog_mod, "EXCEPTIONAL", tuple(rows))
     with pytest.raises(CatalogError, match=re.escape(f"catalog entry {vid}: discriminant groups")):
         build_catalog()
+
+
+def _corrupt(row, field):
+    """One stated (signature, a, delta) row with one field changed, or None."""
+    (p, n), a, delta = row
+    return (((p + 1, n), a, delta), ((p, n), a + 2, delta), ((p, n), a, 1 - delta), None)[field]
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [(name, i % 3) for i, name in enumerate(catalog_mod.BLOCK_INVARIANTS)] + [("E7", 3)],
+)
+def test_lattice_suite_fails_a_corrupted_block_table_row(monkeypatch, name, field):
+    # each row is recomputed from the kernels: the signature, the 2-elementary
+    # rank and parity, and Smith |det| = 2^a; every failure names the block
+    assert verification.suite_lattice().ok
+    row = catalog_mod.BLOCK_INVARIANTS[name]
+    monkeypatch.setitem(catalog_mod.BLOCK_INVARIANTS, name, _corrupt(row, field))
+    res = verification.suite_lattice()
+    assert res.failures and all(f.endswith(f" of {name}") for f in res.failures)
 
 
 @pytest.mark.parametrize(

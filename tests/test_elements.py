@@ -28,7 +28,8 @@ from k4graph.elements import (
     _search_blocks, _value_order, _wu_parities,
 )
 from k4graph.graph_checks import find_flip_triple
-from k4graph.lattice import STANDARD_GRAMS, GramLattice, from_summands, gram_apply
+from k4graph.gram import STANDARD_GRAMS, GramLattice, from_summands
+from k4graph.lattice import gram_apply
 from k4graph.verification import _congruent, _random_unimodular
 
 import reference as ref

@@ -18,7 +18,7 @@ from k4graph import (
     signature,
     smith_normal_form,
 )
-from k4graph.lattice import GramLattice, direct_sum, from_summands
+from k4graph.gram import GramLattice, direct_sum, from_summands
 
 import reference as ref
 

@@ -35,7 +35,7 @@ from k4graph import (
 )
 from k4graph.catalog import K3_KEYS, _exists
 from k4graph.graphs import IRR_KEY, IRREGULAR, terminal_key
-from k4graph.lattice import GramLattice, direct_sum, from_summands
+from k4graph.gram import GramLattice, direct_sum, from_summands
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +445,26 @@ def test_suite_graphs_names_a_pair_the_census_rules_out(catalog, monkeypatch):
     ]
 
 
+def test_verify_reports_a_malformed_flip_pair_as_a_graphs_failure(monkeypatch):
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from k4graph import SUITE_NAMES, graph_checks
+    from k4graph.cli import main
+
+    # (1, 1) has square 2 in U, so the pair built on a U root raises
+    # LatticeError; the graphs suite names the vertex, every suite still prints
+    monkeypatch.setitem(graph_checks._FLIP_ROOT, "U", (1, 1))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(["verify"]) == 1
+    lines = out.getvalue().splitlines()
+    status = {line.split()[0]: line.split()[1] for line in lines if not line.startswith(" ")}
+    assert status == {name: "FAIL" if name == "graphs" else "pass" for name in SUITE_NAMES}
+    assert "  first failing invariant: [S2+9S]: flip pair: v^2 = 2 != -2" in lines
+    assert err.getvalue() == "" and "Traceback" not in out.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # basic cycles
 # ---------------------------------------------------------------------------
@@ -494,7 +514,8 @@ def test_synthesize_all_square6_classes(catalog):
     # M_+ comes on -L_-'s blocks reordered, those h misses first; against the
     # twist on L_-'s own basis it has the same signature, parity and
     # discriminant rank, and the missed blocks stay diagonal, one block each
-    from k4graph.lattice import STANDARD_GRAMS, _split, _two_elementary, is_even, twist
+    from k4graph.gram import STANDARD_GRAMS, is_even
+    from k4graph.lattice import _split, _two_elementary, twist
 
     count = 0
     for v in catalog:

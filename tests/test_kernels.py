@@ -47,18 +47,8 @@ from k4graph import (
     parity,
     signature,
 )
-from k4graph.lattice import (
-    STANDARD_GRAMS,
-    GramLattice,
-    _elimination,
-    _split,
-    _two_elementary,
-    bilinear_table,
-    direct_sum_all,
-    from_summands,
-    gf2_solve,
-    is_even,
-)
+from k4graph.gram import STANDARD_GRAMS, GramLattice, direct_sum_all, from_summands, is_even
+from k4graph.lattice import _elimination, _split, _two_elementary, bilinear_table, gf2_solve
 from k4graph.verification import _congruent, _random_unimodular
 
 import reference as ref

@@ -27,15 +27,8 @@ from k4graph import (
     smith_normal_form,
     twist,
 )
-from k4graph.lattice import (
-    STANDARD_GRAMS,
-    _complement,
-    direct_sum_all,
-    from_summands,
-    gf2_solve,
-    gram_apply,
-    inertia,
-)
+from k4graph.gram import STANDARD_GRAMS, direct_sum_all, from_summands
+from k4graph.lattice import _complement, gf2_solve, gram_apply, inertia
 
 import reference as ref
 

@@ -1,6 +1,6 @@
 """The record classes keep the semantics of the dataclasses they replace.
 
-Every result and value class of the package is a slotted ``lattice._Record``.
+Every result and value class of the package is a slotted ``gram._Record``.
 The five that validate their arguments have their own ``__init__``; the rest
 are bound by ``_Record.__init__`` from their ``__slots__`` and ``_defaults``.
 Each one is checked against a dataclass with the same name and fields:
@@ -20,14 +20,15 @@ from k4graph import elements as E
 from k4graph import finite_forms as F
 from k4graph import graph_checks as GC
 from k4graph import graphs as G
+from k4graph import gram as Gr
 from k4graph import lattice as L
 from k4graph import verification as V
 from k4graph.catalog import CatalogError
 from k4graph.finite_forms import FormError
-from k4graph.lattice import LatticeError
+from k4graph.gram import LatticeError
 
-U = L.make_standard("U")
-AMBIENT = L.from_summands(("U", "<-2>"))
+U = Gr.make_standard("U")
+AMBIENT = Gr.from_summands(("U", "<-2>"))
 KEY = C.VertexKey(10, 8, "II")
 LABEL = G.EdgeLabel(KEY, C.ElementClass.ODD, -2)
 EDGE = G.GraphEdge("[S1]", "[S2]", LABEL)
@@ -36,13 +37,13 @@ TOP = C.TopType("spheres", 3, 2, True)
 # class -> (field names in constructor order, one full set of arguments,
 # the fewest arguments it takes, the defaults of the fields those leave out)
 CASES = {
-    L.GramLattice: (
+    Gr.GramLattice: (
         ("rank", "gram", "label", "summands"),
         (2, U.gram, "U", ("U",)),
         (2, U.gram),
         {"label": "", "summands": None},
     ),
-    L.LatticeVector: (("coords", "ambient"), ((1, 2), U), ((1, 2), U), {}),
+    Gr.LatticeVector: (("coords", "ambient"), ((1, 2), U), ((1, 2), U), {}),
     L.DiscriminantGroup: (
         ("divisors", "lifts", "duals"),
         ((2,), ((1, 0),), ((0, 1),)),
@@ -132,7 +133,7 @@ CASES = {
 }
 
 FROZEN = {
-    L.GramLattice, L.LatticeVector, L.DiscriminantGroup, F.FiniteQuadraticForm,
+    Gr.GramLattice, Gr.LatticeVector, L.DiscriminantGroup, F.FiniteQuadraticForm,
     C.TopType, C.K3Vertex, G.EdgeLabel, G.GraphEdge, G.DeformationGraph,
     G.K4VertexData, GC.FlipTriple,
 }
@@ -141,8 +142,8 @@ FROZEN = {
 def test_every_record_class_is_covered():
     assert len(CASES) == 18 and len(FROZEN) == 11 and FROZEN <= set(CASES)
     records = {
-        cls for mod in (L, F, C, E, G, GC, V) for cls in vars(mod).values()
-        if isinstance(cls, type) and issubclass(cls, L._Record) and cls is not L._Record
+        cls for mod in (Gr, L, F, C, E, G, GC, V) for cls in vars(mod).values()
+        if isinstance(cls, type) and issubclass(cls, Gr._Record) and cls is not Gr._Record
     }
     assert records == set(CASES)
 
@@ -190,14 +191,14 @@ def test_eq_hash_repr_match_a_dataclass(cls):
 @pytest.mark.parametrize(
     "make, error, message",
     [
-        (lambda: L.GramLattice(-1, ()), LatticeError, "rank must be non-negative"),
-        (lambda: L.GramLattice(2, ((0, 1),)), LatticeError, "shape does not match"),
-        (lambda: L.GramLattice(2, ((0, 1), (1,))), LatticeError, "shape does not match"),
-        (lambda: L.GramLattice(3, ((0, 1, 2), (1, 0, 4), (2, 5, 0))), LatticeError,
+        (lambda: Gr.GramLattice(-1, ()), LatticeError, "rank must be non-negative"),
+        (lambda: Gr.GramLattice(2, ((0, 1),)), LatticeError, "shape does not match"),
+        (lambda: Gr.GramLattice(2, ((0, 1), (1,))), LatticeError, "shape does not match"),
+        (lambda: Gr.GramLattice(3, ((0, 1, 2), (1, 0, 4), (2, 5, 0))), LatticeError,
          r"not symmetric at \(1,2\)"),
-        (lambda: L.GramLattice(3, ((0, 1, 2), (5, 0, 4), (3, 4, 0))), LatticeError,
+        (lambda: Gr.GramLattice(3, ((0, 1, 2), (5, 0, 4), (3, 4, 0))), LatticeError,
          r"not symmetric at \(0,1\)"),
-        (lambda: L.LatticeVector((1,), U), LatticeError, "does not match ambient rank"),
+        (lambda: Gr.LatticeVector((1,), U), LatticeError, "does not match ambient rank"),
         (lambda: F.FiniteQuadraticForm(1, (), ((1,),)), FormError, "do not match rank"),
         (lambda: F.FiniteQuadraticForm(2, (0, 0), ((0,), (0,))), FormError, "not square"),
         (lambda: F.FiniteQuadraticForm(1, (4,), ((0,),)), FormError, "reduced mod 4"),
@@ -225,7 +226,7 @@ def test_init_checks_raise(make, error, message):
 
 def test_symmetric_gram_given_as_lists_is_accepted():
     # the transpose test fails on lists, so the pairwise walk decides
-    assert L.GramLattice(2, [[0, 1], [1, 0]]).rank == 2
+    assert Gr.GramLattice(2, [[0, 1], [1, 0]]).rank == 2
 
 
 # EdgeLabel has no defaults and SuiteResult has two: each meets every kind of bad binding
