@@ -1,17 +1,21 @@
 """The 75-entry catalog of real K3-involution classes.
 
 A class is fixed by its key (r, d, type).  ``K3_KEYS`` is the key set that
-Nikulin's existence theorem allows, and ``_place`` reads each key's id and
-topological type off the key.  Only the eigenlattices are transcribed, in two
-principal-series tables and the exceptional table, one line per source row.
-``build_catalog`` instantiates the rows and checks that their lattices give
-each key of ``K3_KEYS`` once, at its placed id, among every entry invariant.
-Each row's signatures, discriminant rank d and type are folded once from its
-block names by ``_block_invariants``, by the direct-sum rule over the stated
-per-block table ``BLOCK_INVARIANTS``, so a short command runs no lattice
-kernel and never executes ``lattice``.  ``verify``'s lattice suite recomputes
-every row of the table, and its catalog suite checks the fold on the whole
-Grams.
+Nikulin's existence theorem allows, folded from the stated per-block table
+``BLOCK_INVARIANTS``: the rows of <2>, <-2>, U(2) and D4, whose discriminant
+forms generate every form on (Z/2)^a, give the (σ mod 8, δ) that each
+discriminant rank a reaches, with σ mod 8 as the Brown invariant (Milgram).
+``_place`` reads each key's id and topological type off the key.  Only the
+eigenlattices are transcribed, in two principal-series tables and the
+exceptional table, one line per source row.  ``build_catalog`` instantiates
+the rows and checks that their lattices give each key of ``K3_KEYS`` once, at
+its placed id, among every entry invariant.  Each row's signatures,
+discriminant rank d and type are folded once from its block names by
+``_block_invariants``, by the direct-sum rule over the same table, so a short
+command runs no lattice kernel and never executes ``lattice``.  ``verify``'s
+lattice suite recomputes every row of the table, its forms suite checks
+Brown = σ mod 8 on each even row, and its catalog suite checks the fold on
+the whole Grams.
 
 The class-existence rule sits next to the key theorem ``_exists``, because
 the graph builders read it and nothing else of ``elements``.  x^2 mod 16 and
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .gram import MEMO_SIZE, Invariants, _Record, _set, from_summands, is_even
 
@@ -151,18 +155,41 @@ class K3Vertex(_Record, frozen=True):
         return self.diag_s + self.diag_t == len(self.lminus_summands)
 
 
+# (signature, rank a of L*/L, parity δ) of each standard block, or None for a
+# block whose L*/L is not 2-elementary, which the catalog rows and the key set
+# are folded from; ``verify``'s lattice suite recomputes every row with the
+# kernels, with Smith |det| = 2^a
+BLOCK_INVARIANTS: Dict[str, Optional[Invariants]] = {
+    "<1>": ((1, 0), 0, 0),
+    "<2>": ((1, 0), 1, 1),
+    "<-2>": ((0, 1), 1, 1),
+    "U": ((1, 1), 0, 0),
+    "U(2)": ((1, 1), 2, 0),
+    "D4": ((0, 4), 2, 0),
+    "E7": ((0, 7), 1, 1),
+    "E8": ((0, 8), 0, 0),
+    "E8(2)": ((0, 8), 8, 0),
+}
+
+
+# The (σ mod 8, δ) of the forms on (Z/2)^a, a <= 22: each is a sum of the
+# discriminant forms of <2>, <-2>, U(2) and D4 (Nikulin 1979, §1.8); Brown adds
+# up their σ mod 8 (Milgram's formula), a adds, and δ is the largest
+_GENERATORS = [row for row in map(BLOCK_INVARIANTS.get, ("<2>", "<-2>", "U(2)", "D4")) if row]
+_FORMS: List[Set[Tuple[int, int]]] = [{(0, 0)}]
+for _a in range(1, 23):
+    _FORMS.append({
+        ((s + p - n) % 8, max(d, delta))
+        for (p, n), rank, delta in _GENERATORS if 0 < rank <= _a for s, d in _FORMS[_a - rank]
+    })
+
+
 def _exists(t_plus: int, t_minus: int, a: int, delta: int) -> bool:
     """An even 2-elementary lattice of signature (t_plus, t_minus), discriminant
-    (Z/2)^a and parity delta exists (Nikulin 1979, Thm 3.6.2)."""
+    (Z/2)^a and parity delta exists (Nikulin 1979, Thm 3.6.2), for a <= 22."""
     r, sigma = t_plus + t_minus, (t_plus - t_minus) % 8
-    return (
-        a <= r and (r - a) % 2 == 0
-        and (delta or sigma % 4 == 0)
-        and (a != 0 or (delta == 0 and sigma == 0))
-        and (a != 1 or sigma in (1, 7))
-        and (a != 2 or sigma != 4 or delta == 0)
-        and (delta or a != r or sigma == 0)
-    )
+    # a = r makes L = M(2) with M unimodular; δ = 0 makes M even, so σ = 0 mod 8
+    return a <= r and (sigma, delta) in _FORMS[a] and (delta or a != r or sigma == 0)
 
 
 # Every key: L+ of signature (1, r - 1) and L- of signature (2, 20 - r) with
@@ -229,22 +256,6 @@ SQUARES = {
     "E7": frozenset({(0, _N), (2, _W), (8, _N), (10, _W)}) | _ODD_EVERYWHERE,
     "E8": frozenset({(0, _W), (8, _W)}) | _ODD_EVERYWHERE,
     "E8(2)": frozenset({(0, _N), (0, _W), (4, _N), (8, _N), (12, _N)}),
-}
-
-
-# (signature, rank a of L*/L, parity δ) of each standard block, or None for a
-# block whose L*/L is not 2-elementary; ``verify``'s lattice suite recomputes
-# every row with the kernels, with Smith |det| = 2^a
-BLOCK_INVARIANTS: Dict[str, Optional[Invariants]] = {
-    "<1>": ((1, 0), 0, 0),
-    "<2>": ((1, 0), 1, 1),
-    "<-2>": ((0, 1), 1, 1),
-    "U": ((1, 1), 0, 0),
-    "U(2)": ((1, 1), 2, 0),
-    "D4": ((0, 4), 2, 0),
-    "E7": ((0, 7), 1, 1),
-    "E8": ((0, 8), 0, 0),
-    "E8(2)": ((0, 8), 8, 0),
 }
 
 
@@ -409,8 +420,12 @@ def build_catalog() -> Catalog:
     rows: List[Tuple[str, Tuple[str, ...], Tuple[str, ...]]] = []
     # principal series in the order of the negative-eigenlattice table rows
     for p, q in sorted(cells, key=lambda pq: (pq[0], -pq[1])):
-        s_plus, plus = PRINCIPAL_LPLUS[q]
-        s_minus, minus = PRINCIPAL_LMINUS[p]
+        try:
+            s_plus, plus = PRINCIPAL_LPLUS[q]
+            s_minus, minus = PRINCIPAL_LMINUS[p]
+        except KeyError:
+            raise CatalogError(f"catalog cell (p, q) = ({p}, {q}) of {cells[p, q]} has no "
+                               "principal table row") from None
         rows.append((cells[p, q], ("<2>",) * s_plus + ("<-2>",) * (pmax[q] - p) + plus,
                      ("<2>",) * s_minus + ("<-2>",) * (qmax[p] - q) + minus))
     # an id that no key is placed at gets no type, and fails validation

@@ -165,7 +165,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     names = [args.suite] if args.suite else None
     try:
         results = verification.run_suites(names)
-    except (CatalogError, graphs.StructuralError) as exc:
+    except graphs.StructuralError as exc:  # basic_cycles_regular raises outside any suite's catch
         print(f"verification aborted: {exc}", file=sys.stderr)
         return VERIFY_ERROR
     exit_code = 0
@@ -246,6 +246,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 1
+    # a catalog that fails to build; verify reports it as its catalog suites' failure
+    except CatalogError as exc:
+        print(f"catalog error: {exc}", file=sys.stderr)
+        return VERIFY_ERROR
     # a predicate promised a witness (verify or classify); the class is read
     # only when an exception gets here, so no other command loads elements
     except elements.WitnessError as exc:

@@ -22,7 +22,8 @@ from .gram import _Record, _set, from_summands, rescale
 from .catalog import Catalog, CatalogError, ElementClass, VertexKey, exists_class
 
 IRR_ID = "irr"
-# The key of the irregular K4 vertex, which Nikulin's theorem leaves out of K3_KEYS
+# The key of the irregular K4 vertex, which the block-table fold of Nikulin's
+# theorem leaves out of K3_KEYS (its L- would need a = r with δ = 0 and σ = 4)
 IRR_KEY = VertexKey(14, 8, "I")
 
 # Per graph, the (origin, class, terminal) of the one edge swapped between K3

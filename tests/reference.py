@@ -374,6 +374,21 @@ def diagonal_rule(v, n, cls):
     return t > 1 or (t == 1 and (s - t) % 4 != 3)
 
 
+def nikulin_exists(t_plus, t_minus, a, delta):
+    """Nikulin's existence theorem for even 2-elementary lattices (1979,
+    Thm 3.6.2) in the six clauses that stated it before the key set was folded
+    from the block table (``catalog._exists`` at 55555a8)."""
+    r, sigma = t_plus + t_minus, (t_plus - t_minus) % 8
+    return (
+        a <= r and (r - a) % 2 == 0
+        and (delta or sigma % 4 == 0)
+        and (a != 0 or (delta == 0 and sigma == 0))
+        and (a != 1 or sigma in (1, 7))
+        and (a != 2 or sigma != 4 or delta == 0)
+        and (delta or a != r or sigma == 0)
+    )
+
+
 @lru_cache(maxsize=None)
 def frozenset_reach(names):
     """The (x^2 mod 16, class) pairs of a sum of blocks as a set, folded from

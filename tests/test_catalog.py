@@ -21,6 +21,8 @@ from k4graph import (
 from k4graph import catalog as catalog_mod, gram, lattice, verification
 from k4graph.lattice import _invariants
 
+import reference as ref
+
 
 def test_cardinality(catalog):
     assert len(catalog) == 75
@@ -237,6 +239,37 @@ def test_existence_theorem_gives_the_catalog_keys(catalog):
             assert catalog_mod._exists(*signature(lat), f.d, parity(f) == "odd")
     # and rules out an even unimodular lattice of signature (2, 0)
     assert not catalog_mod._exists(2, 0, 0, 0)
+
+
+def test_existence_rule_matches_the_transcribed_theorem():
+    # the fold of the block table against Nikulin's six clauses, on every
+    # signature of rank 1 to 22 and every discriminant rank a <= 22
+    cases = [
+        (t_plus, r - t_plus, a, delta)
+        for r in range(1, 23) for t_plus in range(r + 1) for a in range(23) for delta in (0, 1)
+    ]
+    agree = [(catalog_mod._exists(*case), ref.nikulin_exists(*case)) for case in cases]
+    assert len(cases) == 12650
+    assert [case for case, (got, want) in zip(cases, agree) if got != want] == []
+    assert sum(got for got, _ in agree) == 2523
+
+
+def test_block_table_fold_reaches_the_forms_of_small_rank():
+    # (Brown mod 8, parity) of the forms on (Z/2)^a: <2> and <-2> give (1, 1)
+    # and (7, 1), U(2) and D4 give (0, 0) and (4, 0)
+    assert catalog_mod._FORMS[:4] == [
+        {(0, 0)},
+        {(1, 1), (7, 1)},
+        {(0, 0), (4, 0), (0, 1), (2, 1), (6, 1)},
+        {(1, 1), (3, 1), (5, 1), (7, 1)},
+    ]
+
+
+def test_a_placed_cell_without_a_principal_row_is_a_catalog_error(monkeypatch):
+    rows = {q: row for q, row in catalog_mod.PRINCIPAL_LPLUS.items() if q != 9}
+    monkeypatch.setattr(catalog_mod, "PRINCIPAL_LPLUS", rows)
+    with pytest.raises(CatalogError, match=re.escape("catalog cell (p, q) = (0, 9) of [10S]")):
+        build_catalog()
 
 
 def _whole_gram_invariants(lat):

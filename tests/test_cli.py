@@ -630,6 +630,38 @@ def test_failed_witness_construction_exits_1(argv, monkeypatch, capsys):
     assert err == "verification failed: witness construction failed for [9S], n=0, even-non-wu\n"
 
 
+def _drop_principal_row_9(monkeypatch):
+    from k4graph import catalog
+
+    rows = {q: row for q, row in catalog.PRINCIPAL_LPLUS.items() if q != 9}
+    monkeypatch.setattr(catalog, "PRINCIPAL_LPLUS", rows)
+    return "catalog cell (p, q) = (0, 9) of [10S] has no principal table row"
+
+
+def test_a_catalog_that_fails_to_build_fails_the_catalog_suites(monkeypatch, capsys):
+    # lattice and forms still run and print; each suite that takes the catalog
+    # fails with the reason, and nothing aborts
+    reason = _drop_principal_row_9(monkeypatch)
+    code, out, err = run_cli(["verify"], capsys)
+    assert (code, err) == (1, "")
+    failed = [f"  first failing invariant: catalog build failed: {reason}"]
+    assert out.splitlines() == ["lattice      pass", "forms        pass"] + [
+        line for name in ("catalog", "predicates", "graphs", "synthesis")
+        for line in [f"{name:12s} FAIL"] + failed
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["catalog", "build --graph k4", "export --graph k3 --out {tmp}/g.json",
+     "classify --vertex [nope] --square 6"],
+)
+def test_a_catalog_that_fails_to_build_is_one_stderr_line(argv, monkeypatch, tmp_path, capsys):
+    reason = _drop_principal_row_9(monkeypatch)
+    code, out, err = run_cli(argv.format(tmp=tmp_path).split(), capsys)
+    assert (code, out, err) == (1, "", f"catalog error: {reason}\n")
+
+
 _JUNK = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=4)
 
 
