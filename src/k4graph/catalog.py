@@ -390,7 +390,10 @@ def _make_vertex(
 ) -> K3Vertex:
     """The validated entry of a table row, with d and the type folded from its
     blocks once, for the entry and its validation alike."""
-    folds = plus, minus = _block_invariants(plus_names), _block_invariants(minus_names)
+    try:
+        folds = plus, minus = _block_invariants(plus_names), _block_invariants(minus_names)
+    except KeyError as exc:
+        raise CatalogError(f"catalog entry {vid}: unknown block {exc.args[0]!r}") from None
     if plus is None or minus is None:
         raise CatalogError(f"catalog entry {vid}: {_NOT_2_PERIODIC}")
     lplus = from_summands(plus_names, label=f"L+{vid}")

@@ -410,8 +410,8 @@ def _search_vectors(
             break
         used.append(name)
         used_rank += r
-    # pinned tail blocks hold the zero vector; the zero block is even, and it
-    # is Wu-compatible only where the block characteristic class vanishes
+    # pinned tail blocks hold the zero vector, even, and Wu only where the block
+    # characteristic class vanishes: a hit on the leading blocks keeps its class
     if cls is ElementClass.WU and any(
         any(_block_data(n).wu_parities) for n in names[len(used):]
     ):
@@ -419,12 +419,7 @@ def _search_vectors(
     for coords in _search_blocks(tuple(used), target_square, cls, bound, state):
         if not any(coords):
             continue
-        vec = l.vector(list(coords) + [0] * (l.rank - used_rank))
-        # the pinned tail can flip Wu-compatibility of the full vector
-        if cls in (ElementClass.EVEN_NON_WU, ElementClass.WU):
-            if classify_element(l, vec) is not cls:
-                continue
-        yield vec
+        yield l.vector(list(coords) + [0] * (l.rank - used_rank))
 
 
 def search_witness(

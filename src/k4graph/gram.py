@@ -19,8 +19,8 @@ Gram = Tuple[Tuple[int, ...], ...]
 Invariants = Tuple[Tuple[int, int], int, int]
 
 # Entries per memo (the Gram-keyed ones, the per-form Brown invariant and
-# the block tables): one verify run eliminates 480 distinct Grams, diagonal
-# blocks included, one entry each for the inertia and the det, and reads 466
+# the block tables): one verify run eliminates 489 distinct Grams, diagonal
+# blocks included, one entry each for the inertia and the det, and reads 476
 # discriminant groups, so 1024 holds them all; they add 0.6 MB to its peak RSS.
 MEMO_SIZE = 1024
 

@@ -8,12 +8,13 @@ with Python 3.11 on one core of a 2-core x86-64 VM.  No suite searches.
 The lattice suite recomputes every row of the stated block table
 ``catalog.BLOCK_INVARIANTS``, and the forms suite checks Milgram's formula,
 Brown = σ mod 8, on each even row, so together they compute every value that
-the catalog's key set ``K3_KEYS`` is folded from.  A catalog that fails to
-build fails each suite that takes it, with the reason.  The catalog suite
-reads each entry's signatures, discriminant ranks and type off its whole
-Grams, where ``build_catalog`` folded them from the standard blocks, so it
-checks that direct-sum rule on all 150 eigenlattices; an entry whose Gram is
-degenerate or not 2-elementary fails, with no form built.
+the catalog's key set ``K3_KEYS`` is folded from.  A suite that raises fails
+with the exception's type and message, a catalog that fails to build fails
+each suite that takes it, with the reason, and the others still run.  The
+catalog suite reads each entry's signatures, discriminant ranks and type off
+its whole Grams, where ``build_catalog`` folded them from the standard
+blocks, so it checks that direct-sum rule on all 150 eigenlattices; an entry
+whose Gram is degenerate or not 2-elementary fails, with no form built.
 The predicates suite proves its negatives for all three classes from the one
 block table ``catalog.SQUARES`` and confirms its positives with witnesses; the
 graphs suite identifies the irregular K4 vertex's lattice, which ``build``
@@ -334,23 +335,26 @@ _CATALOG_SUITES = ("catalog", "predicates", "graphs", "synthesis")
 
 
 def run_suites(names: Optional[List[str]] = None) -> List[SuiteResult]:
-    """The selected suites' results, in order.  A catalog that fails to build
-    fails each suite that takes it, naming the reason, and the others run."""
-    selected = names if names else list(SUITES)
+    """The selected suites' results, in order.  A suite that raises fails with
+    the exception's type and message, a catalog that fails to build fails each
+    suite that takes it, naming the reason, and the other suites still run."""
     cat: Union[Catalog, CatalogError, None] = None
     results = []
-    for name in selected:
+    for name in names or SUITES:
         fn = SUITES[name]
-        if name not in _CATALOG_SUITES:
-            results.append(fn())
-            continue
-        if cat is None:
-            try:
-                cat = build_catalog()
-            except CatalogError as exc:
-                cat = exc
-        if isinstance(cat, CatalogError):
-            results.append(SuiteResult(name, [f"catalog build failed: {cat}"]))
-        else:
-            results.append(fn(cat))
+        try:
+            if name not in _CATALOG_SUITES:
+                results.append(fn())
+                continue
+            if cat is None:
+                try:
+                    cat = build_catalog()
+                except CatalogError as exc:
+                    cat = exc
+            if isinstance(cat, CatalogError):
+                results.append(SuiteResult(name, [f"catalog build failed: {cat}"]))
+            else:
+                results.append(fn(cat))
+        except Exception as exc:  # the suite's one failure, and the next suite runs
+            results.append(SuiteResult(name, [f"{type(exc).__name__}: {exc}"]))
     return results

@@ -621,13 +621,40 @@ def test_predicates_suite_runs_no_search(monkeypatch, capsys):
 )
 def test_failed_witness_construction_exits_1(argv, monkeypatch, capsys):
     # a witness the constructions cannot deliver is a verification failure,
-    # reported on stderr, not a traceback
+    # not a traceback: verify fails the suite that asked for it, and classify
+    # reports it on stderr
     from k4graph import elements
 
     monkeypatch.setattr(elements, "_even_witness", lambda v, n: None)
-    code, _, err = run_cli(argv, capsys)
+    code, out, err = run_cli(argv, capsys)
+    reason = "witness construction failed for [9S], n=0, even-non-wu"
     assert code == 1
-    assert err == "verification failed: witness construction failed for [9S], n=0, even-non-wu\n"
+    if argv[0] == "verify":
+        failed = f"  first failing invariant: WitnessError: {reason}\n"
+        assert (out, err) == ("predicates   FAIL\n" + failed, "")
+    else:
+        assert err == f"verification failed: {reason}\n"
+
+
+def test_a_suite_that_raises_fails_by_name(monkeypatch, capsys):
+    # E7's Dynkin edge (5, 6) moved to (4, 6): the forms suite raises on the
+    # Gram, which is no longer 2-elementary; that is the forms FAIL, and every
+    # other suite still runs and prints its line
+    from k4graph import gram
+
+    edges = ((0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (4, 6))
+    monkeypatch.setitem(gram.STANDARD_GRAMS, "E7", gram._tree_cartan(7, edges))
+    code, out, err = run_cli(["verify"], capsys)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [l.split()[0] for l in lines if not l.startswith(" ")] == list(SUITES)
+    for name, first in (
+        ("lattice", "signature of E7"),
+        ("forms", "FormError: form out of scope: discriminant is not 2-periodic"),
+        ("catalog", "[8S]: discriminant groups must be 2-periodic"),
+    ):
+        at = lines.index(f"{name:12s} FAIL")
+        assert lines[at + 1] == f"  first failing invariant: {first}"
 
 
 def _drop_principal_row_9(monkeypatch):
@@ -638,17 +665,30 @@ def _drop_principal_row_9(monkeypatch):
     return "catalog cell (p, q) = (0, 9) of [10S] has no principal table row"
 
 
+def _unknown_block(monkeypatch):
+    from k4graph import catalog
+
+    rows = tuple(
+        (vid, ("E9",) if vid == "[S9]_I" else plus, minus)
+        for vid, plus, minus in catalog.EXCEPTIONAL
+    )
+    monkeypatch.setattr(catalog, "EXCEPTIONAL", rows)
+    return "catalog entry [S9]_I: unknown block 'E9'"
+
+
 def test_a_catalog_that_fails_to_build_fails_the_catalog_suites(monkeypatch, capsys):
     # lattice and forms still run and print; each suite that takes the catalog
     # fails with the reason, and nothing aborts
-    reason = _drop_principal_row_9(monkeypatch)
-    code, out, err = run_cli(["verify"], capsys)
-    assert (code, err) == (1, "")
-    failed = [f"  first failing invariant: catalog build failed: {reason}"]
-    assert out.splitlines() == ["lattice      pass", "forms        pass"] + [
-        line for name in ("catalog", "predicates", "graphs", "synthesis")
-        for line in [f"{name:12s} FAIL"] + failed
-    ]
+    for corrupt in (_drop_principal_row_9, _unknown_block):
+        with monkeypatch.context() as patch:
+            reason = corrupt(patch)
+            code, out, err = run_cli(["verify"], capsys)
+        assert (code, err) == (1, "")
+        failed = [f"  first failing invariant: catalog build failed: {reason}"]
+        assert out.splitlines() == ["lattice      pass", "forms        pass"] + [
+            line for name in ("catalog", "predicates", "graphs", "synthesis")
+            for line in [f"{name:12s} FAIL"] + failed
+        ]
 
 
 @pytest.mark.parametrize(
@@ -657,9 +697,11 @@ def test_a_catalog_that_fails_to_build_fails_the_catalog_suites(monkeypatch, cap
      "classify --vertex [nope] --square 6"],
 )
 def test_a_catalog_that_fails_to_build_is_one_stderr_line(argv, monkeypatch, tmp_path, capsys):
-    reason = _drop_principal_row_9(monkeypatch)
-    code, out, err = run_cli(argv.format(tmp=tmp_path).split(), capsys)
-    assert (code, out, err) == (1, "", f"catalog error: {reason}\n")
+    for corrupt in (_drop_principal_row_9, _unknown_block):
+        with monkeypatch.context() as patch:
+            reason = corrupt(patch)
+            code, out, err = run_cli(argv.format(tmp=tmp_path).split(), capsys)
+        assert (code, out, err) == (1, "", f"catalog error: {reason}\n")
 
 
 _JUNK = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=4)

@@ -390,6 +390,17 @@ def test_search_restricts_big_lattices(catalog):
     big = catalog.by_id("[10S]").lplus  # rank 20 with summand structure
     hit = search_witness(big, -2, ElementClass.ODD, bound=1)
     assert hit is None or norm(hit) == -2
+    # the tail pinned to zero keeps an even hit's class: the first Wu and
+    # even-non-Wu hits are of their class on the whole lattice
+    hits = 0
+    for lat in (l for v in catalog for l in (v.lplus, v.lminus) if l.rank > RESTRICT_RANK):
+        for target in (-2, 6):
+            for cls in (ElementClass.WU, ElementClass.EVEN_NON_WU):
+                hit = search_witness(lat, target, cls, bound=2)
+                if hit is not None:
+                    hits += 1
+                    assert norm(hit) == target and classify_element(lat, hit) is cls
+    assert hits > 0
 
 
 def test_search_matches_naive_enumeration():
