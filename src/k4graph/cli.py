@@ -1,18 +1,23 @@
 """Command-line frontend: catalog dumps, graph builds, classification, verification.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Output is
+The grammar is one table, ``_COMMANDS``; argparse is imported only for help,
+other spellings (``--flag=value``, abbreviations) and usage errors.  Exit
+codes: 0 success, 1 verification failure, 2 usage error.  Output is
 deterministic byte-for-byte for identical flags.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import SUITE_NAMES, elements, graphs, verification
 from .catalog import Catalog, CatalogError, ElementClass, build_catalog, exists_class
+
+if TYPE_CHECKING:
+    import argparse
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -106,16 +111,13 @@ def _catalog_table(cat: Catalog) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_catalog(args: argparse.Namespace) -> int:
-    cat = build_catalog()
-    if args.format == "json":
-        _write_out(_catalog_json(cat), args.out)
-    else:
-        _write_out(_catalog_table(cat), args.out)
+def cmd_catalog(args: SimpleNamespace) -> int:
+    render = _catalog_json if args.format == "json" else _catalog_table
+    _write_out(render(build_catalog()), args.out)
     return 0
 
 
-def cmd_build(args: argparse.Namespace) -> int:
+def cmd_build(args: SimpleNamespace) -> int:
     cat = build_catalog()
     try:
         g = graphs._build_graph(cat, args.graph)
@@ -133,7 +135,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: SimpleNamespace) -> int:
     cat = build_catalog()
     try:
         v = cat.by_id(args.vertex)
@@ -161,7 +163,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     exit_code = 0
     for res in verification.run_suites([args.suite] if args.suite else None):
         status = "pass" if res.ok else "FAIL"
@@ -179,58 +181,76 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
+        if value >= 1:
+            return value
+        error = f"must be a positive integer, got {value}"
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+        error = f"invalid int value: {text!r}"
+    from argparse import ArgumentTypeError  # a bad value, which argparse reports
+    raise ArgumentTypeError(error)
+
+
+_OUT = {"help": "write to a file instead of stdout"}
+_GRAPH = {"--graph": {"choices": ("k3", "k4"), "required": True},
+          "--format": {"choices": ("json", "dot"), "default": "json"}}
+_COMMANDS = {  # command -> (handler, help, {flag: argparse keywords})
+    "catalog": (cmd_catalog, "dump the 75-entry vertex catalog",
+                {"--format": {"choices": ("json", "table"), "default": "table"}, "--out": _OUT}),
+    "build": (cmd_build, "build a deformation graph", {**_GRAPH, "--out": _OUT}),
+    "export": (cmd_build, "build a graph and write it to a file",
+               {**_GRAPH, "--out": {"required": True}}),
+    "classify": (cmd_classify, "existence and witnesses per element class", {
+        "--vertex": {"required": True, "help": "catalog id, e.g. '[7S]'"},
+        "--square": {"type": int, "choices": (-2, 6), "required": True},
+        "--bound": {"type": _positive_int, "help": "search for witnesses instead of constructing"},
+    }),
+    "verify": (cmd_verify, "run the invariant suites",
+               {"--suite": {"choices": sorted(SUITE_NAMES), "help": "run a single suite"}}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="k4graph",
-        description=(
-            "Exact lattice catalog and adjacency graphs of real K3 involutions "
-            "and real cubic fourfolds"
-        ),
-    )
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="k4graph", description="Exact lattice catalog and "
+        "adjacency graphs of real K3 involutions and real cubic fourfolds")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_cat = sub.add_parser("catalog", help="dump the 75-entry vertex catalog")
-    p_cat.add_argument("--format", choices=("json", "table"), default="table")
-    p_cat.add_argument("--out", help="write to a file instead of stdout")
-    p_cat.set_defaults(func=cmd_catalog)
-
-    p_build = sub.add_parser("build", help="build a deformation graph")
-    p_build.add_argument("--graph", choices=("k3", "k4"), required=True)
-    p_build.add_argument("--format", choices=("json", "dot"), default="json")
-    p_build.add_argument("--out", help="write to a file instead of stdout")
-    p_build.set_defaults(func=cmd_build)
-
-    p_exp = sub.add_parser("export", help="build a graph and write it to a file")
-    p_exp.add_argument("--graph", choices=("k3", "k4"), required=True)
-    p_exp.add_argument("--format", choices=("json", "dot"), default="json")
-    p_exp.add_argument("--out", required=True)
-    p_exp.set_defaults(func=cmd_build)
-
-    p_cls = sub.add_parser("classify", help="existence and witnesses per element class")
-    p_cls.add_argument("--vertex", required=True, help="catalog id, e.g. '[7S]'")
-    p_cls.add_argument("--square", type=int, choices=(-2, 6), required=True)
-    p_cls.add_argument(
-        "--bound", type=_positive_int, help="search for witnesses instead of constructing"
-    )
-    p_cls.set_defaults(func=cmd_classify)
-
-    p_ver = sub.add_parser("verify", help="run the invariant suites")
-    p_ver.add_argument("--suite", choices=sorted(SUITE_NAMES), help="run a single suite")
-    p_ver.set_defaults(func=cmd_verify)
-
+    for name, (func, help_text, options) in _COMMANDS.items():
+        p_cmd = sub.add_parser(name, help=help_text)
+        for flag, keywords in options.items():
+            p_cmd.add_argument(flag, **keywords)
+        p_cmd.set_defaults(func=func)
     return parser
 
 
+def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """argparse's namespace for ``COMMAND --flag value ...``: exact flags, each
+    at most once, every value converted and among its choices, every required
+    flag given, a value that starts with ``-`` only if a negative integer.  None
+    for all else (help, ``--flag=value``, abbreviations, ``--``, usage errors)."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    func, _, options = _COMMANDS[argv[0]]
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        keywords = options.get(flag)
+        if keywords is None or flag in given or text[:1] == "-" and not text[1:].isdecimal():
+            return None
+        try:
+            given[flag] = keywords.get("type", str)(text)
+        except Exception:  # a bad value, which argparse words
+            return None
+        if given[flag] not in keywords.get("choices", (given[flag],)):
+            return None
+    if any(kw.get("required") and flag not in given for flag, kw in options.items()):
+        return None
+    values = {flag[2:]: given.get(flag, kw.get("default")) for flag, kw in options.items()}
+    return SimpleNamespace(command=argv[0], func=func, **values)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse loads only for a line the reader leaves: help, another spelling, a usage error
+    args = _read_argv(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     # a command makes few reference cycles, so the cyclic collector's passes
     # free next to nothing; it is paused for the command and then restored
     collecting = gc.isenabled()

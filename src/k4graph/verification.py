@@ -2,8 +2,8 @@
 
 Each suite returns a SuiteResult with human-readable failure strings; the
 CLI exit status is the conjunction.  The suites are deterministic (seeded
-randomness only); a `k4graph verify` process takes about 0.16 s of CPU time
-without bytecode (median of 15, 0.14 to 0.18 s; a bare interpreter 0.04 s),
+randomness only); a `k4graph verify` process takes about 0.17 s of CPU time
+without bytecode (median of 15, 0.16 to 0.25 s; a bare interpreter 0.04 s),
 with Python 3.11 on one core of a 2-core x86-64 VM.  No suite searches.
 The lattice suite recomputes every row of the stated block table
 ``catalog.BLOCK_INVARIANTS``, and the forms suite checks Milgram's formula,

@@ -277,6 +277,13 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert _fresh_process(code, *wanted).split() == sorted(wanted[3:])
 
 
+def test_cli_import_leaves_out_argparse():
+    # argparse, with the gettext and locale it can pull in, loads only for
+    # help and usage errors
+    code = "import k4graph.cli; print(*sorted(m for m in sys.modules if m in sys.argv[2:]))"
+    assert _fresh_process(code, "argparse", "gettext", "locale") == "\n"
+
+
 @pytest.mark.parametrize(
     "argv, executed",
     [
@@ -303,8 +310,10 @@ def test_a_command_executes_only_the_modules_it_calls(argv, executed, tmp_path):
         f"names = {_SUBMODULES!r}\n"
         "print(*(n for n in names if type(sys.modules['k4graph.' + n]) is types.ModuleType))\n"
         "print('json' in sys.modules)\n"
+        "print(*(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
     )
-    out, json_loaded = _fresh_process(code, *argv.format(tmp=tmp_path).split()).splitlines()
+    lines = _fresh_process(code, *argv.format(tmp=tmp_path).split()).splitlines()
+    out, json_loaded, parsers = lines
     # every command executes gram and catalog; only classify and verify, which
     # execute elements or verification, execute the kernels of lattice; of the
     # commands, only verify executes finite_forms, and only in the suites that
@@ -315,6 +324,8 @@ def test_a_command_executes_only_the_modules_it_calls(argv, executed, tmp_path):
     assert out.split() == [n for n in _SUBMODULES if n in base + executed.split()]
     # the JSON writer quotes with the _json accelerator: no command imports json
     assert json_loaded == "False"
+    # the flags are read without argparse, which loads only for help and usage errors
+    assert parsers == ""
 
 
 @pytest.mark.parametrize("collecting", [True, False])
@@ -753,3 +764,118 @@ def test_cli_exits_with_a_documented_code_on_any_input(data, budget, tmp_path):
                 code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# the token alphabet: the commands and flags, the spellings only argparse
+# reads, and good, bad and odd values, most of them offered to the flags
+# they suit
+_OF_COMMAND = {
+    "catalog": ["--format", "--out"],
+    "build": ["--graph", "--format", "--out"],
+    "export": ["--graph", "--format", "--out"],
+    "classify": ["--vertex", "--square", "--bound"],
+    "verify": ["--suite"],
+}
+_OF_FLAG = {
+    "--format": ["json", "table", "dot", "xml"],
+    "--out": ["out.txt", "-x", ""],
+    "--graph": ["k3", "k4", "k5"],
+    "--vertex": ["[3S]", "[7S]", "-2", "-x", ""],
+    "--square": ["-2", "6", "5", "06", "+3", "\u0663", "-x", ""],
+    "--bound": ["3", "0", "-1", "x", "06", "+3", "\u0663", "-2", ""],
+    "--suite": ["lattice", "forms", "bogus"],
+}
+_TOKENS = st.sampled_from(
+    sorted({t for ts in [*_OF_COMMAND.values(), *_OF_FLAG.values()] for t in ts})
+    + sorted(_OF_COMMAND) + ["--format=json", "--form", "-h", "--"]
+)
+
+
+@st.composite
+def _command_line(draw):
+    """A command with some of its flags in any order, each with a value
+    offered to it; then maybe one token of the alphabet put in place of a
+    token of the line, or inserted into it."""
+    command = draw(st.sampled_from(sorted(_OF_COMMAND)))
+    argv = [command]
+    for flag in draw(st.permutations(_OF_COMMAND[command])):
+        if not draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(_OF_FLAG[flag]))]
+    edit = draw(st.integers(0, 2))  # none, a replacement, an insertion
+    if edit:
+        at = draw(st.integers(0, len(argv) - 2 + edit))
+        argv[at:at + 2 - edit] = [draw(_TOKENS)]
+    return argv
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or the usage error it printed."""
+    from k4graph.cli import build_parser
+
+    with redirect_stderr(io.StringIO()) as err:
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_command_line())
+def test_reader_agrees_with_argparse(argv):
+    # the reader declines (None) or returns argparse's namespace, vars() for vars()
+    from k4graph.cli import _read_argv
+
+    args = _read_argv(argv)
+    if args is not None:
+        assert vars(args) == _argparse_vars(argv)
+
+
+def _export_workload_argv():
+    """The nine command lines of one benchmark export pass, from the source of
+    perfbench/run.py's export_commands (the module itself is not imported: its
+    probe module shares a name with tests/reference.py)."""
+    import ast
+
+    root = Path(__file__).resolve().parent.parent
+    tree = ast.parse((root / "perfbench" / "run.py").read_text())
+    node = next(n for n in tree.body if getattr(n, "name", None) == "export_commands")
+    namespace = {"WORK": Path("work"), "List": list}
+    exec(compile(ast.Module([node], type_ignores=[]), "run.py", "exec"), namespace)
+    return namespace["export_commands"]({"classify": ("[7S]", "-2"), "search": ("[3S]", "6")})
+
+
+def test_reader_takes_every_documented_and_benchmarked_command_line():
+    # each CLI line of README's code block and each command of the benchmark's
+    # export pass is read without argparse, to argparse's namespace
+    import shlex
+
+    from k4graph.cli import _read_argv
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    documented = [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+    benchmarked = _export_workload_argv()
+    assert (len(documented), len(benchmarked)) == (9, 9)
+    for argv in documented + benchmarked:
+        args = _read_argv(argv)
+        assert args is not None, argv
+        assert vars(args) == _argparse_vars(argv)
+
+
+@pytest.mark.parametrize(
+    "spelling, plain",
+    [
+        ("catalog --format=json", "catalog --format json"),
+        ("catalog --form table", "catalog --format table"),
+        ("build --graph k4 --format dot --format json", "build --graph k4 --format json"),
+        ("classify --vertex [3S] --square=-2", "classify --vertex [3S] --square -2"),
+        ("verify --suite=lattice", "verify --suite lattice"),
+    ],
+)
+def test_argparse_only_spellings_give_the_same_output(spelling, plain, capsys):
+    # the reader leaves these to argparse, which reads them as the plain line
+    from k4graph.cli import _read_argv
+
+    assert _read_argv(spelling.split()) is None
+    assert _read_argv(plain.split()) is not None
+    assert run_cli(spelling.split(), capsys) == run_cli(plain.split(), capsys)
